@@ -40,6 +40,12 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise UsageError(f"cannot parse integer list {text!r}") from exc
 
 
+def _charges_from_args(args) -> tuple[int, ...]:
+    if args.r is None:
+        raise UsageError(f"{args.command} needs --r")
+    return _parse_int_list(args.r)
+
+
 def _parse_rational_list(text: str) -> tuple[Fraction, ...]:
     try:
         return tuple(parse_rational(x) for x in text.split(","))
@@ -132,7 +138,7 @@ def _cmd_jm_cells(args) -> int:
 
 
 def _cmd_standard_symbols(args) -> int:
-    charges = _parse_int_list(args.r)
+    charges = _charges_from_args(args)
     component = enumerate_standard_symbols(charges, args.n)
     if args.format == "json":
         obj = {
@@ -150,7 +156,7 @@ def _cmd_standard_symbols(args) -> int:
 
 
 def _cmd_canonical_basis(args) -> int:
-    charges = _parse_int_list(args.r)
+    charges = _charges_from_args(args)
     basis = canonical_basis(charges, args.n)
     ordered = sorted(basis, key=lambda s: (s.height, symbol_sort_key(s)))
     if args.format == "json":
@@ -182,7 +188,7 @@ def _cmd_canonical_basis(args) -> int:
 
 
 def _cmd_lm_cells(args) -> int:
-    charges = _parse_int_list(args.r)
+    charges = _charges_from_args(args)
     chars = lm_constructible(charges, args.n)
     ordered = sorted(chars.by_symbol, key=symbol_sort_key)
     if args.format == "json":
@@ -356,6 +362,8 @@ def cli_main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        if getattr(args, "n", None) is not None and args.n < 0:
+            raise UsageError(f"--n must be nonnegative, got {args.n}")
         return args.func(args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

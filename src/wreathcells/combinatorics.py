@@ -88,13 +88,17 @@ class DPartition:
         return DPartition(tuple(comps))
 
     def text(self) -> str:
-        return "|".join(
-            ".".join(str(p) for p in comp) if comp else "∅"
-            for comp in self.components
-        )
+        return components_text(self.components)
 
     def __repr__(self):
         return f"DPartition({self.text()})"
+
+
+def components_text(components: tuple[Partition, ...]) -> str:
+    """Text form of a tuple of partitions: parts joined by '.', components by '|'."""
+    return "|".join(
+        ".".join(str(p) for p in comp) if comp else "∅" for comp in components
+    )
 
 
 def empty_dpartition(d: int) -> DPartition:
@@ -115,7 +119,12 @@ def parse_dpartition(text: str) -> DPartition:
 
 def dpartition_sort_key(dp: DPartition):
     """Total order matching enumerate_dpartitions: big first components first."""
-    return tuple((-sum(c), tuple(-p for p in c)) for c in dp.components)
+    return components_sort_key(dp.components)
+
+
+def components_sort_key(components: tuple[Partition, ...]):
+    """dpartition_sort_key on a bare tuple of partitions."""
+    return tuple((-sum(c), tuple(-p for p in c)) for c in components)
 
 
 @lru_cache(maxsize=None)

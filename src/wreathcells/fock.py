@@ -17,6 +17,8 @@ of the intermediate basis of divided-power monomials.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain
 
@@ -24,7 +26,8 @@ from .combinatorics import (
     CharacterSum,
     DPartition,
     Partition,
-    dpartition_sort_key,
+    components_sort_key,
+    components_text,
     is_partition,
 )
 from .laurent import LaurentPoly, bar_symmetric_head, one, q_factorial, zero
@@ -36,6 +39,14 @@ class LeadingTermMismatch(ArithmeticError):
 
 class NonTerminating(RuntimeError):
     """The canonical-basis correction loop exceeded its cap or found a cycle."""
+
+
+class LatticeViolation(ArithmeticError):
+    """A canonical-basis vector left the standard lattice.
+
+    Its coefficient at its own symbol must lie in 1 + qZ[q] and every other
+    coefficient in qZ[q].
+    """
 
 
 class PositivityWarning(UserWarning):
@@ -76,9 +87,16 @@ class Symbol:
         return k + (parts[j] if j < len(parts) else 0)
 
     def with_row(self, idx: int, parts: Partition) -> "Symbol":
-        rows = list(self.rows)
-        rows[idx] = tuple(parts)
-        return Symbol(self.charges, tuple(rows))
+        parts = tuple(parts)
+        if not is_partition(parts):
+            raise ValueError(f"invalid displacement partition {parts!r}")
+        return self._moved(idx, parts)
+
+    def _moved(self, idx: int, parts: Partition) -> "Symbol":
+        """with_row for a row that a bead move produced, left unvalidated."""
+        return _unchecked_symbol(
+            self.charges, self.rows[:idx] + (parts,) + self.rows[idx + 1 :]
+        )
 
     def weight(self) -> tuple[tuple[int, int], ...]:
         """Finite fingerprint of the sl_infinity weight.
@@ -97,10 +115,22 @@ class Symbol:
         return tuple(sorted((v, c) for v, c in delta.items() if c))
 
     def text(self) -> str:
-        return DPartition(self.rows).text()
+        return components_text(self.rows)
 
     def __repr__(self):
         return f"Symbol(r={','.join(map(str, self.charges))}; {self.text()})"
+
+
+def _unchecked_symbol(charges: tuple[int, ...], rows: tuple[Partition, ...]) -> Symbol:
+    """A Symbol built without validation, for rows derived from a valid symbol.
+
+    Moving a bead to a free neighbouring value keeps every row a partition and
+    leaves the charges alone, so the bead moves below skip re-checking them.
+    """
+    sym = object.__new__(Symbol)
+    object.__setattr__(sym, "charges", charges)
+    object.__setattr__(sym, "rows", rows)
+    return sym
 
 
 def highest_weight_symbol(charges: tuple[int, ...]) -> Symbol:
@@ -117,7 +147,7 @@ def dpartition_from_symbol(sym: Symbol) -> DPartition:
 
 
 def symbol_sort_key(sym: Symbol):
-    return dpartition_sort_key(DPartition(sym.rows))
+    return components_sort_key(sym.rows)
 
 
 # Row-local bead mechanics.  A row is (charge, parts); the window of displaced
@@ -249,7 +279,7 @@ def f_action(m: int, vec: FockVector) -> FockVector:
         for j in range(sym.d):
             if _row_lowerable(sym.charges[j], sym.rows[j], m):
                 n_exp = sum(eps[j + 1 :])
-                target = sym.with_row(j, _row_move_up(sym.charges[j], sym.rows[j], m))
+                target = sym._moved(j, _row_move_up(sym.charges[j], sym.rows[j], m))
                 out[target] = out.get(target, zero()) + coeff * LaurentPoly({n_exp: 1})
     return FockVector(out)
 
@@ -262,7 +292,7 @@ def e_action(m: int, vec: FockVector) -> FockVector:
         for j in range(sym.d):
             if _row_raiseable(sym.charges[j], sym.rows[j], m):
                 n_exp = -sum(eps[:j])
-                target = sym.with_row(j, _row_move_down(sym.charges[j], sym.rows[j], m))
+                target = sym._moved(j, _row_move_down(sym.charges[j], sym.rows[j], m))
                 out[target] = out.get(target, zero()) + coeff * LaurentPoly({n_exp: 1})
     return FockVector(out)
 
@@ -279,16 +309,15 @@ def divided_power_f(m: int, mult: int, vec: FockVector) -> FockVector:
     return out.exact_div_scalar(q_factorial(mult))
 
 
-def crystal_f(m: int, sym: Symbol) -> Symbol | None:
-    """Kashiwara lowering at node m via the signature rule.
+def crystal_signature(m: int, sym: Symbol) -> tuple[int | None, int]:
+    """(surviving row index or None, count of surviving '+' rows) at node m.
 
     Rows are read 1..d and marked '-' when lowerable at m, '+' when raiseable.
     Adjacent '+-' pairs (a raiseable row immediately before a lowerable one,
-    after iterated cancellation) cancel; the operator moves the bead in the
-    rightmost surviving '-' row, or returns None when none survives.  This is
-    the tensor-product crystal rule matching the comultiplication behind
-    f_action: the survivor's f_action exponent is minus the number of
-    surviving '+' rows, zero whenever no raiseable row survives.
+    after iterated cancellation) cancel; the survivor is the rightmost '-'
+    row left.  This is the tensor-product crystal rule matching the
+    comultiplication behind f_action: the survivor's f_action exponent is
+    minus the number of surviving '+' rows.
     """
     survivors: list[int] = []
     pending_plus = 0
@@ -301,26 +330,19 @@ def crystal_f(m: int, sym: Symbol) -> Symbol | None:
                 survivors.append(j)
         elif _row_raiseable(r, parts, m):
             pending_plus += 1
-    if not survivors:
-        return None
-    j = survivors[-1]
-    return sym.with_row(j, _row_move_up(sym.charges[j], sym.rows[j], m))
-
-
-def crystal_signature(m: int, sym: Symbol) -> tuple[int | None, int]:
-    """(surviving row index or None, count of surviving '+' rows) at node m."""
-    survivors: list[int] = []
-    pending_plus = 0
-    for j in range(sym.d):
-        r, parts = sym.charges[j], sym.rows[j]
-        if _row_lowerable(r, parts, m):
-            if pending_plus:
-                pending_plus -= 1
-            else:
-                survivors.append(j)
-        elif _row_raiseable(r, parts, m):
-            pending_plus += 1
     return (survivors[-1] if survivors else None, pending_plus)
+
+
+def crystal_f(m: int, sym: Symbol) -> Symbol | None:
+    """Kashiwara lowering at node m via the signature rule.
+
+    Moves the bead in the row `crystal_signature` picks, or returns None when
+    no lowerable row survives the cancellation.
+    """
+    j, _ = crystal_signature(m, sym)
+    if j is None:
+        return None
+    return sym._moved(j, _row_move_up(sym.charges[j], sym.rows[j], m))
 
 
 def _candidate_nodes(sym: Symbol) -> list[int]:
@@ -367,47 +389,67 @@ def enumerate_standard_symbols(charges: tuple[int, ...], n: int) -> CrystalCompo
     return CrystalComponent(charges, tuple(layers))
 
 
+def _peel_step(sym: Symbol) -> tuple[tuple[int, int], Symbol] | None:
+    """One peel step: ((node, multiplicity), parent), or None at the highest weight.
+
+    The smallest displaced bead value v can only sit at the last displaced
+    position of a row, since bead values increase along a row.  Every bead of
+    value v is lowered to v - 1 at once; their count is the divided-power
+    multiplicity at node v - 1.  The parent has strictly smaller height.
+    """
+    lows = [
+        r - len(parts) + 1 + parts[-1]
+        for r, parts in zip(sym.charges, sym.rows)
+        if parts
+    ]
+    if not lows:
+        return None
+    vmin = min(lows)
+    rows = []
+    for r, parts in zip(sym.charges, sym.rows):
+        if parts and r - len(parts) + 1 + parts[-1] == vmin:
+            parts = parts[:-1] + (parts[-1] - 1,) if parts[-1] > 1 else parts[:-1]
+        rows.append(parts)
+    parent = _unchecked_symbol(sym.charges, tuple(rows))
+    return (vmin - 1, lows.count(vmin)), parent
+
+
 def lt_monomial(sym: Symbol) -> tuple[tuple[int, int], ...]:
     """Peeling word (node, multiplicity), outermost factor first.
 
-    Each step locates the smallest displaced bead value v, lowers every bead of
-    value v simultaneously (their count is the divided-power multiplicity) and
-    records the node v-1.  The peel strictly reduces the height, so it reaches
-    the highest-weight symbol; a cap guards against invariant breaches.
+    `_peel_step` repeated down to the highest-weight symbol.
     """
     word = []
-    rows = list(sym.rows)
-    guard = sym.height + 1
-    for _ in range(guard + 1):
-        displaced = []
-        for idx, parts in enumerate(rows):
-            r = sym.charges[idx]
-            for j in range(1, len(parts) + 1):
-                if parts[j - 1] > 0:
-                    displaced.append((r - j + 1 + parts[j - 1], idx, j))
-        if not displaced:
-            return tuple(word)
-        vmin = min(v for v, _, _ in displaced)
-        hits = [(idx, j) for v, idx, j in displaced if v == vmin]
-        word.append((vmin - 1, len(hits)))
-        for idx, j in hits:
-            parts = list(rows[idx])
-            parts[j - 1] -= 1
-            while parts and parts[-1] == 0:
-                parts.pop()
-            rows[idx] = tuple(parts)
-    raise NonTerminating(f"peeling of {sym!r} did not reach the highest weight")
+    step = _peel_step(sym)
+    while step is not None:
+        factor, sym = step
+        word.append(factor)
+        step = _peel_step(sym)
+    return tuple(word)
 
 
-def intermediate_A(sym: Symbol) -> FockVector:
-    """Divided-power monomial applied to the highest-weight vector.
+def _monomial(sym: Symbol, monomials: Mapping[Symbol, FockVector]) -> FockVector:
+    step = _peel_step(sym)
+    if step is None:
+        return FockVector.unit(sym)
+    (m, mult), parent = step
+    base = monomials.get(parent)
+    if base is None:
+        base = _monomial(parent, monomials)
+    return divided_power_f(m, mult, base)
 
-    Bar-invariant by construction; its coefficient at sym must have constant
-    term one, which is asserted.
+
+def intermediate_A(
+    sym: Symbol, monomials: Mapping[Symbol, FockVector] | None = None
+) -> FockVector:
+    """Divided-power monomial of sym's peeling word on the highest-weight vector.
+
+    Built as F_m^(k) A(parent), where (m, k) and parent come from one peel
+    step.  A(parent) is read from `monomials` when it is there and otherwise
+    built the same way, down the peel.  Bar-invariant by construction; its
+    coefficient at sym must have constant term one, else LeadingTermMismatch.
     """
-    vec = FockVector.unit(highest_weight_symbol(sym.charges))
-    for m, mult in reversed(lt_monomial(sym)):
-        vec = divided_power_f(m, mult, vec)
+    vec = _monomial(sym, monomials or {})
     if vec.coefficient(sym).constant_term() != 1:
         raise LeadingTermMismatch(
             f"monomial for {sym!r} has leading coefficient "
@@ -443,6 +485,24 @@ def canonical_basis(
     standard = component.all_symbols()
     per_height = [len(layer) for layer in component.by_height]
 
+    # A(sym) is kept only until every standard symbol peeling to sym is built.
+    unbuilt_children = Counter(
+        step[1] for step in map(_peel_step, standard) if step is not None
+    )
+    monomials: dict[Symbol, FockVector] = {}
+
+    def monomial(sym: Symbol) -> FockVector:
+        vec = intermediate_A(sym, monomials)
+        if unbuilt_children[sym]:
+            monomials[sym] = vec
+        step = _peel_step(sym)
+        if step is not None:
+            parent = step[1]
+            unbuilt_children[parent] -= 1
+            if not unbuilt_children[parent]:
+                monomials.pop(parent, None)
+        return vec
+
     basis: dict[Symbol, FockVector] = {}
     in_progress: set[Symbol] = set()
 
@@ -452,7 +512,7 @@ def canonical_basis(
         if sym in in_progress:
             raise NonTerminating(f"cyclic correction dependency at {sym!r}")
         in_progress.add(sym)
-        cur = intermediate_A(sym)
+        cur = monomial(sym)
         cap = max(1, per_height[sym.height]) ** 2
         for _ in range(cap + 1):
             violators = [
@@ -484,10 +544,10 @@ def _check_lattice(sym: Symbol, vec: FockVector) -> None:
             ok = c.constant_term() == 1 and (c - one()).in_q_zq()
         else:
             ok = c.in_q_zq()
-        assert ok, (
-            f"lattice property violated: coefficient {c.text()} at {s!r} "
-            f"in the vector for {sym!r}"
-        )
+        if not ok:
+            raise LatticeViolation(
+                f"coefficient {c.text()} at {s!r} in the vector for {sym!r}"
+            )
     if any(v < 0 for c in vec.terms.values() for v in c.coeffs.values()):
         warnings.warn(
             f"canonical basis vector for {sym!r} has a negative coefficient",

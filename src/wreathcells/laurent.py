@@ -16,7 +16,10 @@ Rational = Fraction
 
 def parse_rational(text: str) -> Fraction:
     """Parse an integer literal or "p/q" into an exact rational."""
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {text!r}") from exc
 
 
 class NotDivisible(ArithmeticError):

@@ -5,11 +5,30 @@ charge vector, the standard symbols, the q = 1 content of every intermediate
 monomial, and the resulting constructible characters.  They are written from
 the combinatorial description alone and never call the production pipeline,
 so they can serve as an oracle for it.
+
+`replayed_monomial` is the oracle for the incremental monomials: it applies
+the whole peeling word to the highest-weight vector, one divided power per
+factor, as the monomials were first computed.
 """
 
 from __future__ import annotations
 
-from wreathcells import CharacterSum, Symbol
+from wreathcells import (
+    CharacterSum,
+    FockVector,
+    Symbol,
+    divided_power_f,
+    highest_weight_symbol,
+    lt_monomial,
+)
+
+
+def replayed_monomial(sym: Symbol) -> FockVector:
+    """Divided-power monomial of sym, replayed from the highest weight."""
+    vec = FockVector.unit(highest_weight_symbol(sym.charges))
+    for m, mult in reversed(lt_monomial(sym)):
+        vec = divided_power_f(m, mult, vec)
+    return vec
 
 
 def blocks_of(charges: tuple[int, ...]) -> list[tuple[list[int], int]]:

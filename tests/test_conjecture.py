@@ -176,6 +176,40 @@ def test_cli_usage_error_missing():
     assert cli_main(["jm-cells", "--n", "2"]) == 2
 
 
+def _assert_usage_error(argv, capsys):
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["lm-cells", "standard-symbols", "canonical-basis"])
+def test_cli_charges_required(command, capsys):
+    _assert_usage_error([command, "--n", "2"], capsys)
+
+
+def test_cli_zero_denominator(capsys):
+    _assert_usage_error(["check", "--r", "1,0", "--c0", "1/0", "--n", "2"], capsys)
+
+
+def test_cli_negative_n_canonical_basis(capsys):
+    _assert_usage_error(["canonical-basis", "--r", "1,0", "--n", "-1"], capsys)
+
+
+def test_cli_negative_n_lm_cells(capsys):
+    _assert_usage_error(["lm-cells", "--r", "1,0", "--n", "-2"], capsys)
+
+
+def test_package_exports_no_submodule():
+    import types
+
+    import wreathcells
+
+    for name in wreathcells.__all__:
+        assert not isinstance(getattr(wreathcells, name), types.ModuleType), name
+
+
 def test_cli_lm_cells_text(capsys):
     assert cli_main(["lm-cells", "--r", "0,0", "--n", "2"]) == 0
     out = capsys.readouterr().out.strip().splitlines()

@@ -1,13 +1,27 @@
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import height2_characters, height2_monomials_at_one, sym_one, sym_pair, sym_prime
+import wreathcells.fock as fock
+from helpers import (
+    height2_characters,
+    height2_monomials_at_one,
+    replayed_monomial,
+    sym_one,
+    sym_pair,
+    sym_prime,
+)
 from wreathcells.combinatorics import DPartition, enumerate_dpartitions
 from wreathcells.fock import (
     FockVector,
+    LatticeViolation,
     LeadingTermMismatch,
     Symbol,
     canonical_basis,
@@ -67,6 +81,14 @@ def test_symbol_beads_displaced():
     assert s.beta(1, 1) == 2 and s.beta(1, 0) == 1
     assert s.beta(1, -1) == -1
     assert s.height == 2
+
+
+def test_symbol_validates_rows_from_outside():
+    with pytest.raises(ValueError):
+        sym((1, 0), (1, 2), ())
+    with pytest.raises(ValueError):
+        sym((1, 0), (1,), ()).with_row(1, (1, 2))
+    assert sym((1, 0), (1,), ()).with_row(1, [2, 1]) == sym((1, 0), (1,), (2, 1))
 
 
 @given(random_symbols())
@@ -306,6 +328,12 @@ def test_intermediate_asymptotic_is_unit(charges, n):
             assert intermediate_A(s) == FockVector.unit(s)
 
 
+def test_intermediate_matches_replayed_word():
+    comp = enumerate_standard_symbols((1, 1, 0), 5)
+    for s in comp.all_symbols():
+        assert intermediate_A(s) == replayed_monomial(s)
+
+
 def test_leading_term_guard_fires_off_component():
     # a symbol outside the crystal component whose peel word leads elsewhere
     stray = sym((0, 0, 0), (1,), (), (1,))
@@ -404,6 +432,62 @@ def test_canonical_basis_order_robust(charges, n):
     assert canonical_basis(charges, n) == canonical_basis(
         charges, n, reverse_ties=True
     )
+
+
+@pytest.mark.parametrize(
+    "charges,n", [((1, 0), 6), ((0, 0, 0), 5), ((1, 1, 0, 0), 4)]
+)
+@pytest.mark.parametrize("reverse_ties", [False, True])
+def test_canonical_basis_matches_replayed_monomials(
+    charges, n, reverse_ties, monkeypatch
+):
+    fast = canonical_basis(charges, n, reverse_ties=reverse_ties)
+    monkeypatch.setattr(
+        fock, "intermediate_A", lambda s, monomials=None: replayed_monomial(s)
+    )
+    assert canonical_basis(charges, n, reverse_ties=reverse_ties) == fast
+
+
+def test_one_divided_power_per_standard_symbol(monkeypatch):
+    calls = []
+
+    def counted(m, mult, v):
+        calls.append(m)
+        return divided_power_f(m, mult, v)
+
+    monkeypatch.setattr(fock, "divided_power_f", counted)
+    basis = canonical_basis((1, 1, 0), 6)
+    assert len(calls) == len(basis) - 1  # every symbol but the highest weight
+
+
+def test_lattice_violation_is_raised():
+    s = sym((1, 0), (1,), ())
+    t = sym((1, 0), (), (1,))
+    with pytest.raises(LatticeViolation):
+        fock._check_lattice(s, FockVector({s: one(), t: one()}))
+    with pytest.raises(LatticeViolation):
+        fock._check_lattice(s, FockVector({s: q()}))
+
+
+def test_lattice_violation_survives_optimize():
+    # `python -O` strips asserts, so the lattice check must not be one
+    script = textwrap.dedent(
+        """
+        from wreathcells.fock import FockVector, LatticeViolation, Symbol, _check_lattice
+        from wreathcells.laurent import one
+        s, t = Symbol((1, 0), ((1,), ())), Symbol((1, 0), ((), (1,)))
+        try:
+            _check_lattice(s, FockVector({s: one(), t: one()}))
+        except LatticeViolation:
+            raise SystemExit(0)
+        raise SystemExit(1)
+        """
+    )
+    src = str(Path(fock.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], env={**os.environ, "PYTHONPATH": src}
+    )
+    assert result.returncode == 0
 
 
 # Constructible characters
