@@ -1,8 +1,8 @@
 """Command-line surface.
 
-Exit codes: 0 on success, 1 when `check` finds unequal character sets, 2 on
-usage errors.  All output is deterministic; `--format json` mirrors the text
-tables.
+Exit codes: 0 on success, 1 when `check` finds unequal character sets or
+`gaudin-verify` finds a nonzero residual, 2 on usage errors.  All output is
+deterministic; `--format json` mirrors the text tables.
 """
 
 from __future__ import annotations
@@ -71,8 +71,11 @@ def _params_from_args(args) -> CMParams:
 
 def _emit(args, text: str) -> None:
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {args.out}: {exc.strerror}") from exc
     else:
         print(text)
 
@@ -223,6 +226,8 @@ def _cmd_cm_cells_n2(args) -> int:
 def _cmd_gaudin_verify(args) -> int:
     params = _params_from_args(args)
     d = params.d
+    if (args.i is None) != (args.j is None):
+        raise UsageError("gaudin-verify needs both --i and --j, or neither")
     pairs = (
         [(args.i, args.j)]
         if args.i is not None and args.j is not None

@@ -150,60 +150,48 @@ def symbol_sort_key(sym: Symbol):
     return components_sort_key(sym.rows)
 
 
-# Row-local bead mechanics.  A row is (charge, parts); the window of displaced
-# beads sits at positions charge-s+1..charge where s = len(parts).
-
-
-def _row_contains(charge: int, parts: Partition, value: int) -> bool:
-    s = len(parts)
-    if value <= charge - s:
-        return True
-    return any(charge - j + 1 + parts[j - 1] == value for j in range(1, s + 1))
-
-
-def _row_lowerable(charge: int, parts: Partition, m: int) -> bool:
-    return _row_contains(charge, parts, m) and not _row_contains(charge, parts, m + 1)
-
-
-def _row_raiseable(charge: int, parts: Partition, m: int) -> bool:
-    return not _row_contains(charge, parts, m) and _row_contains(charge, parts, m + 1)
+# Row-local bead mechanics.  A row is (charge, parts): every value up to
+# charge - len(parts) holds an undisplaced bead, and the displaced bead at
+# 0-based index j has value charge - j + parts[j], decreasing in j.
 
 
 def _row_eps(charge: int, parts: Partition, m: int) -> int:
-    """K_m weight of the row: +1, -1 or 0."""
-    has_m = _row_contains(charge, parts, m)
-    has_m1 = _row_contains(charge, parts, m + 1)
-    if has_m and not has_m1:
-        return 1
-    if has_m1 and not has_m:
-        return -1
-    return 0
+    """K_m weight of the row, in one pass over its displaced beads.
+
+    +1 when a bead sits at m and none at m+1 (lowerable), -1 when a bead sits
+    at m+1 and none at m (raiseable), 0 otherwise.
+    """
+    top = charge - len(parts)
+    has_m, has_m1 = m <= top, m + 1 <= top
+    for j, p in enumerate(parts):
+        v = charge - j + p
+        if v < m:
+            break
+        if v == m:
+            has_m = True
+        elif v == m + 1:
+            has_m1 = True
+    return has_m - has_m1
 
 
-def _row_move_up(charge: int, parts: Partition, m: int) -> Partition:
-    """Move the bead m -> m+1; caller guarantees the row is lowerable at m."""
-    s = len(parts)
-    if m == charge - s:
+def _row_move(charge: int, parts: Partition, v: int, step: int) -> Partition:
+    """Move the bead at v to v + step (step is 1 or -1), trimming trailing zeros.
+
+    The caller guarantees a bead at v and a free value at v + step, so the
+    result is again a partition.
+    """
+    if v == charge - len(parts):  # the top undisplaced bead; only rises
         return parts + (1,)
-    for j in range(1, s + 1):
-        if charge - j + 1 + parts[j - 1] == m:
-            new = list(parts)
-            new[j - 1] += 1
-            return tuple(new)
-    raise ValueError(f"bead {m} not movable in row (charge {charge}, {parts})")
+    for j, p in enumerate(parts):
+        if charge - j + p == v:
+            moved = parts[:j] + (p + step,) + parts[j + 1 :]
+            return moved[:-1] if not moved[-1] else moved
+    raise ValueError(f"no bead {v} in row (charge {charge}, {parts})")
 
 
-def _row_move_down(charge: int, parts: Partition, m: int) -> Partition:
-    """Move the bead m+1 -> m; caller guarantees the row is raiseable at m."""
-    s = len(parts)
-    for j in range(1, s + 1):
-        if charge - j + 1 + parts[j - 1] == m + 1:
-            new = list(parts)
-            new[j - 1] -= 1
-            while new and new[-1] == 0:
-                new.pop()
-            return tuple(new)
-    raise ValueError(f"bead {m + 1} not movable in row (charge {charge}, {parts})")
+def _weights(sym: Symbol, m: int) -> list[int]:
+    """The K_m weight of every row of sym, first row first."""
+    return [_row_eps(r, parts, m) for r, parts in zip(sym.charges, sym.rows)]
 
 
 class FockVector:
@@ -275,12 +263,13 @@ def f_action(m: int, vec: FockVector) -> FockVector:
     """
     out: dict[Symbol, LaurentPoly] = {}
     for sym, coeff in vec.terms.items():
-        eps = [_row_eps(r, parts, m) for r, parts in zip(sym.charges, sym.rows)]
-        for j in range(sym.d):
-            if _row_lowerable(sym.charges[j], sym.rows[j], m):
-                n_exp = sum(eps[j + 1 :])
-                target = sym._moved(j, _row_move_up(sym.charges[j], sym.rows[j], m))
-                out[target] = out.get(target, zero()) + coeff * LaurentPoly({n_exp: 1})
+        eps = _weights(sym, m)
+        below = sum(eps)
+        for j, e in enumerate(eps):
+            below -= e
+            if e == 1:
+                target = sym._moved(j, _row_move(sym.charges[j], sym.rows[j], m, 1))
+                out[target] = out.get(target, zero()) + coeff * LaurentPoly({below: 1})
     return FockVector(out)
 
 
@@ -288,12 +277,12 @@ def e_action(m: int, vec: FockVector) -> FockVector:
     """Chevalley raising operator E_m, mirror of f_action on the earlier rows."""
     out: dict[Symbol, LaurentPoly] = {}
     for sym, coeff in vec.terms.items():
-        eps = [_row_eps(r, parts, m) for r, parts in zip(sym.charges, sym.rows)]
-        for j in range(sym.d):
-            if _row_raiseable(sym.charges[j], sym.rows[j], m):
-                n_exp = -sum(eps[:j])
-                target = sym._moved(j, _row_move_down(sym.charges[j], sym.rows[j], m))
-                out[target] = out.get(target, zero()) + coeff * LaurentPoly({n_exp: 1})
+        above = 0
+        for j, e in enumerate(_weights(sym, m)):
+            if e == -1:
+                target = sym._moved(j, _row_move(sym.charges[j], sym.rows[j], m + 1, -1))
+                out[target] = out.get(target, zero()) + coeff * LaurentPoly({-above: 1})
+            above += e
     return FockVector(out)
 
 
@@ -321,14 +310,13 @@ def crystal_signature(m: int, sym: Symbol) -> tuple[int | None, int]:
     """
     survivors: list[int] = []
     pending_plus = 0
-    for j in range(sym.d):
-        r, parts = sym.charges[j], sym.rows[j]
-        if _row_lowerable(r, parts, m):
+    for j, e in enumerate(_weights(sym, m)):
+        if e == 1:
             if pending_plus:
                 pending_plus -= 1
             else:
                 survivors.append(j)
-        elif _row_raiseable(r, parts, m):
+        elif e == -1:
             pending_plus += 1
     return (survivors[-1] if survivors else None, pending_plus)
 
@@ -342,18 +330,15 @@ def crystal_f(m: int, sym: Symbol) -> Symbol | None:
     j, _ = crystal_signature(m, sym)
     if j is None:
         return None
-    return sym._moved(j, _row_move_up(sym.charges[j], sym.rows[j], m))
+    return sym._moved(j, _row_move(sym.charges[j], sym.rows[j], m, 1))
 
 
 def _candidate_nodes(sym: Symbol) -> list[int]:
+    """Nodes where some row is lowerable (at its top undisplaced or a displaced bead)."""
     nodes = set()
     for r, parts in zip(sym.charges, sym.rows):
-        s = len(parts)
-        if _row_lowerable(r, parts, r - s):
-            nodes.add(r - s)
-        for j in range(1, s + 1):
-            v = r - j + 1 + parts[j - 1]
-            if not _row_contains(r, parts, v + 1):
+        for v in [r - len(parts)] + [r - j + p for j, p in enumerate(parts)]:
+            if _row_eps(r, parts, v) == 1:
                 nodes.add(v)
     return sorted(nodes)
 
@@ -404,14 +389,14 @@ def _peel_step(sym: Symbol) -> tuple[tuple[int, int], Symbol] | None:
     ]
     if not lows:
         return None
-    vmin = min(lows)
-    rows = []
-    for r, parts in zip(sym.charges, sym.rows):
-        if parts and r - len(parts) + 1 + parts[-1] == vmin:
-            parts = parts[:-1] + (parts[-1] - 1,) if parts[-1] > 1 else parts[:-1]
-        rows.append(parts)
-    parent = _unchecked_symbol(sym.charges, tuple(rows))
-    return (vmin - 1, lows.count(vmin)), parent
+    m = min(lows) - 1
+    # A row is raiseable at m exactly when its last displaced bead has value m + 1.
+    eps = _weights(sym, m)
+    rows = tuple(
+        _row_move(r, parts, m + 1, -1) if e == -1 else parts
+        for r, parts, e in zip(sym.charges, sym.rows, eps)
+    )
+    return (m, eps.count(-1)), _unchecked_symbol(sym.charges, rows)
 
 
 def lt_monomial(sym: Symbol) -> tuple[tuple[int, int], ...]:

@@ -21,6 +21,7 @@ from functools import lru_cache
 
 from .combinatorics import CharacterSum, DPartition
 from .jucys_murphy import CMParams
+from .laurent import exact_quotient
 
 
 class RegimeMismatch(ValueError):
@@ -28,24 +29,6 @@ class RegimeMismatch(ValueError):
 
 
 # Exact cyclotomic arithmetic.
-
-
-def _polydiv_exact_int(num: list[int], den: list[int]) -> list[int]:
-    """Quotient of integer polynomials (ascending coefficients), exact division."""
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for k in range(len(num) - len(den), -1, -1):
-        lead = num[k + len(den) - 1]
-        if lead % den[-1] != 0:
-            raise ArithmeticError("inexact integer polynomial division")
-        f = lead // den[-1]
-        out[k] = f
-        if f:
-            for i, c in enumerate(den):
-                num[k + i] -= f * c
-    if any(num):
-        raise ArithmeticError("inexact integer polynomial division")
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -56,7 +39,7 @@ def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
     num = [-1] + [0] * (d - 1) + [1]
     for e in range(1, d):
         if d % e == 0:
-            num = _polydiv_exact_int(num, list(cyclotomic_polynomial(e)))
+            num = exact_quotient(num, list(cyclotomic_polynomial(e)))
     return tuple(num)
 
 

@@ -136,22 +136,7 @@ class LaurentPoly:
         if self.is_zero():
             return LaurentPoly()
         shift = self.min_exp() - other.min_exp()
-        a = _dense(self)
-        b = _dense(other)
-        quot = [0] * (len(a) - len(b) + 1) if len(a) >= len(b) else []
-        if len(a) < len(b):
-            raise NotDivisible(f"{self.text()} is not divisible by {other.text()}")
-        for k in range(len(a) - len(b), -1, -1):
-            lead = a[k + len(b) - 1]
-            if lead % b[-1] != 0:
-                raise NotDivisible(f"{self.text()} is not divisible by {other.text()}")
-            f = lead // b[-1]
-            quot[k] = f
-            if f:
-                for i, bc in enumerate(b):
-                    a[k + i] -= f * bc
-        if any(a):
-            raise NotDivisible(f"{self.text()} is not divisible by {other.text()}")
+        quot = exact_quotient(_dense(self), _dense(other))
         return LaurentPoly({shift + i: c for i, c in enumerate(quot)})
 
     def text(self) -> str:
@@ -189,6 +174,27 @@ def _dense(p: LaurentPoly) -> list[int]:
     for e, c in p.coeffs.items():
         out[e - lo] = c
     return out
+
+
+def exact_quotient(num: list[int], den: list[int]) -> list[int]:
+    """Quotient of dense integer polynomials, coefficients in ascending order.
+
+    `den` must end in a nonzero coefficient.  Raises NotDivisible unless `den`
+    divides `num` exactly over the integers.
+    """
+    rem = list(num)
+    quot = [0] * max(len(rem) - len(den) + 1, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        f, r = divmod(rem[k + len(den) - 1], den[-1])
+        if r:
+            break  # rem keeps this nonzero term, so the check below raises
+        quot[k] = f
+        if f:
+            for i, c in enumerate(den):
+                rem[k + i] -= f * c
+    if any(rem):
+        raise NotDivisible(f"{den} does not divide {num} (ascending coefficients)")
+    return quot
 
 
 _TERM_RE = re.compile(r"^(\d*)(q(\^(-?\d+))?)?$")

@@ -9,6 +9,9 @@ so they can serve as an oracle for it.
 `replayed_monomial` is the oracle for the incremental monomials: it applies
 the whole peeling word to the highest-weight vector, one divided power per
 factor, as the monomials were first computed.
+
+The `row_*` helpers are the oracle for the one-pass bead mechanics of
+`wreathcells.fock`: each decides bead membership directly with `row_contains`.
 """
 
 from __future__ import annotations
@@ -29,6 +32,72 @@ def replayed_monomial(sym: Symbol) -> FockVector:
     for m, mult in reversed(lt_monomial(sym)):
         vec = divided_power_f(m, mult, vec)
     return vec
+
+
+def row_contains(charge: int, parts: tuple[int, ...], value: int) -> bool:
+    s = len(parts)
+    if value <= charge - s:
+        return True
+    return any(charge - j + 1 + parts[j - 1] == value for j in range(1, s + 1))
+
+
+def row_lowerable(charge: int, parts: tuple[int, ...], m: int) -> bool:
+    return row_contains(charge, parts, m) and not row_contains(charge, parts, m + 1)
+
+
+def row_raiseable(charge: int, parts: tuple[int, ...], m: int) -> bool:
+    return not row_contains(charge, parts, m) and row_contains(charge, parts, m + 1)
+
+
+def row_eps(charge: int, parts: tuple[int, ...], m: int) -> int:
+    """K_m weight of the row: +1, -1 or 0."""
+    has_m = row_contains(charge, parts, m)
+    has_m1 = row_contains(charge, parts, m + 1)
+    if has_m and not has_m1:
+        return 1
+    if has_m1 and not has_m:
+        return -1
+    return 0
+
+
+def row_move_up(charge: int, parts: tuple[int, ...], m: int) -> tuple[int, ...]:
+    """Move the bead m -> m+1; the row must be lowerable at m."""
+    s = len(parts)
+    if m == charge - s:
+        return parts + (1,)
+    for j in range(1, s + 1):
+        if charge - j + 1 + parts[j - 1] == m:
+            new = list(parts)
+            new[j - 1] += 1
+            return tuple(new)
+    raise ValueError(f"bead {m} not movable in row (charge {charge}, {parts})")
+
+
+def row_move_down(charge: int, parts: tuple[int, ...], m: int) -> tuple[int, ...]:
+    """Move the bead m+1 -> m; the row must be raiseable at m."""
+    s = len(parts)
+    for j in range(1, s + 1):
+        if charge - j + 1 + parts[j - 1] == m + 1:
+            new = list(parts)
+            new[j - 1] -= 1
+            while new and new[-1] == 0:
+                new.pop()
+            return tuple(new)
+    raise ValueError(f"bead {m + 1} not movable in row (charge {charge}, {parts})")
+
+
+def candidate_nodes(sym: Symbol) -> list[int]:
+    """Every node at which some row of sym is lowerable."""
+    nodes = set()
+    for r, parts in zip(sym.charges, sym.rows):
+        s = len(parts)
+        if row_lowerable(r, parts, r - s):
+            nodes.add(r - s)
+        for j in range(1, s + 1):
+            v = r - j + 1 + parts[j - 1]
+            if not row_contains(r, parts, v + 1):
+                nodes.add(v)
+    return sorted(nodes)
 
 
 def blocks_of(charges: tuple[int, ...]) -> list[tuple[list[int], int]]:

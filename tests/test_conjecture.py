@@ -201,6 +201,19 @@ def test_cli_negative_n_lm_cells(capsys):
     _assert_usage_error(["lm-cells", "--r", "1,0", "--n", "-2"], capsys)
 
 
+def test_cli_out_missing_directory(tmp_path, capsys):
+    target = tmp_path / "missing" / "f"
+    _assert_usage_error(
+        ["dpartitions", "--d", "1", "--n", "1", "--out", str(target)], capsys
+    )
+    assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("index", [["--i", "1"], ["--j", "2"]])
+def test_cli_gaudin_needs_both_indices(index, capsys):
+    _assert_usage_error(["gaudin-verify", "--r", "2,1,0", "--c0", "1", *index], capsys)
+
+
 def test_package_exports_no_submodule():
     import types
 

@@ -11,9 +11,13 @@ from hypothesis import strategies as st
 
 import wreathcells.fock as fock
 from helpers import (
+    candidate_nodes,
     height2_characters,
     height2_monomials_at_one,
     replayed_monomial,
+    row_eps,
+    row_move_down,
+    row_move_up,
     sym_one,
     sym_pair,
     sym_prime,
@@ -38,6 +42,7 @@ from wreathcells.fock import (
     lt_monomial,
     symbol_from_dpartition,
     _row_eps,
+    _row_move,
 )
 from wreathcells.laurent import one, parse_laurent, q, q_factorial
 
@@ -65,6 +70,37 @@ def random_symbols(max_height=4):
         return pool[index % len(pool)]
 
     return st.tuples(charges_st, st.integers(0, 10_000)).map(build)
+
+
+# Row bead mechanics against the membership oracle
+
+
+@st.composite
+def random_rows(draw):
+    """(charge, displacement partition), negative charges included."""
+    charge = draw(st.integers(-4, 4))
+    parts = draw(st.lists(st.integers(1, 5), max_size=5))
+    return charge, tuple(sorted(parts, reverse=True))
+
+
+@given(random_rows(), st.integers(-3, 12))
+def test_row_mechanics_match_oracle(row, offset):
+    charge, parts = row
+    top = charge - len(parts)
+    for m in (top, top + offset):
+        eps = _row_eps(charge, parts, m)
+        assert eps == row_eps(charge, parts, m)
+        if eps == 1:
+            assert _row_move(charge, parts, m, 1) == row_move_up(charge, parts, m)
+        elif eps == -1:
+            assert _row_move(charge, parts, m + 1, -1) == row_move_down(charge, parts, m)
+
+
+@given(st.lists(random_rows(), min_size=1, max_size=4))
+def test_candidate_nodes_match_oracle(rows):
+    rows = sorted(rows, reverse=True)
+    s = Symbol(tuple(c for c, _ in rows), tuple(p for _, p in rows))
+    assert fock._candidate_nodes(s) == candidate_nodes(s)
 
 
 # Symbol / d-partition bijection

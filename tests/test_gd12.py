@@ -191,6 +191,8 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(2) == (1, 1)
     assert cyclotomic_polynomial(4) == (1, 0, 1)
     assert cyclotomic_polynomial(6) == (1, -1, 1)
+    assert cyclotomic_polynomial(9) == (1, 0, 0, 1, 0, 0, 1)
+    assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
 
 
 def test_zeta_arithmetic():

@@ -8,6 +8,7 @@ from wreathcells.laurent import (
     LaurentPoly,
     NotDivisible,
     bar_symmetric_head,
+    exact_quotient,
     one,
     parse_laurent,
     parse_rational,
@@ -80,6 +81,17 @@ def test_exact_div_examples():
 @given(laurent_polys, nonzero_polys)
 def test_exact_div_inverts_multiplication(a, b):
     assert (a * b).exact_div(b) == a
+
+
+def test_exact_quotient_dense():
+    # 1 + x^3 = (1 + x)(1 - x + x^2)
+    assert exact_quotient([1, 0, 0, 1], [1, 1]) == [1, -1, 1]
+    assert exact_quotient([0, 0], [1, 1]) == [0]
+    for num in ([1, 0, 1], [1], [1, 2]):
+        with pytest.raises(ArithmeticError):
+            exact_quotient(num, [1, 1])
+    with pytest.raises(NotDivisible):
+        exact_quotient([1, 0, 2], [1, 0, 3])
 
 
 def test_in_q_zq_and_eval():
