@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -369,6 +370,9 @@ def cli_main(argv=None) -> int:
     try:
         if getattr(args, "n", None) is not None and args.n < 0:
             raise UsageError(f"--n must be nonnegative, got {args.n}")
+        out = getattr(args, "out", None)
+        if out and not os.path.isdir(os.path.dirname(out) or "."):
+            raise UsageError(f"cannot write --out {out}: no such directory")
         return args.func(args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,7 +11,12 @@ the earlier rows.
 Standardness of a symbol is taken operationally: the crystal component of the
 highest-weight symbol under the signature-rule operator `crystal_f`.  The
 canonical basis is computed by the Leclerc-Toffin correction algorithm on top
-of the intermediate basis of divided-power monomials.
+of the intermediate basis of divided-power monomials.  The Fock space is a
+tensor product of level-1 Fock spaces, one per row, and a tensor product of
+based modules is triangular (Lusztig, Introduction to Quantum Groups, 27.3):
+ranking a symbol by its row sizes read last row first (`_rank`), every other
+standard term of A(sym) and b(sym) ranks below sym.  So each height is built
+once, in increasing rank, and every correction uses a vector already built.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ import warnings
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import chain
 
 from .combinatorics import (
     CharacterSum,
@@ -38,7 +42,12 @@ class LeadingTermMismatch(ArithmeticError):
 
 
 class NonTerminating(RuntimeError):
-    """The canonical-basis correction loop exceeded its cap or found a cycle."""
+    """The correction loop met a violator that does not rank below the last.
+
+    Triangularity makes each violator cleared for a symbol rank strictly below
+    the one before it, the first below the symbol itself; a violator that does
+    not would need a vector not yet built, and the loop would not end.
+    """
 
 
 class LatticeViolation(ArithmeticError):
@@ -353,10 +362,6 @@ class CrystalComponent:
     def all_symbols(self) -> frozenset[Symbol]:
         return frozenset().union(*self.by_height)
 
-    def __contains__(self, sym: Symbol) -> bool:
-        h = sym.height
-        return h < len(self.by_height) and sym in self.by_height[h]
-
 
 def enumerate_standard_symbols(charges: tuple[int, ...], n: int) -> CrystalComponent:
     """Breadth-first closure of the highest-weight symbol under crystal_f."""
@@ -443,15 +448,13 @@ def intermediate_A(
     return vec
 
 
-def _concat_key(sym: Symbol) -> tuple[int, ...]:
-    return tuple(chain.from_iterable(sym.rows))
+def _rank(sym: Symbol) -> tuple[int, ...]:
+    """The correction's triangular order: row sizes, last row first.
 
-
-def _pick_violator(violators: list[Symbol], reverse_ties: bool) -> Symbol:
-    best_key = max(_concat_key(s) for s in violators)
-    tied = [s for s in violators if _concat_key(s) == best_key]
-    tied.sort(key=lambda s: s.rows)
-    return tied[0] if reverse_ties else tied[-1]
+    Every standard term of A(sym) or b(sym) other than sym ranks strictly
+    below sym.
+    """
+    return tuple(sum(parts) for parts in reversed(sym.rows))
 
 
 def canonical_basis(
@@ -460,66 +463,55 @@ def canonical_basis(
     """Canonical basis vectors b for every standard symbol of height <= n.
 
     Each b is bar-invariant and congruent to its standard basis vector modulo
-    q times the standard lattice.  Vectors are produced from the intermediate
-    monomials by repeatedly clearing, largest symbol first, every standard
-    coefficient not lying in qZ[q] with the bar-symmetric correction it
-    determines.  `reverse_ties` flips the tie-break between symbols whose
-    concatenated displacement partitions coincide; the result must not change.
+    q times the standard lattice.  Each height is built in increasing `_rank`,
+    from the intermediate monomial A(sym), by clearing every standard
+    coefficient not in qZ[q], highest-ranked violator first, with the
+    bar-symmetric correction it determines.  Each violator must rank strictly
+    below the one cleared before it (the first below sym), so it is already
+    built and the loop ends; otherwise NonTerminating.  Symbols of equal rank
+    are ordered by `rows`, and `reverse_ties` flips that tie-break; the result
+    must not change.
     """
     component = enumerate_standard_symbols(charges, n)
-    standard = component.all_symbols()
-    per_height = [len(layer) for layer in component.by_height]
+    # By height, then rank; equal ranks by rows (a stable sort keeps the tie-break).
+    order = sorted(component.all_symbols(), key=lambda s: s.rows, reverse=reverse_ties)
+    order.sort(key=lambda s: (s.height, _rank(s)))
+    position = {sym: i for i, sym in enumerate(order)}
 
     # A(sym) is kept only until every standard symbol peeling to sym is built.
     unbuilt_children = Counter(
-        step[1] for step in map(_peel_step, standard) if step is not None
+        step[1] for step in map(_peel_step, order) if step is not None
     )
     monomials: dict[Symbol, FockVector] = {}
-
-    def monomial(sym: Symbol) -> FockVector:
-        vec = intermediate_A(sym, monomials)
+    basis: dict[Symbol, FockVector] = {}
+    for sym in order:
+        cur = intermediate_A(sym, monomials)
         if unbuilt_children[sym]:
-            monomials[sym] = vec
+            monomials[sym] = cur
         step = _peel_step(sym)
         if step is not None:
             parent = step[1]
             unbuilt_children[parent] -= 1
             if not unbuilt_children[parent]:
                 monomials.pop(parent, None)
-        return vec
 
-    basis: dict[Symbol, FockVector] = {}
-    in_progress: set[Symbol] = set()
-
-    def compute(sym: Symbol) -> FockVector:
-        if sym in basis:
-            return basis[sym]
-        if sym in in_progress:
-            raise NonTerminating(f"cyclic correction dependency at {sym!r}")
-        in_progress.add(sym)
-        cur = monomial(sym)
-        cap = max(1, per_height[sym.height]) ** 2
-        for _ in range(cap + 1):
-            violators = [
-                s
-                for s, c in cur.terms.items()
-                if s != sym and s in standard and not c.in_q_zq()
-            ]
-            if not violators:
-                break
-            vio = _pick_violator(violators, reverse_ties)
-            gamma = bar_symmetric_head(cur.coefficient(vio))
-            cur = cur - compute(vio).scale(gamma)
-        else:
-            raise NonTerminating(f"correction loop for {sym!r} exceeded {cap} steps")
+        last = position[sym]
+        while violators := [
+            position[s]
+            for s, c in cur.terms.items()
+            if s != sym and s in position and not c.in_q_zq()
+        ]:
+            i = max(violators)
+            if i >= last:
+                raise NonTerminating(
+                    f"correction for {sym!r} reached {order[i]!r}, "
+                    f"which does not rank below {order[last]!r}"
+                )
+            last = i
+            gamma = bar_symmetric_head(cur.coefficient(order[i]))
+            cur = cur - basis[order[i]].scale(gamma)
         _check_lattice(sym, cur)
-        in_progress.discard(sym)
         basis[sym] = cur
-        return cur
-
-    order = sorted(standard, key=lambda s: (s.height, _concat_key(s), s.rows))
-    for sym in order:
-        compute(sym)
     return basis
 
 

@@ -45,19 +45,8 @@ class LaurentPoly:
                     trimmed[int(e)] = c
         self.coeffs = trimmed
 
-    @classmethod
-    def from_int(cls, n: int) -> "LaurentPoly":
-        return cls({0: n})
-
-    @classmethod
-    def monomial(cls, exp: int, coeff: int = 1) -> "LaurentPoly":
-        return cls({exp: coeff})
-
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def coeff(self, exp: int) -> int:
-        return self.coeffs.get(exp, 0)
 
     def constant_term(self) -> int:
         return self.coeffs.get(0, 0)
@@ -100,14 +89,6 @@ class LaurentPoly:
         return LaurentPoly(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not defined for polynomials")
-        out = LaurentPoly({0: 1})
-        for _ in range(n):
-            out = out * self
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, (LaurentPoly, int)):

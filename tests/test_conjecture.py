@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import wreathcells.cli as cli
 from wreathcells.cli import cli_main
 from wreathcells.conjecture import (
     InvalidParam,
@@ -207,6 +208,19 @@ def test_cli_out_missing_directory(tmp_path, capsys):
         ["dpartitions", "--d", "1", "--n", "1", "--out", str(target)], capsys
     )
     assert not target.parent.exists()
+
+
+def test_cli_out_missing_directory_fails_before_computing(
+    tmp_path, monkeypatch, capsys
+):
+    def fail(*args, **kwargs):
+        raise AssertionError("canonical_basis ran before --out was checked")
+
+    monkeypatch.setattr(cli, "canonical_basis", fail)
+    target = tmp_path / "missing" / "f"
+    _assert_usage_error(
+        ["canonical-basis", "--r", "1,1,0", "--n", "10", "--out", str(target)], capsys
+    )
 
 
 @pytest.mark.parametrize("index", [["--i", "1"], ["--j", "2"]])

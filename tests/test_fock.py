@@ -27,6 +27,7 @@ from wreathcells.fock import (
     FockVector,
     LatticeViolation,
     LeadingTermMismatch,
+    NonTerminating,
     Symbol,
     canonical_basis,
     crystal_f,
@@ -461,6 +462,15 @@ def test_canonical_basis_lattice_and_positivity(charges, n):
         for t in standard:
             if t != s:
                 assert v.coefficient(t).in_q_zq()
+                if t in v.terms:
+                    assert fock._rank(t) < fock._rank(s)
+
+
+def test_canonical_basis_rank_order_is_checked(monkeypatch):
+    rank = fock._rank
+    monkeypatch.setattr(fock, "_rank", lambda s: tuple(-x for x in rank(s)))
+    with pytest.raises(NonTerminating):
+        canonical_basis((1, 0, 0), 3)
 
 
 @pytest.mark.parametrize("charges,n", BASIS_BATTERY)
