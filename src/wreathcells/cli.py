@@ -3,6 +3,11 @@
 Exit codes: 0 on success, 1 when `check` finds unequal character sets or
 `gaudin-verify` finds a nonzero residual, 2 on usage errors.  All output is
 deterministic; `--format json` mirrors the text tables.
+
+Subcommands taking reflection parameters read them from exactly one source:
+`--c0` with `--k`, or `--c0` with the charges `--r`.  Giving both `--k` and
+`--r`, a `--d` that differs from the number of entries, or `--shift` with
+`--r` (where it would have no effect) is a usage error.
 """
 
 from __future__ import annotations
@@ -55,19 +60,26 @@ def _parse_rational_list(text: str) -> tuple[Fraction, ...]:
 
 
 def _params_from_args(args) -> CMParams:
+    """Parameters from exactly one of --k and --r, each with --c0.
+
+    --d, when given, must equal the number of entries.
+    """
+    if args.k is not None and args.r is not None:
+        raise UsageError("give parameters via --k or --r, not both")
+    if args.k is None and args.r is None:
+        raise UsageError("provide parameters via --k or --r (with --c0)")
     if args.k is not None:
-        if args.c0 is None:
-            raise UsageError("--k requires --c0")
-        k = _parse_rational_list(args.k)
-        d = args.d if args.d is not None else len(k)
-        if d != len(k):
-            raise UsageError(f"--d {d} disagrees with {len(k)} entries in --k")
-        return CMParams(d, parse_rational(args.c0), k)
-    if args.r is not None:
-        if args.c0 is None:
-            raise UsageError("--r requires --c0")
-        return params_from_r(_parse_int_list(args.r), parse_rational(args.c0))
-    raise UsageError("provide parameters via --k or --r (with --c0)")
+        flag, values = "--k", _parse_rational_list(args.k)
+    else:
+        flag, values = "--r", _parse_int_list(args.r)
+    if args.c0 is None:
+        raise UsageError(f"{flag} requires --c0")
+    if args.d is not None and args.d != len(values):
+        raise UsageError(f"--d {args.d} disagrees with {len(values)} entries in {flag}")
+    c0 = parse_rational(args.c0)
+    if args.k is not None:
+        return CMParams(len(values), c0, values)
+    return params_from_r(values, c0)
 
 
 def _emit(args, text: str) -> None:
@@ -264,15 +276,10 @@ def _cmd_gaudin_verify(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    if args.r is not None:
-        if args.c0 is None:
-            raise UsageError("check needs --c0 alongside --r")
-        verdict = check_conjecture(
-            args.n, r=_parse_int_list(args.r), c0=parse_rational(args.c0)
-        )
-    else:
-        params = _params_from_args(args)
-        verdict = check_conjecture(args.n, params=params, shift=args.shift)
+    if args.r is not None and args.shift is not None:
+        raise UsageError("--shift applies only to --k; shift the charges in --r instead")
+    params = _params_from_args(args)
+    verdict = check_conjecture(args.n, params=params, shift=args.shift or 0)
     if args.format == "json":
         _emit(args, json.dumps(verdict.to_json_obj(), indent=2))
     else:
@@ -355,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="compare the two character sets")
     common(p, d=True, n=True, params=True, charges=True)
-    p.add_argument("--shift", type=int, default=0)
+    p.add_argument("--shift", type=int, default=None)
     p.set_defaults(func=_cmd_check)
 
     return parser

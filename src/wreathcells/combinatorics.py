@@ -13,7 +13,7 @@ order on component 1, then recursively on the remaining components.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, NamedTuple
 
 Partition = tuple[int, ...]
@@ -90,8 +90,17 @@ class DPartition:
     def text(self) -> str:
         return components_text(self.components)
 
+    @cached_property
+    def _sort_key(self):
+        """dpartition_sort_key, computed on first use."""
+        return components_sort_key(self.components)
+
     def __repr__(self):
         return f"DPartition({self.text()})"
+
+    def __reduce__(self):
+        # pickle and copy the components alone, so the sort key never travels
+        return DPartition, (self.components,)
 
 
 def components_text(components: tuple[Partition, ...]) -> str:
@@ -118,8 +127,11 @@ def parse_dpartition(text: str) -> DPartition:
 
 
 def dpartition_sort_key(dp: DPartition):
-    """Total order matching enumerate_dpartitions: big first components first."""
-    return components_sort_key(dp.components)
+    """Total order matching enumerate_dpartitions: big first components first.
+
+    Computed once per d-partition and kept on it.
+    """
+    return dp._sort_key
 
 
 def components_sort_key(components: tuple[Partition, ...]):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .combinatorics import (
     BoxCoord,
@@ -60,12 +61,30 @@ class CMParams:
         factor = Fraction(factor)
         return CMParams(self.d, self.c0 * factor, tuple(x * factor for x in self.k))
 
+    @cached_property
+    def _eigenvalues(self) -> dict[tuple[int, int], Fraction]:
+        """jm_eigenvalue by (component, content), filled as values are read."""
+        return {}
+
+    def __reduce__(self):
+        # pickle and copy the fields alone, so the table never travels
+        return CMParams, (self.d, self.c0, self.k)
+
 
 def jm_eigenvalue(params: CMParams, box: BoxCoord) -> Fraction:
-    """Eigenvalue of the Jucys-Murphy element through this box."""
+    """Eigenvalue of the Jucys-Murphy element through this box.
+
+    It depends only on the box's component and content, so each distinct pair
+    is computed once per parameter set.
+    """
     if not 1 <= box.comp <= params.d:
         raise ValueError(f"component {box.comp} out of range 1..{params.d}")
-    return params.d * (params.ksharp(box.comp) - params.c0 * content(box))
+    key = (box.comp, content(box))
+    table = params._eigenvalues
+    value = table.get(key)
+    if value is None:
+        value = table[key] = params.d * (params.ksharp(box.comp) - params.c0 * key[1])
+    return value
 
 
 def tableau_spectrum(params: CMParams, tab: StandardTableau) -> tuple[Fraction, ...]:

@@ -12,18 +12,34 @@ factor, as the monomials were first computed.
 
 The `row_*` helpers are the oracle for the one-pass bead mechanics of
 `wreathcells.fock`: each decides bead membership directly with `row_contains`.
+
+`direct_spectrum` is the oracle for the eigenvalue table behind
+`wreathcells.jucys_murphy.tableau_spectrum`: it evaluates
+d * (ksharp(c) - c0 * content) afresh for every box.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from wreathcells import (
     CharacterSum,
+    CMParams,
     FockVector,
+    StandardTableau,
     Symbol,
     divided_power_f,
     highest_weight_symbol,
     lt_monomial,
 )
+
+
+def direct_spectrum(params: CMParams, tab: StandardTableau) -> tuple[Fraction, ...]:
+    """JM spectrum of a tableau, computed box by box with no table."""
+    return tuple(
+        params.d * (params.ksharp(box.comp) - params.c0 * (box.col - box.row))
+        for box in tab.boxes
+    )
 
 
 def replayed_monomial(sym: Symbol) -> FockVector:

@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 from math import factorial
 
 import pytest
@@ -10,6 +12,7 @@ from wreathcells.combinatorics import (
     DPartition,
     addable_boxes,
     content,
+    dpartition_sort_key,
     empty_dpartition,
     enumerate_dpartitions,
     parse_dpartition,
@@ -149,3 +152,22 @@ def test_character_sum_basics():
 def test_character_sum_rejects_mixed_sizes():
     with pytest.raises(ValueError):
         CharacterSum.from_counts({dp((2,), ()): 1, dp((1,), ()): 1})
+
+
+def test_filled_sort_key_keeps_value_semantics():
+    def fresh():
+        return DPartition(((2, 1), (), (1,)))
+
+    filled = fresh()
+    key = dpartition_sort_key(filled)
+    assert dpartition_sort_key(filled) is key
+    assert key == ((-3, (-2, -1)), (0, ()), (-1, (-1,)))
+    new = fresh()
+    assert filled == new and hash(filled) == hash(new) and repr(filled) == repr(new)
+    assert [f.name for f in dataclasses.fields(filled)] == ["components"]
+    assert dataclasses.asdict(filled) == dataclasses.asdict(new)
+    assert pickle.dumps(filled) == pickle.dumps(new)
+    back = pickle.loads(pickle.dumps(filled))
+    assert back == new and hash(back) == hash(new)
+    assert "_sort_key" not in vars(back)
+    assert CharacterSum.from_counts({filled: 1}) == CharacterSum.from_counts({new: 1})

@@ -228,6 +228,41 @@ def test_cli_gaudin_needs_both_indices(index, capsys):
     _assert_usage_error(["gaudin-verify", "--r", "2,1,0", "--c0", "1", *index], capsys)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["jm-cells", "--c0", "1", "--n", "3"],
+        ["check", "--c0", "1", "--n", "3"],
+        ["cm-cells-n2", "--c0", "1"],
+        ["gaudin-verify", "--c0", "1"],
+    ],
+    ids=["jm-cells", "check", "cm-cells-n2", "gaudin-verify"],
+)
+def test_cli_d_disagreeing_with_r(argv, capsys):
+    errors = []
+    for source in ("--k=-1,0", "--r=1,0"):
+        assert cli_main([*argv, source, "--d", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors == [
+        f"error: --d 3 disagrees with 2 entries in {flag}\n" for flag in ("--k", "--r")
+    ]
+
+
+@pytest.mark.parametrize("command", ["jm-cells", "check"])
+def test_cli_k_and_r_together(command, capsys):
+    _assert_usage_error(
+        [command, "--k=-1,0", "--r=1,0", "--c0", "1", "--n", "3"], capsys
+    )
+
+
+def test_cli_shift_with_r(capsys):
+    _assert_usage_error(
+        ["check", "--r=1,0", "--c0", "1", "--n", "3", "--shift", "2"], capsys
+    )
+
+
 def test_package_exports_no_submodule():
     import types
 

@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wreathcells.combinatorics import (
@@ -20,6 +22,8 @@ from wreathcells.jucys_murphy import (
     jm_eigenvalue,
     tableau_spectrum,
 )
+
+from helpers import direct_spectrum
 
 
 def dp(*comps):
@@ -254,3 +258,66 @@ def test_json_shape():
         isinstance(cell["spectrum"], list) and isinstance(cell["character"], dict)
         for cell in obj["cells"]
     )
+
+
+# Rationals with denominators 1, 2 and 3, negative and zero included.
+thirds_and_halves = st.builds(
+    Fraction, st.integers(min_value=-6, max_value=6), st.sampled_from([1, 2, 3])
+)
+
+
+@st.composite
+def cm_params(draw):
+    d = draw(st.integers(min_value=1, max_value=4))
+    k = draw(st.lists(thirds_and_halves, min_size=d, max_size=d))
+    return CMParams(d, draw(thirds_and_halves), tuple(k))
+
+
+@settings(max_examples=25, deadline=None)
+@given(cm_params())
+def test_spectrum_matches_direct_oracle(params):
+    # one params object across every n, so larger n read a table already filled
+    for n in range(6):
+        for shape in enumerate_dpartitions(params.d, n):
+            for tab in standard_tableaux(shape):
+                assert tableau_spectrum(params, tab) == direct_spectrum(params, tab)
+    assert params._eigenvalues
+    for comp in (0, params.d + 1):
+        with pytest.raises(ValueError):
+            jm_eigenvalue(params, BoxCoord(1, 1, comp))
+
+
+def _params():
+    return CMParams.from_ksharp(3, Fraction(-1, 2), (1, Fraction(1, 3), 0))
+
+
+def test_filled_eigenvalue_table_keeps_value_semantics():
+    filled = _params()
+    jm_cellular_characters(filled, 3)
+    assert filled._eigenvalues
+    fresh = _params()
+    assert filled == fresh and hash(filled) == hash(fresh)
+    assert repr(filled) == repr(fresh)
+    assert [f.name for f in dataclasses.fields(filled)] == ["d", "c0", "k"]
+    assert dataclasses.asdict(filled) == dataclasses.asdict(fresh)
+    assert pickle.dumps(filled) == pickle.dumps(fresh)
+    back = pickle.loads(pickle.dumps(filled))
+    assert back == fresh and hash(back) == hash(fresh)
+    assert "_eigenvalues" not in vars(back)
+
+
+def test_scaled_params_build_their_own_table():
+    params = _params()
+    boxes = [
+        BoxCoord(row, col, comp)
+        for comp in range(1, params.d + 1)
+        for row in range(1, 4)
+        for col in range(1, 4)
+    ]
+    base = [jm_eigenvalue(params, box) for box in boxes]
+    factor = Fraction(-3, 2)
+    scaled = params.scaled(factor)
+    assert "_eigenvalues" not in vars(scaled)
+    assert [jm_eigenvalue(scaled, box) for box in boxes] == [factor * x for x in base]
+    assert scaled._eigenvalues is not params._eigenvalues
+    assert [jm_eigenvalue(params, box) for box in boxes] == base
