@@ -8,6 +8,12 @@ Delta(F) = F (x) K + 1 (x) F and Delta(E) = E (x) 1 + K^-1 (x) E, so F at node
 m picks up q^(sum of K-weights of the later rows) and E the inverse weights of
 the earlier rows.
 
+Each row is a level-1 Fock space, on which F_m^2 = 0, so the divided power
+F_m^(k) is a sum over the k-subsets S of rows lowerable at m: move the bead
+m -> m+1 in every row of S at once, weighted by q^e with e the sum of eps_i
+over j in S and i > j not in S, eps_i the K_m-weight of row i.  No power of
+F_m is formed and nothing is divided (`divided_power_f`).
+
 Standardness of a symbol is taken operationally: the crystal component of the
 highest-weight symbol under the signature-rule operator `crystal_f`.  The
 canonical basis is computed by the Leclerc-Toffin correction algorithm on top
@@ -25,6 +31,7 @@ import warnings
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import combinations
 
 from .combinatorics import (
     CharacterSum,
@@ -34,7 +41,7 @@ from .combinatorics import (
     components_text,
     is_partition,
 )
-from .laurent import LaurentPoly, bar_symmetric_head, one, q_factorial, zero
+from .laurent import LaurentPoly, bar_symmetric_head, one, zero
 
 
 class LeadingTermMismatch(ArithmeticError):
@@ -66,6 +73,8 @@ class PositivityWarning(UserWarning):
 class Symbol:
     """A d-row symbol: weakly decreasing charges plus displacement partitions."""
 
+    __slots__ = ("charges", "rows")
+
     charges: tuple[int, ...]
     rows: tuple[Partition, ...]
 
@@ -88,6 +97,8 @@ class Symbol:
 
     def beta(self, i: int, k: int) -> int:
         """Bead value at position k of row i (i is 1-based, k <= r_i)."""
+        if not 1 <= i <= self.d:
+            raise ValueError(f"no row {i} in a symbol with {self.d} rows")
         r = self.charges[i - 1]
         if k > r:
             raise ValueError(f"row {i} has no position {k} (charge {r})")
@@ -96,6 +107,9 @@ class Symbol:
         return k + (parts[j] if j < len(parts) else 0)
 
     def with_row(self, idx: int, parts: Partition) -> "Symbol":
+        """The symbol with row idx (0-based) replaced by parts."""
+        if not 0 <= idx < self.d:
+            raise ValueError(f"no row index {idx} in a symbol with {self.d} rows")
         parts = tuple(parts)
         if not is_partition(parts):
             raise ValueError(f"invalid displacement partition {parts!r}")
@@ -128,6 +142,10 @@ class Symbol:
 
     def __repr__(self):
         return f"Symbol(r={','.join(map(str, self.charges))}; {self.text()})"
+
+    def __reduce__(self):
+        # slots leave no __dict__ to restore, and a frozen instance refuses setattr
+        return Symbol, (self.charges, self.rows)
 
 
 def _unchecked_symbol(charges: tuple[int, ...], rows: tuple[Partition, ...]) -> Symbol:
@@ -244,9 +262,6 @@ class FockVector:
     def scale(self, poly: LaurentPoly) -> "FockVector":
         return FockVector({sym: c * poly for sym, c in self.terms.items()})
 
-    def exact_div_scalar(self, poly: LaurentPoly) -> "FockVector":
-        return FockVector({sym: c.exact_div(poly) for sym, c in self.terms.items()})
-
     def eval_at_one(self) -> dict[Symbol, int]:
         return {sym: c.eval_at_one() for sym, c in self.terms.items()}
 
@@ -264,47 +279,91 @@ class FockVector:
         return f"FockVector({body})"
 
 
+def _lower(m: int, k: int, vec: FockVector) -> FockVector:
+    """F_m^(k) vec, summed over the k-subsets S of the rows lowerable at m.
+
+    See `divided_power_f` for the exponent e of each subset.  The `below` of a
+    row j is the K_m-weight of all rows after j, and the rows of S after j
+    weigh +1 each, so e is the sum of `below` over S minus C(k, 2).
+    Coefficients are summed as exponent -> integer dicts, one per target
+    symbol, and made polynomials once at the end.
+    """
+    out: dict[Symbol, dict[int, int]] = {}
+    pairs = k * (k - 1) // 2
+    for sym, coeff in vec.terms.items():
+        eps = _weights(sym, m)
+        below = sum(eps)
+        lowerable = []  # (row, its below, its row with the bead moved)
+        for j, e in enumerate(eps):
+            below -= e
+            if e == 1:
+                lowerable.append((j, below, _row_move(sym.charges[j], sym.rows[j], m, 1)))
+        for subset in combinations(lowerable, k):
+            rows = list(sym.rows)
+            shift = -pairs
+            for j, b, parts in subset:
+                rows[j] = parts
+                shift += b
+            _add_shifted(out, _unchecked_symbol(sym.charges, tuple(rows)), coeff, shift)
+    return FockVector({sym: LaurentPoly(acc) for sym, acc in out.items()})
+
+
+def _add_shifted(
+    out: dict[Symbol, dict[int, int]], target: Symbol, coeff: LaurentPoly, shift: int
+) -> None:
+    """Add q^shift * coeff to out's exponent -> integer dict for target."""
+    acc = out.get(target)
+    if acc is None:
+        out[target] = acc = {}
+    for e, c in coeff.coeffs.items():
+        e += shift
+        acc[e] = acc.get(e, 0) + c
+
+
 def f_action(m: int, vec: FockVector) -> FockVector:
     """Chevalley lowering operator F_m on the Fock space.
 
     On a symbol it moves the bead m -> m+1 in every row where that is possible,
     the row-j term weighted by q to the sum of K_m-weights of the rows below j.
     """
-    out: dict[Symbol, LaurentPoly] = {}
-    for sym, coeff in vec.terms.items():
-        eps = _weights(sym, m)
-        below = sum(eps)
-        for j, e in enumerate(eps):
-            below -= e
-            if e == 1:
-                target = sym._moved(j, _row_move(sym.charges[j], sym.rows[j], m, 1))
-                out[target] = out.get(target, zero()) + coeff * LaurentPoly({below: 1})
-    return FockVector(out)
+    return _lower(m, 1, vec)
 
 
 def e_action(m: int, vec: FockVector) -> FockVector:
     """Chevalley raising operator E_m, mirror of f_action on the earlier rows."""
-    out: dict[Symbol, LaurentPoly] = {}
+    out: dict[Symbol, dict[int, int]] = {}
     for sym, coeff in vec.terms.items():
         above = 0
         for j, e in enumerate(_weights(sym, m)):
             if e == -1:
                 target = sym._moved(j, _row_move(sym.charges[j], sym.rows[j], m + 1, -1))
-                out[target] = out.get(target, zero()) + coeff * LaurentPoly({-above: 1})
+                _add_shifted(out, target, coeff, -above)
             above += e
-    return FockVector(out)
+    return FockVector({sym: LaurentPoly(acc) for sym, acc in out.items()})
 
 
 def divided_power_f(m: int, mult: int, vec: FockVector) -> FockVector:
-    """F_m^(mult) = F_m^mult / [mult]!, exact division required."""
+    """Divided power F_m^(mult) = F_m^mult / [mult]!, in closed form.
+
+    Each row is a level-1 Fock space, where F_m^2 = 0, so iterating
+    Delta(F) = F (x) K + 1 (x) F gives a sum over the mult-subsets S of the
+    rows lowerable at m.  Each S moves the bead m -> m+1 in all its rows at
+    once, weighted by q^e with
+
+        e = sum over j in S of sum over i > j, i not in S, of eps_i,
+
+    eps_i the K_m-weight of row i.  Applying F_m to the rows of S one at a
+    time, a later row of S weighs +1 before it moves and -1 after, so the
+    mult! orders give sum q^(C(mult, 2) - 2 inv) = [mult]! and the division
+    is exact term by term.  Fewer than mult lowerable rows give zero.
+
+    >>> top = FockVector.unit(highest_weight_symbol((0, 0)))
+    >>> divided_power_f(0, 2, top)
+    FockVector((1)[1|1])
+    """
     if mult < 1:
         raise ValueError("divided power needs mult >= 1")
-    out = vec
-    for _ in range(mult):
-        out = f_action(m, out)
-    if mult == 1:
-        return out
-    return out.exact_div_scalar(q_factorial(mult))
+    return _lower(m, mult, vec)
 
 
 def crystal_signature(m: int, sym: Symbol) -> tuple[int | None, int]:

@@ -6,9 +6,12 @@ monomial, and the resulting constructible characters.  They are written from
 the combinatorial description alone and never call the production pipeline,
 so they can serve as an oracle for it.
 
-`replayed_monomial` is the oracle for the incremental monomials: it applies
-the whole peeling word to the highest-weight vector, one divided power per
-factor, as the monomials were first computed.
+`divided_power_oracle` is the oracle for the closed-form divided powers of
+`wreathcells.fock.divided_power_f`: it applies `f_action` k times and divides
+every coefficient by [k]! exactly.  `replayed_monomial` is the oracle for the
+incremental monomials: it applies the whole peeling word to the highest-weight
+vector, one oracle divided power per factor, as the monomials were first
+computed.
 
 The `row_*` helpers are the oracle for the one-pass bead mechanics of
 `wreathcells.fock`: each decides bead membership directly with `row_contains`.
@@ -28,9 +31,10 @@ from wreathcells import (
     FockVector,
     StandardTableau,
     Symbol,
-    divided_power_f,
+    f_action,
     highest_weight_symbol,
     lt_monomial,
+    q_factorial,
 )
 
 
@@ -42,11 +46,19 @@ def direct_spectrum(params: CMParams, tab: StandardTableau) -> tuple[Fraction, .
     )
 
 
+def divided_power_oracle(m: int, k: int, vec: FockVector) -> FockVector:
+    """F_m^k vec / [k]!: k applications of f_action, then exact division."""
+    for _ in range(k):
+        vec = f_action(m, vec)
+    denom = q_factorial(k)
+    return FockVector({s: c.exact_div(denom) for s, c in vec.terms.items()})
+
+
 def replayed_monomial(sym: Symbol) -> FockVector:
     """Divided-power monomial of sym, replayed from the highest weight."""
     vec = FockVector.unit(highest_weight_symbol(sym.charges))
     for m, mult in reversed(lt_monomial(sym)):
-        vec = divided_power_f(m, mult, vec)
+        vec = divided_power_oracle(m, mult, vec)
     return vec
 
 

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -6,12 +9,13 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wreathcells.fock as fock
 from helpers import (
     candidate_nodes,
+    divided_power_oracle,
     height2_characters,
     height2_monomials_at_one,
     replayed_monomial,
@@ -44,8 +48,9 @@ from wreathcells.fock import (
     symbol_from_dpartition,
     _row_eps,
     _row_move,
+    _unchecked_symbol,
 )
-from wreathcells.laurent import one, parse_laurent, q, q_factorial
+from wreathcells.laurent import LaurentPoly, one, parse_laurent, q
 
 
 def sym(charges, *rows):
@@ -128,6 +133,39 @@ def test_symbol_validates_rows_from_outside():
     assert sym((1, 0), (1,), ()).with_row(1, [2, 1]) == sym((1, 0), (1,), (2, 1))
 
 
+def test_symbol_rejects_row_out_of_range():
+    s = sym((1, 0), (1,), ())
+    for idx in (5, -1, 2):
+        with pytest.raises(ValueError, match=f"no row index {idx}"):
+            s.with_row(idx, (2,))
+    for i in (0, 3, -1):
+        with pytest.raises(ValueError, match=f"no row {i} "):
+            s.beta(i, 0)
+    assert s.beta(2, 0) == 0
+
+
+def test_symbol_value_semantics_with_slots():
+    s = sym((1, 0), (2, 1), ())
+    fast = _unchecked_symbol((1, 0), ((2, 1), ()))
+    assert not hasattr(s, "__dict__")
+    assert s == fast and hash(s) == hash(fast)
+    assert {s: 1}[fast] == 1
+    for back in (
+        pickle.loads(pickle.dumps(s)),
+        pickle.loads(pickle.dumps(fast)),
+        copy.copy(s),
+        copy.deepcopy(s),
+    ):
+        assert back == s and hash(back) == hash(s) and type(back) is Symbol
+    assert pickle.dumps(s) == pickle.dumps(fast)
+    assert [f.name for f in dataclasses.fields(s)] == ["charges", "rows"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.rows = ((), ())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.other = 1
+    assert repr(s) == "Symbol(r=1,0; 2.1|∅)"
+
+
 @given(random_symbols())
 def test_symbol_round_trip(s):
     assert symbol_from_dpartition(dpartition_from_symbol(s), s.charges) == s
@@ -200,13 +238,43 @@ def test_divided_power_mult_one_is_f(s, m):
 
 
 def test_divided_cube():
-    out = divided_power_f(0, 3, FockVector.unit(highest_weight_symbol((0, 0, 0))))
+    unit = FockVector.unit(highest_weight_symbol((0, 0, 0)))
+    out = divided_power_f(0, 3, unit)
     assert out == vec({sym((0, 0, 0), (1,), (1,), (1,)): "1"})
     # cross-check against the raw cube divided by [3]!
-    raw = FockVector.unit(highest_weight_symbol((0, 0, 0)))
-    for _ in range(3):
-        raw = f_action(0, raw)
-    assert raw.exact_div_scalar(q_factorial(3)) == out
+    assert divided_power_oracle(0, 3, unit) == out
+
+
+@st.composite
+def lowering_cases(draw):
+    """(m, k, vec): a multi-term vector, d = 1..5, charges -3..3, height <= 4.
+
+    k runs up to d, so it often exceeds the rows lowerable at m.  The node is
+    mostly one where some support symbol is lowerable.
+    """
+    d = draw(st.integers(1, 5))
+    charges = tuple(
+        sorted(draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d)), reverse=True)
+    )
+    pool = [dp for h in range(5) for dp in enumerate_dpartitions(d, h)]
+    coeff = st.dictionaries(
+        st.integers(-3, 3),
+        st.integers(-3, 3).filter(bool),
+        min_size=1,
+        max_size=3,
+    ).map(LaurentPoly)
+    picks = draw(st.lists(st.tuples(st.sampled_from(pool), coeff), min_size=1, max_size=5))
+    v = FockVector({symbol_from_dpartition(dp, charges): c for dp, c in picks})
+    nodes = sorted({m for s in v.terms for m in candidate_nodes(s)})
+    m = draw(st.one_of(st.sampled_from(nodes), st.integers(-8, 8)))
+    return m, draw(st.integers(1, d)), v
+
+
+@settings(deadline=None, max_examples=300)
+@given(lowering_cases())
+def test_divided_power_matches_oracle(case):
+    m, k, v = case
+    assert divided_power_f(m, k, v) == divided_power_oracle(m, k, v)
 
 
 # Defining relations of the quantum group, verified on the module.  These
