@@ -9,15 +9,20 @@ by d-partitions of 2:
     chi'_i     <-> (1,1) in component i,
     chi_{i,j}  <-> (1) in components i and j (i < j).
 
-The polynomial oracle works in the Laurent ring Q(zeta)[X^-1, X, Y^-1, Y] with
-zeta arithmetic done exactly modulo the d-th cyclotomic polynomial.
+The Gaudin oracle works in the Laurent ring Q[X^-1, X, Y^-1, Y]: every matrix
+entry, eigenvector and eigenvalue is built from ksharp, c0 and +-1, so its
+coefficients are rational.  Only the partial-fraction identity needs zeta; it
+runs over Q(zeta_d), with arithmetic done exactly modulo the d-th cyclotomic
+polynomial.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 from .combinatorics import CharacterSum, DPartition
 from .jucys_murphy import CMParams
@@ -71,11 +76,16 @@ class Cyclo:
 
     @classmethod
     def zeta_power(cls, d: int, power: int) -> "Cyclo":
+        if d < 1:
+            raise ValueError("d must be positive")
         coeffs = [Fraction(0)] * (power % d) + [Fraction(1)]
         return cls._reduce(d, coeffs)
 
+    def __bool__(self) -> bool:
+        return any(self.co)
+
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.co)
+        return not self
 
     def __add__(self, other: "Cyclo") -> "Cyclo":
         return Cyclo(self.d, tuple(a + b for a, b in zip(self.co, other.co)))
@@ -109,29 +119,35 @@ class Cyclo:
                 parts.append(f"{c}*z^{i}")
         return "+".join(parts).replace("+-", "-")
 
+    __str__ = text
+
 
 class XYPoly:
-    """Bivariate Laurent polynomial over Q(zeta_d), exponents may be negative."""
+    """Bivariate Laurent polynomial, a ``{(ex, ey): coeff}`` map with no zero entry.
 
-    __slots__ = ("d", "terms")
+    Coefficients come from one ring with ``+``, ``-``, ``*`` and a falsy zero:
+    ``Fraction`` (or ``int``) for the Gaudin matrices, ``Cyclo`` for the
+    partial-fraction identity.
 
-    def __init__(self, d: int, terms=None):
-        self.d = d
-        trimmed = {}
-        if terms:
-            for key, coeff in terms.items():
-                if not coeff.is_zero():
-                    trimmed[(int(key[0]), int(key[1]))] = coeff
-        self.terms = trimmed
+    >>> x, y = XYPoly.monomial(1, 0), XYPoly.monomial(0, 1, Fraction(1, 2))
+    >>> ((x + y) * (x - y)).text()
+    '(-1/4)*X^0*Y^2 + (1)*X^2*Y^0'
+    >>> one, i = Cyclo.from_rational(4, 1), Cyclo.zeta_power(4, 1)
+    >>> (XYPoly.monomial(1, 0, one) - XYPoly.monomial(0, 1, i)).text()
+    '(-1*z)*X^0*Y^1 + (1)*X^1*Y^0'
+    >>> ((XYPoly.monomial(1, 0, one) - XYPoly.monomial(0, 1, i))
+    ...  * (XYPoly.monomial(1, 0, one) + XYPoly.monomial(0, 1, i))).text()
+    '(1)*X^0*Y^2 + (1)*X^2*Y^0'
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = {key: c for key, c in (terms or {}).items() if c}
 
     @classmethod
-    def monomial(cls, d: int, ex: int, ey: int, coeff=1) -> "XYPoly":
-        c = coeff if isinstance(coeff, Cyclo) else Cyclo.from_rational(d, coeff)
-        return cls(d, {(ex, ey): c})
-
-    @classmethod
-    def zero(cls, d: int) -> "XYPoly":
-        return cls(d)
+    def monomial(cls, ex: int, ey: int, coeff=1) -> "XYPoly":
+        return cls({(ex, ey): coeff})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -140,39 +156,37 @@ class XYPoly:
         out = dict(self.terms)
         for key, c in other.terms.items():
             out[key] = out[key] + c if key in out else c
-        return XYPoly(self.d, out)
+        return XYPoly(out)
 
     def __sub__(self, other: "XYPoly") -> "XYPoly":
         return self + (-other)
 
     def __neg__(self) -> "XYPoly":
-        return XYPoly(self.d, {k: -c for k, c in self.terms.items()})
+        return XYPoly({k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other: "XYPoly") -> "XYPoly":
-        out: dict[tuple[int, int], Cyclo] = {}
+        out = {}
         for (x1, y1), c1 in self.terms.items():
             for (x2, y2), c2 in other.terms.items():
                 key = (x1 + x2, y1 + y2)
                 prod = c1 * c2
                 out[key] = out[key] + prod if key in out else prod
-        return XYPoly(self.d, out)
+        return XYPoly(out)
 
     def scale(self, value) -> "XYPoly":
-        c = value if isinstance(value, Cyclo) else Cyclo.from_rational(self.d, value)
-        return XYPoly(self.d, {k: coeff * c for k, coeff in self.terms.items()})
+        return XYPoly({k: c * value for k, c in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, XYPoly):
             return NotImplemented
-        return self.d == other.d and self.terms == other.terms
+        return self.terms == other.terms
 
     def text(self) -> str:
         if not self.terms:
             return "0"
-        chunks = []
-        for (ex, ey) in sorted(self.terms):
-            chunks.append(f"({self.terms[(ex, ey)].text()})*X^{ex}*Y^{ey}")
-        return " + ".join(chunks)
+        return " + ".join(
+            f"({self.terms[key]})*X^{key[0]}*Y^{key[1]}" for key in sorted(self.terms)
+        )
 
     def __repr__(self):
         return f"XYPoly({self.text()})"
@@ -181,20 +195,21 @@ class XYPoly:
 def verify_frac_identity(d: int, l: int) -> bool:
     """Denominator-cleared partial-fraction identity for d-th roots of unity.
 
-    Checks sum_k zeta^(k*l) * prod_{k' != k} (X - zeta^k' Y) = d X^(l-1) Y^(d-l).
+    Checks sum_k zeta^(k*l) * prod_{k' != k} (X - zeta^k' Y) = d X^(l-1) Y^(d-l)
+    over Q(zeta_d).
     """
     if not 1 <= l <= d:
         raise ValueError("need 1 <= l <= d")
-    x = XYPoly.monomial(d, 1, 0)
-    lhs = XYPoly.zero(d)
+    one = Cyclo.from_rational(d, 1)
+    x = XYPoly.monomial(1, 0, one)
+    lhs = XYPoly()
     for k in range(d):
-        term = XYPoly.monomial(d, 0, 0)
+        term = XYPoly.monomial(0, 0, one)
         for k2 in range(d):
-            if k2 == k:
-                continue
-            term = term * (x - XYPoly.monomial(d, 0, 1, Cyclo.zeta_power(d, k2)))
+            if k2 != k:
+                term = term * (x - XYPoly.monomial(0, 1, Cyclo.zeta_power(d, k2)))
         lhs = lhs + term.scale(Cyclo.zeta_power(d, k * l))
-    rhs = XYPoly.monomial(d, l - 1, d - l, d)
+    rhs = XYPoly.monomial(l - 1, d - l, Cyclo.from_rational(d, d))
     return lhs == rhs
 
 
@@ -209,96 +224,53 @@ def sim_classes(params: CMParams) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted((tuple(v) for v in blocks.values()), key=lambda b: b[0]))
 
 
-def _chi(d: int, i: int) -> DPartition:
+def _dp(d: int, parts) -> DPartition:
+    """The d-partition with ``part`` in each listed ``(component, part)``, ∅ elsewhere."""
     comps = [()] * d
-    comps[i - 1] = (2,)
+    for comp, part in parts:
+        comps[comp - 1] = part
     return DPartition(tuple(comps))
-
-
-def _chi_prime(d: int, i: int) -> DPartition:
-    comps = [()] * d
-    comps[i - 1] = (1, 1)
-    return DPartition(tuple(comps))
-
-
-def _chi_pair(d: int, i: int, j: int) -> DPartition:
-    if not i < j:
-        raise ValueError("pair characters need i < j")
-    comps = [()] * d
-    comps[i - 1] = (1,)
-    comps[j - 1] = (1,)
-    return DPartition(tuple(comps))
-
-
-def _sum_chars(dps) -> CharacterSum:
-    counts: dict[DPartition, int] = {}
-    for dp in dps:
-        counts[dp] = counts.get(dp, 0) + 1
-    return CharacterSum.from_counts(counts)
-
-
-def _cross_pairs(d: int, block_a, block_b):
-    for i in block_a:
-        for j in block_b:
-            yield _chi_pair(d, min(i, j), max(i, j))
 
 
 def cm_cells_n2_family(params: CMParams) -> list[tuple[str, CharacterSum]]:
     """One labelled cellular character per simple-module class, no dedup."""
-    d = params.d
+    d, c0 = params.d, params.c0
     classes = sim_classes(params)
     value = {cls: params.ksharp(cls[0]) for cls in classes}
     by_value = {v: cls for cls, v in value.items()}
-    family: list[tuple[str, CharacterSum]] = []
 
-    if params.c0 == 0:
+    def pairs(ijs):
+        return [_dp(d, ((i, (1,)), (j, (1,)))) for i, j in ijs]
+
+    def cross(oa, ob):
+        return pairs((i, j) for i in oa for j in ob)
+
+    family: list[tuple[str, list[DPartition]]] = []
+    if c0 == 0:
         for oa in classes:
             for ob in classes:
-                label = f"L~({oa},{ob})"
                 if oa == ob:
-                    chars = []
-                    for i in oa:
-                        chars.append(_chi(d, i))
-                        chars.append(_chi_prime(d, i))
-                    for idx, i in enumerate(oa):
-                        for j in oa[idx + 1 :]:
-                            chars.extend([_chi_pair(d, i, j)] * 2)
-                    family.append((label, _sum_chars(chars)))
+                    dps = [_dp(d, ((i, part),)) for i in oa for part in ((2,), (1, 1))]
+                    dps += 2 * pairs(combinations(oa, 2))
                 else:
-                    family.append((label, _sum_chars(_cross_pairs(d, oa, ob))))
-        return family
-
-    for cls in classes:
-        partner = by_value.get(value[cls] - params.c0)
-        chars = [_chi(d, i) for i in cls]
-        if partner is not None:
-            chars.extend(_cross_pairs(d, cls, partner))
-        family.append((f"L({cls})", _sum_chars(chars)))
-    for cls in classes:
-        partner = by_value.get(value[cls] + params.c0)
-        chars = [_chi_prime(d, i) for i in cls]
-        if partner is not None:
-            chars.extend(_cross_pairs(d, cls, partner))
-        family.append((f"L'({cls})", _sum_chars(chars)))
-    for a, oa in enumerate(classes):
-        for ob in classes[a + 1 :]:
-            if (value[oa] - value[ob]) ** 2 == params.c0 ** 2:
-                continue
-            family.append((f"L({oa},{ob})", _sum_chars(_cross_pairs(d, oa, ob))))
-    for cls in classes:
-        if len(cls) < 2:
-            continue
-        chars = []
-        for idx, i in enumerate(cls):
-            for j in cls[idx + 1 :]:
-                chars.append(_chi_pair(d, i, j))
-        diagonal = _sum_chars(chars)
-        if d % 2 == 0:
-            family.append((f"L+({cls},{cls})", diagonal))
-            family.append((f"L-({cls},{cls})", diagonal))
-        else:
-            family.append((f"L({cls},{cls})", diagonal))
-    return family
+                    dps = cross(oa, ob)
+                family.append((f"L~({oa},{ob})", dps))
+    else:
+        for name, part, step in (("L", (2,), -c0), ("L'", (1, 1), c0)):
+            for cls in classes:
+                dps = [_dp(d, ((i, part),)) for i in cls]
+                partner = by_value.get(value[cls] + step)
+                if partner is not None:
+                    dps += cross(cls, partner)
+                family.append((f"{name}({cls})", dps))
+        for oa, ob in combinations(classes, 2):
+            if (value[oa] - value[ob]) ** 2 != c0 ** 2:
+                family.append((f"L({oa},{ob})", cross(oa, ob)))
+        for cls in classes:
+            if len(cls) > 1:
+                for sign in ("+", "-") if d % 2 == 0 else ("",):
+                    family.append((f"L{sign}({cls},{cls})", pairs(combinations(cls, 2))))
+    return [(label, CharacterSum.from_counts(Counter(dps))) for label, dps in family]
 
 
 def cm_cells_n2(params: CMParams) -> frozenset[CharacterSum]:
@@ -311,13 +283,15 @@ def cm_cells_n2(params: CMParams) -> frozenset[CharacterSum]:
 
 def gaudin_matrices(d: int, i: int, j: int, params: CMParams):
     """The 2x2 actions of the rescaled Gaudin generators on the pair module."""
+    if d != params.d:
+        raise ValueError(f"d = {d} disagrees with params.d = {params.d}")
     if not 1 <= i < j <= d:
         raise ValueError("need 1 <= i < j <= d")
     ki, kj, c0 = params.ksharp(i), params.ksharp(j), params.c0
     w = j - i
-    xd_yd = XYPoly.monomial(d, d, 0) - XYPoly.monomial(d, 0, d)
-    off_hi = XYPoly.monomial(d, d - w, w, c0)
-    off_lo = XYPoly.monomial(d, w, d - w, c0)
+    xd_yd = XYPoly.monomial(d, 0) - XYPoly.monomial(0, d)
+    off_hi = XYPoly.monomial(d - w, w, c0)
+    off_lo = XYPoly.monomial(w, d - w, c0)
     mx = (
         (xd_yd.scale(ki), -off_hi),
         (-off_lo, xd_yd.scale(kj)),
@@ -341,12 +315,10 @@ def _eigen_residuals(mat, vec, eigenvalue):
     return (image[0] - eigenvalue * vec[0], image[1] - eigenvalue * vec[1])
 
 
-def _vector_from_exponents(d: int, spec) -> tuple[XYPoly, XYPoly]:
+def _vector_from_exponents(spec) -> tuple[XYPoly, XYPoly]:
     """Build ((+-)X^ax Y^ay, ...) clearing negative exponents with a common XY shift."""
     shift = max(0, -min(min(ax, ay) for ax, ay, _ in spec))
-    return tuple(
-        XYPoly.monomial(d, ax + shift, ay + shift, sign) for ax, ay, sign in spec
-    )
+    return tuple(XYPoly.monomial(ax + shift, ay + shift, sign) for ax, ay, sign in spec)
 
 
 @dataclass(frozen=True)
@@ -401,7 +373,7 @@ class GaudinReport:
         }
 
 
-def _regime_check(d, name, mx, my, vec, mu_x, mu_y) -> RegimeCheck:
+def _regime_check(name, mx, my, vec, mu_x, mu_y) -> RegimeCheck:
     res_x = _eigen_residuals(mx, vec, mu_x)
     res_y = _eigen_residuals(my, vec, mu_y)
     residuals = tuple(p.text() for p in res_x + res_y)
@@ -431,60 +403,50 @@ def verify_gaudin_eigensystem(d: int, i: int, j: int, params: CMParams) -> Gaudi
     mx, my = gaudin_matrices(d, i, j, params)
 
     trace = mx[0][0] + mx[1][1]
-    xd_yd = XYPoly.monomial(d, d, 0) - XYPoly.monomial(d, 0, d)
+    xd_yd = XYPoly.monomial(d, 0) - XYPoly.monomial(0, d)
     trace_ok = trace == xd_yd.scale(ki + kj) and trace == my[0][0] + my[1][1]
     det_x = mx[0][0] * mx[1][1] - mx[0][1] * mx[1][0]
     det_y = my[0][0] * my[1][1] - my[0][1] * my[1][0]
-    det_expected = (xd_yd * xd_yd).scale(ki * kj) - XYPoly.monomial(
-        d, d, d, c0 ** 2
-    )
+    det_expected = (xd_yd * xd_yd).scale(ki * kj) - XYPoly.monomial(d, d, c0 ** 2)
     det_ok = det_x == det_expected and det_y == det_expected
 
     # Discriminant of the shared characteristic polynomial, symmetric form.
     delta = ki - kj
     disc = trace * trace - det_expected.scale(4)
     disc_expected = (
-        XYPoly.monomial(d, 2 * d, 0, delta ** 2)
-        + XYPoly.monomial(d, d, d, 2 * (2 * c0 ** 2 - delta ** 2))
-        + XYPoly.monomial(d, 0, 2 * d, delta ** 2)
+        XYPoly.monomial(2 * d, 0, delta ** 2)
+        + XYPoly.monomial(d, d, 2 * (2 * c0 ** 2 - delta ** 2))
+        + XYPoly.monomial(0, 2 * d, delta ** 2)
     )
     discriminant_ok = disc == disc_expected
 
     def poly_kk(a: Fraction, b: Fraction) -> XYPoly:
-        return XYPoly.monomial(d, d, 0, a) + XYPoly.monomial(d, 0, d, b)
+        return XYPoly.monomial(d, 0, a) + XYPoly.monomial(0, d, b)
 
     regimes = []
     if delta == 0 and d % 2 == 0:
         half = d // 2
-        minus = _vector_from_exponents(
-            d, ((half - w, 0, 1), (0, half - w, -1))
-        )
-        plus = _vector_from_exponents(d, ((half - w, 0, 1), (0, half - w, 1)))
+        minus = _vector_from_exponents(((half - w, 0, 1), (0, half - w, -1)))
+        plus = _vector_from_exponents(((half - w, 0, 1), (0, half - w, 1)))
         lam = xd_yd.scale(ki)
-        bump = XYPoly.monomial(d, half, half, c0)
+        bump = XYPoly.monomial(half, half, c0)
         regimes.append(
-            _regime_check(d, "equal-ksharp", mx, my, minus, lam + bump, lam - bump)
+            _regime_check("equal-ksharp", mx, my, minus, lam + bump, lam - bump)
         )
         regimes.append(
-            _regime_check(d, "equal-ksharp", mx, my, plus, lam - bump, lam + bump)
+            _regime_check("equal-ksharp", mx, my, plus, lam - bump, lam + bump)
         )
-    if delta == c0:
-        v1 = (XYPoly.monomial(d, 0, w), XYPoly.monomial(d, w, 0))
-        v2 = (XYPoly.monomial(d, d - w, 0), XYPoly.monomial(d, 0, d - w, -1))
+    if delta ** 2 == c0 ** 2:
+        # delta = sign * c0, and c0 != 0 fixes the sign
+        sign = 1 if delta == c0 else -1
+        name = "gap+c0" if sign == 1 else "gap-c0"
+        v1 = (XYPoly.monomial(0, w), XYPoly.monomial(w, 0, sign))
+        v2 = (XYPoly.monomial(d - w, 0), XYPoly.monomial(0, d - w, -sign))
         regimes.append(
-            _regime_check(d, "gap+c0", mx, my, v1, poly_kk(kj, -ki), poly_kk(ki, -kj))
-        )
-        regimes.append(
-            _regime_check(d, "gap+c0", mx, my, v2, poly_kk(ki, -kj), poly_kk(kj, -ki))
-        )
-    if delta == -c0:
-        v1 = (XYPoly.monomial(d, 0, w), XYPoly.monomial(d, w, 0, -1))
-        v2 = (XYPoly.monomial(d, d - w, 0), XYPoly.monomial(d, 0, d - w))
-        regimes.append(
-            _regime_check(d, "gap-c0", mx, my, v1, poly_kk(kj, -ki), poly_kk(ki, -kj))
+            _regime_check(name, mx, my, v1, poly_kk(kj, -ki), poly_kk(ki, -kj))
         )
         regimes.append(
-            _regime_check(d, "gap-c0", mx, my, v2, poly_kk(ki, -kj), poly_kk(kj, -ki))
+            _regime_check(name, mx, my, v2, poly_kk(ki, -kj), poly_kk(kj, -ki))
         )
 
     if not regimes:
@@ -493,7 +455,7 @@ def verify_gaudin_eigensystem(d: int, i: int, j: int, params: CMParams) -> Gaudi
             poly_kk(delta, -delta) * poly_kk(delta, -delta),
         ]
         if d % 2 == 0:
-            mid = XYPoly.monomial(d, d // 2, d // 2, 2 * c0)
+            mid = XYPoly.monomial(d // 2, d // 2, 2 * c0)
             candidates.append(mid * mid)
         if any(disc == cand for cand in candidates):
             raise AssertionError(

@@ -1,17 +1,14 @@
 """Exact coefficient arithmetic.
 
-Rationals are `fractions.Fraction` (re-exported as `Rational`).  Laurent
-polynomials in q carry arbitrary-precision integer coefficients, stored
-sparsely with no zero entries; all operations return fresh values and never
-mutate their arguments.
+Rationals are plain `fractions.Fraction`s.  Laurent polynomials in q carry
+arbitrary-precision integer coefficients, stored sparsely with no zero
+entries; all operations return fresh values and never mutate their arguments.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-
-Rational = Fraction
 
 
 def parse_rational(text: str) -> Fraction:

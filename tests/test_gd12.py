@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wreathcells.combinatorics import CharacterSum, DPartition
 from wreathcells.gd12 import (
@@ -183,6 +185,52 @@ def test_c0_zero_jm_equals_cm(params):
     assert jm.character_set() == cm_cells_n2(params)
 
 
+@pytest.mark.parametrize(
+    "params, labels",
+    [
+        (
+            CMParams.from_ksharp(2, 0, (-1, 0)),
+            ["L~((1,),(1,))", "L~((1,),(2,))", "L~((2,),(1,))", "L~((2,),(2,))"],
+        ),
+        (
+            CMParams.from_ksharp(4, 1, (-1, -1, 0, 0)),
+            [
+                "L((1, 2))",
+                "L((3, 4))",
+                "L'((1, 2))",
+                "L'((3, 4))",
+                "L+((1, 2),(1, 2))",
+                "L-((1, 2),(1, 2))",
+                "L+((3, 4),(3, 4))",
+                "L-((3, 4),(3, 4))",
+            ],
+        ),
+        (
+            CMParams.from_ksharp(3, 1, (-1, -1, 0)),
+            ["L((1, 2))", "L((3,))", "L'((1, 2))", "L'((3,))", "L((1, 2),(1, 2))"],
+        ),
+        (
+            CMParams.from_ksharp(3, 1, (-2, -1, 0)),
+            ["L((1,))", "L((2,))", "L((3,))", "L'((1,))", "L'((2,))", "L'((3,))",
+             "L((1,),(3,))"],
+        ),
+    ],
+)
+def test_family_labels(params, labels):
+    assert params in GD12_BATTERY
+    assert [label for label, _ in cm_cells_n2_family(params)] == labels
+
+
+def test_family_characters_with_partners():
+    # ksharp (-2, -1, 0), c0 = 1: L((2,)) takes the pairs with the class c0
+    # below it, (1,); L'((2,)) those with the class c0 above it, (3,); and
+    # (1,), (3,) are 2*c0 apart, so they get a cross cell of their own.
+    family = dict(cm_cells_n2_family(CMParams.from_ksharp(3, 1, (-2, -1, 0))))
+    assert family["L((2,))"] == cs(chi(3, 2), chi_pair(3, 1, 2))
+    assert family["L'((2,))"] == cs(chi_prime(3, 2), chi_pair(3, 2, 3))
+    assert family["L((1,),(3,))"] == cs(chi_pair(3, 1, 3))
+
+
 # Polynomial oracles
 
 
@@ -193,6 +241,11 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(6) == (1, -1, 1)
     assert cyclotomic_polynomial(9) == (1, 0, 0, 1, 0, 0, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+
+
+def test_zeta_power_rejects_nonpositive_d():
+    with pytest.raises(ValueError, match="d must be positive"):
+        Cyclo.zeta_power(0, 1)
 
 
 def test_zeta_arithmetic():
@@ -241,7 +294,20 @@ def test_gaudin_gap_regime_by_hand():
     assert report.ok
     assert [r.name for r in report.regimes] == ["gap-c0", "gap-c0"]
     first = report.regimes[0]
-    assert first.eigenvalue_x == XYPoly.monomial(2, 0, 2, 1).text()
+    assert first.eigenvalue_x == XYPoly.monomial(0, 2, 1).text()
+
+
+def test_gaudin_gap_plus_regime_by_hand():
+    # ksharp = (1, 0), c0 = 1: difference is +c0; the first eigenvector is
+    # (Y, X) with eigenvalue ksharp_j X^d - ksharp_i Y^d = -Y^2
+    params = CMParams.from_ksharp(2, 1, (1, 0))
+    report = verify_gaudin_eigensystem(2, 1, 2, params)
+    assert report.ok
+    assert [r.name for r in report.regimes] == ["gap+c0", "gap+c0"]
+    first, second = report.regimes
+    assert first.vector == ("(1)*X^0*Y^1", "(1)*X^1*Y^0")
+    assert first.eigenvalue_x == XYPoly.monomial(0, 2, -1).text()
+    assert second.vector == ("(1)*X^1*Y^0", "(-1)*X^0*Y^1")
 
 
 def test_gaudin_equal_ksharp_by_hand():
@@ -256,6 +322,14 @@ def test_gaudin_equal_ksharp_by_hand():
 def test_gaudin_regime_mismatch():
     params = CMParams.from_ksharp(3, 1, (5, 0, -7))
     with pytest.raises(RegimeMismatch):
+        verify_gaudin_eigensystem(3, 1, 2, params)
+
+
+def test_gaudin_rejects_d_other_than_params_d():
+    params = CMParams.from_ksharp(2, 1, (-1, 0))
+    with pytest.raises(ValueError, match="d = 3 disagrees with params.d = 2"):
+        gaudin_matrices(3, 1, 2, params)
+    with pytest.raises(ValueError, match="d = 3 disagrees with params.d = 2"):
         verify_gaudin_eigensystem(3, 1, 2, params)
 
 
@@ -274,3 +348,50 @@ def test_gaudin_report_json():
         for regime in obj["regimes"]
         for residual in regime["residuals"]
     )
+
+
+# The Cyclo ring as the oracle for rational XYPoly arithmetic
+
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+rational_polys = st.dictionaries(
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)), small_rationals, max_size=5
+).map(XYPoly)
+
+
+def _lift(d, poly):
+    return XYPoly({key: Cyclo.from_rational(d, c) for key, c in poly.terms.items()})
+
+
+@settings(deadline=None)
+@given(st.integers(1, 8), rational_polys, rational_polys, small_rationals)
+def test_rational_xypoly_agrees_with_cyclo_lift(d, a, b, s):
+    la, lb = _lift(d, a), _lift(d, b)
+    results = [
+        (a + b, la + lb),
+        (a - b, la - lb),
+        (a * b, la * lb),
+        (a.scale(s), la.scale(Cyclo.from_rational(d, s))),
+        (a - a, la - la),
+    ]
+    for rational, cyclo in results:
+        assert _lift(d, rational) == cyclo
+        assert rational.is_zero() == cyclo.is_zero()
+        assert rational.text() == cyclo.text()
+    assert (a == b) == (la == lb)
+    assert a == XYPoly(dict(a.terms)) and la == _lift(d, a)
+
+
+def test_gaudin_trace_and_determinant_agree_over_both_rings():
+    for d in range(2, 6):
+        params = CMParams.from_ksharp(d, Fraction(2, 3), [Fraction(t, 2) for t in range(d)])
+        for i in range(1, d + 1):
+            for j in range(i + 1, d + 1):
+                mx, my = gaudin_matrices(d, i, j, params)
+                for mat in (mx, my):
+                    lifted = [[_lift(d, entry) for entry in row] for row in mat]
+                    trace = mat[0][0] + mat[1][1]
+                    det = mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
+                    assert _lift(d, trace) == lifted[0][0] + lifted[1][1]
+                    assert _lift(d, det) == (
+                        lifted[0][0] * lifted[1][1] - lifted[0][1] * lifted[1][0]
+                    )
