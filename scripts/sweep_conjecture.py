@@ -18,7 +18,7 @@ import itertools
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from wreathcells import check_conjecture
+from wreathcells import check_conjecture, params_from_r
 
 
 def charge_vectors(d: int, max_charge: int):
@@ -40,7 +40,7 @@ def built_in_battery(max_d: int, max_n: int, max_charge: int):
 
 def run_point(point):
     r, n = point
-    verdict = check_conjecture(n, r=r, c0=1)
+    verdict = check_conjecture(params_from_r(r, 1), n)
     return (
         r,
         n,

@@ -16,11 +16,11 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .combinatorics import (
     enumerate_dpartitions,
     parse_dpartition,
+    sort_characters,
     standard_tableaux,
 )
 from .conjecture import check_conjecture, params_from_r
@@ -39,24 +39,17 @@ class UsageError(ValueError):
     pass
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
+def _parse_list(text: str, parse, kind: str) -> tuple:
     try:
-        return tuple(int(x) for x in text.split(","))
+        return tuple(parse(x) for x in text.split(","))
     except ValueError as exc:
-        raise UsageError(f"cannot parse integer list {text!r}") from exc
+        raise UsageError(f"cannot parse {kind} list {text!r}") from exc
 
 
 def _charges_from_args(args) -> tuple[int, ...]:
     if args.r is None:
         raise UsageError(f"{args.command} needs --r")
-    return _parse_int_list(args.r)
-
-
-def _parse_rational_list(text: str) -> tuple[Fraction, ...]:
-    try:
-        return tuple(parse_rational(x) for x in text.split(","))
-    except ValueError as exc:
-        raise UsageError(f"cannot parse rational list {text!r}") from exc
+    return _parse_list(args.r, int, "integer")
 
 
 def _params_from_args(args) -> CMParams:
@@ -69,9 +62,9 @@ def _params_from_args(args) -> CMParams:
     if args.k is None and args.r is None:
         raise UsageError("provide parameters via --k or --r (with --c0)")
     if args.k is not None:
-        flag, values = "--k", _parse_rational_list(args.k)
+        flag, values = "--k", _parse_list(args.k, parse_rational, "rational")
     else:
-        flag, values = "--r", _parse_int_list(args.r)
+        flag, values = "--r", _parse_list(args.r, int, "integer")
     if args.c0 is None:
         raise UsageError(f"{flag} requires --c0")
     if args.d is not None and args.d != len(values):
@@ -82,7 +75,9 @@ def _params_from_args(args) -> CMParams:
     return params_from_r(values, c0)
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, out) -> None:
+    """Write `out` to --out or stdout: a str as is, anything else as JSON."""
+    text = out if isinstance(out, str) else json.dumps(out, indent=2)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:
@@ -96,7 +91,7 @@ def _emit(args, text: str) -> None:
 def _cmd_dpartitions(args) -> int:
     items = enumerate_dpartitions(args.d, args.n)
     if args.format == "json":
-        _emit(args, json.dumps([dp.text() for dp in items], indent=2))
+        _emit(args, [dp.text() for dp in items])
     else:
         _emit(args, "\n".join(dp.text() for dp in items))
     return 0
@@ -114,7 +109,7 @@ def _cmd_tableaux(args) -> int:
             shape.text(): [tab.text() for tab in standard_tableaux(shape)]
             for shape in shapes
         }
-        _emit(args, json.dumps(obj, indent=2))
+        _emit(args, obj)
     else:
         lines = []
         for shape in shapes:
@@ -130,7 +125,7 @@ def _cmd_jm_cells(args) -> int:
     params = _params_from_args(args)
     decomposition = jm_cellular_characters(params, args.n)
     if args.format == "json":
-        _emit(args, json.dumps(decomposition.to_json_obj(), indent=2))
+        _emit(args, decomposition.to_json_obj())
     else:
         label = (
             "JM cells (= CM cells: parameters generic)"
@@ -161,7 +156,7 @@ def _cmd_standard_symbols(args) -> int:
             str(h): sorted(s.text() for s in layer)
             for h, layer in enumerate(component.by_height)
         }
-        _emit(args, json.dumps(obj, indent=2))
+        _emit(args, obj)
     else:
         lines = []
         for h, layer in enumerate(component.by_height):
@@ -190,7 +185,7 @@ def _cmd_canonical_basis(args) -> int:
                 for sym in ordered
             ],
         }
-        _emit(args, json.dumps(obj, indent=2))
+        _emit(args, obj)
     else:
         lines = []
         for sym in ordered:
@@ -209,7 +204,7 @@ def _cmd_lm_cells(args) -> int:
     ordered = sorted(chars.by_symbol, key=symbol_sort_key)
     if args.format == "json":
         obj = {sym.text(): chars.by_symbol[sym].to_json_obj() for sym in ordered}
-        _emit(args, json.dumps(obj, indent=2))
+        _emit(args, obj)
     else:
         _emit(
             args,
@@ -222,13 +217,13 @@ def _cmd_lm_cells(args) -> int:
 
 def _cmd_cm_cells_n2(args) -> int:
     params = _params_from_args(args)
-    cells = sorted(cm_cells_n2(params), key=lambda cs: cs.sort_key())
+    cells = sort_characters(cm_cells_n2(params))
     if args.format == "json":
         obj = {
             "classes": [list(c) for c in sim_classes(params)],
             "cells": [cs.to_json_obj() for cs in cells],
         }
-        _emit(args, json.dumps(obj, indent=2))
+        _emit(args, obj)
     else:
         lines = [f"classes: {sim_classes(params)}"]
         lines.extend(cs.text() for cs in cells)
@@ -258,7 +253,7 @@ def _cmd_gaudin_verify(args) -> int:
                 {"d": d, "pair": [i, j], "regimes": [], "irreducible": str(exc)}
             )
     if args.format == "json":
-        _emit(args, json.dumps(reports, indent=2))
+        _emit(args, reports)
     else:
         lines = []
         for rep in reports:
@@ -279,18 +274,18 @@ def _cmd_check(args) -> int:
     if args.r is not None and args.shift is not None:
         raise UsageError("--shift applies only to --k; shift the charges in --r instead")
     params = _params_from_args(args)
-    verdict = check_conjecture(args.n, params=params, shift=args.shift or 0)
+    verdict = check_conjecture(params, args.n, shift=args.shift or 0)
     if args.format == "json":
-        _emit(args, json.dumps(verdict.to_json_obj(), indent=2))
+        _emit(args, verdict.to_json_obj())
     else:
         lines = [
             f"mode: {verdict.mode}",
             f"equal: {verdict.equal}" + (f"  ({verdict.note})" if verdict.note else ""),
             "cm cells:",
         ]
-        lines.extend(f"  {cs.text()}" for cs in sorted(verdict.cm_set, key=lambda c: c.sort_key()))
+        lines.extend(f"  {cs.text()}" for cs in sort_characters(verdict.cm_set))
         lines.append("lm cells:")
-        lines.extend(f"  {cs.text()}" for cs in sorted(verdict.lm_set, key=lambda c: c.sort_key()))
+        lines.extend(f"  {cs.text()}" for cs in sort_characters(verdict.lm_set))
         if not verdict.equal:
             lines.append("cm only: " + "; ".join(cs.text() for cs in verdict.cm_only))
             lines.append("lm only: " + "; ".join(cs.text() for cs in verdict.lm_only))
@@ -381,7 +376,7 @@ def cli_main(argv=None) -> int:
         if out and not os.path.isdir(os.path.dirname(out) or "."):
             raise UsageError(f"cannot write --out {out}: no such directory")
         return args.func(args)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

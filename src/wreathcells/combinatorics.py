@@ -319,3 +319,8 @@ class CharacterSum:
 
     def __repr__(self):
         return f"CharacterSum({self.text()})"
+
+
+def sort_characters(chars) -> tuple[CharacterSum, ...]:
+    """Character sums in the one order every listing uses."""
+    return tuple(sorted(chars, key=CharacterSum.sort_key))

@@ -1,21 +1,27 @@
 """Parameter dictionary between reflection parameters and charges, and the
 end-to-end comparison of the two character pipelines.
 
-The dictionary sets ksharp_i = -c0 * r_i.  At n = 2 the Calogero-Moser side is
-computed from the exact closed forms; for larger n it is replaced by the JM
-cells, which are exact when the parameters are generic and an upper bound
-(cells may merge) otherwise.  Comparison is primarily as sets, with multisets
-reported alongside.
+The dictionary sets ksharp_i = -c0 * r_i.  ``check_conjecture(params, n)``
+derives the charges from the parameters and compares the two sides at size n;
+callers holding a charge vector pass ``params_from_r(r, c0)``.  At n = 2 the
+Calogero-Moser side is computed from the exact closed forms; for larger n it
+is replaced by the JM cells, which are exact when the parameters are generic
+and an upper bound (cells may merge) otherwise.  Comparison is primarily as
+sets, with multisets reported alongside.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .combinatorics import CharacterSum
+from .combinatorics import CharacterSum, sort_characters
 from .fock import lm_constructible
-from .gd12 import cm_cells_n2, cm_cells_n2_family
+
+# cm_cells_n2 is not called here, but perfbench/tracing.py wraps the name in
+# this module, so it stays imported.
+from .gd12 import cm_cells_n2, cm_cells_n2_family  # noqa: F401
 from .jucys_murphy import CMParams, jm_cellular_characters
 
 
@@ -28,7 +34,7 @@ class NonIntegralRatio(ValueError):
 
 
 class UnsortedParameters(ValueError):
-    """Charges (or ksharp/c0 ratios) are not weakly sorted as required."""
+    """Charges r_i (or -ksharp_i / c0) are not weakly decreasing."""
 
 
 def params_from_r(r, c0) -> CMParams:
@@ -53,7 +59,7 @@ def r_from_params(params: CMParams, shift: int = 0) -> tuple[int, ...]:
     ratios = [-params.ksharp(i) / params.c0 for i in range(1, params.d + 1)]
     if any(ratios[i] < ratios[i + 1] for i in range(len(ratios) - 1)):
         raise UnsortedParameters(
-            "ksharp_i / c0 must be weakly increasing, got ratios "
+            "charges -ksharp_i / c0 must be weakly decreasing, got "
             + ", ".join(str(x) for x in ratios)
         )
     out = []
@@ -67,19 +73,46 @@ def r_from_params(params: CMParams, shift: int = 0) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class ConjectureVerdict:
+    """The two sorted character multisets at one point; the rest derives from them."""
+
     mode: str  # "exact-n2" | "generic" | "jm-upper-bound"
     n: int
     charges: tuple[int, ...]
-    equal: bool
-    cm_set: frozenset[CharacterSum]
-    lm_set: frozenset[CharacterSum]
-    cm_only: tuple[CharacterSum, ...]
-    lm_only: tuple[CharacterSum, ...]
     cm_multiset: tuple[CharacterSum, ...]
     lm_multiset: tuple[CharacterSum, ...]
-    note: str = ""
+
+    @cached_property
+    def cm_set(self) -> frozenset[CharacterSum]:
+        return frozenset(self.cm_multiset)
+
+    @cached_property
+    def lm_set(self) -> frozenset[CharacterSum]:
+        return frozenset(self.lm_multiset)
+
+    @cached_property
+    def cm_only(self) -> tuple[CharacterSum, ...]:
+        return sort_characters(self.cm_set - self.lm_set)
+
+    @cached_property
+    def lm_only(self) -> tuple[CharacterSum, ...]:
+        return sort_characters(self.lm_set - self.cm_set)
+
+    @property
+    def equal(self) -> bool:
+        return self.cm_set == self.lm_set
+
+    @property
+    def note(self) -> str:
+        if self.mode == "jm-upper-bound" and not self.equal:
+            return "inconclusive (JM cells may merge CM cells)"
+        return ""
+
+    def __repr__(self):
+        names = "mode n charges equal cm_set lm_set cm_only lm_only cm_multiset lm_multiset note"
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in names.split())
+        return f"ConjectureVerdict({body})"
 
     def to_json_obj(self):
         def charlist(chars):
@@ -90,8 +123,8 @@ class ConjectureVerdict:
             "n": self.n,
             "charges": list(self.charges),
             "equal": self.equal,
-            "cm_set": charlist(_sorted_chars(self.cm_set)),
-            "lm_set": charlist(_sorted_chars(self.lm_set)),
+            "cm_set": charlist(sort_characters(self.cm_set)),
+            "lm_set": charlist(sort_characters(self.lm_set)),
             "diff": {
                 "cm_only": charlist(self.cm_only),
                 "lm_only": charlist(self.lm_only),
@@ -102,65 +135,20 @@ class ConjectureVerdict:
         }
 
 
-def _sorted_chars(chars) -> tuple[CharacterSum, ...]:
-    return tuple(sorted(chars, key=lambda cs: cs.sort_key()))
-
-
-def check_conjecture(
-    n: int,
-    *,
-    r=None,
-    c0=None,
-    params: CMParams | None = None,
-    shift: int = 0,
-) -> ConjectureVerdict:
+def check_conjecture(params: CMParams, n: int, *, shift: int = 0) -> ConjectureVerdict:
     """Compare the Calogero-Moser and constructible character sets at size n.
 
-    Provide either a charge vector r with c0, or reflection parameters (from
-    which charges are derived; the dictionary preconditions then apply).
+    The charges are ``r_from_params(params, shift)``, so the dictionary's
+    preconditions apply; start from a charge vector with
+    ``check_conjecture(params_from_r(r, c0), n)``.
     """
-    if params is None:
-        if r is None or c0 is None:
-            raise InvalidParam("need either params or both r and c0")
-        params = params_from_r(r, c0)
-        charges = tuple(int(x) for x in r)
-    else:
-        charges = r_from_params(params, shift)
-
-    lm = lm_constructible(charges, n)
-    lm_set = lm.character_set()
-    lm_multiset = lm.character_multiset()
-
-    note = ""
+    charges = r_from_params(params, shift)
+    lm_multiset = lm_constructible(charges, n).character_multiset()
     if n == 2:
         mode = "exact-n2"
-        cm_set = cm_cells_n2(params)
-        cm_multiset = _sorted_chars(cs for _, cs in cm_cells_n2_family(params))
+        cm_multiset = sort_characters(cs for _, cs in cm_cells_n2_family(params))
     else:
         decomposition = jm_cellular_characters(params, n)
-        cm_set = decomposition.character_set()
+        mode = "generic" if decomposition.report.generic else "jm-upper-bound"
         cm_multiset = decomposition.character_multiset()
-        if decomposition.report.generic:
-            mode = "generic"
-        else:
-            mode = "jm-upper-bound"
-
-    cm_only = _sorted_chars(cm_set - lm_set)
-    lm_only = _sorted_chars(lm_set - cm_set)
-    equal = not cm_only and not lm_only
-    if mode == "jm-upper-bound" and not equal:
-        note = "inconclusive (JM cells may merge CM cells)"
-
-    return ConjectureVerdict(
-        mode=mode,
-        n=n,
-        charges=charges,
-        equal=equal,
-        cm_set=cm_set,
-        lm_set=lm_set,
-        cm_only=cm_only,
-        lm_only=lm_only,
-        cm_multiset=cm_multiset,
-        lm_multiset=lm_multiset,
-        note=note,
-    )
+    return ConjectureVerdict(mode, n, charges, cm_multiset, lm_multiset)

@@ -40,6 +40,7 @@ from .combinatorics import (
     components_sort_key,
     components_text,
     is_partition,
+    sort_characters,
 )
 from .laurent import LaurentPoly, bar_symmetric_head, one, zero
 
@@ -600,11 +601,8 @@ class ConstructibleCharacters:
     n: int
     by_symbol: dict
 
-    def character_set(self) -> frozenset:
-        return frozenset(self.by_symbol.values())
-
     def character_multiset(self) -> tuple:
-        return tuple(sorted(self.by_symbol.values(), key=lambda cs: cs.sort_key()))
+        return sort_characters(self.by_symbol.values())
 
 
 def lm_constructible(charges: tuple[int, ...], n: int) -> ConstructibleCharacters:

@@ -87,16 +87,25 @@ class Cyclo:
     def is_zero(self) -> bool:
         return not self
 
+    def _same_field(self, other: "Cyclo") -> None:
+        if other.d != self.d:
+            raise ValueError(
+                f"Cyclo operands lie in different fields: d = {self.d} and d = {other.d}"
+            )
+
     def __add__(self, other: "Cyclo") -> "Cyclo":
+        self._same_field(other)
         return Cyclo(self.d, tuple(a + b for a, b in zip(self.co, other.co)))
 
     def __sub__(self, other: "Cyclo") -> "Cyclo":
+        self._same_field(other)
         return Cyclo(self.d, tuple(a - b for a, b in zip(self.co, other.co)))
 
     def __neg__(self) -> "Cyclo":
         return Cyclo(self.d, tuple(-a for a in self.co))
 
     def __mul__(self, other: "Cyclo") -> "Cyclo":
+        self._same_field(other)
         out = [Fraction(0)] * (2 * len(self.co))
         for i, a in enumerate(self.co):
             if a:

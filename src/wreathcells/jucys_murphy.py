@@ -21,6 +21,7 @@ from .combinatorics import (
     StandardTableau,
     content,
     enumerate_dpartitions,
+    sort_characters,
     standard_tableaux,
 )
 
@@ -143,11 +144,8 @@ class CellDecomposition:
     cells: tuple[tuple[tuple[Fraction, ...], CharacterSum], ...]
     report: GenericityReport
 
-    def character_set(self) -> frozenset[CharacterSum]:
-        return frozenset(cs for _, cs in self.cells)
-
     def character_multiset(self) -> tuple[CharacterSum, ...]:
-        return tuple(sorted((cs for _, cs in self.cells), key=lambda c: c.sort_key()))
+        return sort_characters(cs for _, cs in self.cells)
 
     def to_json_obj(self):
         return {

@@ -54,7 +54,7 @@ def _report(criterion, detail):
 def test_criterion_1_n2_conjecture_battery():
     start = time.monotonic()
     for d, r in N2_BATTERY:
-        verdict = check_conjecture(2, r=r, c0=1)
+        verdict = check_conjecture(params_from_r(r, 1), 2)
         assert verdict.equal, (d, r, [c.text() for c in verdict.cm_only + verdict.lm_only])
         assert verdict.mode == "exact-n2"
     elapsed = time.monotonic() - start
@@ -66,7 +66,7 @@ def test_criterion_2_generic_case():
     start = time.monotonic()
     cases = [(3, (14, 7, 0), 3), (2, (5, 0), 3), (2, (5, 0), 4)]
     for d, r, n in cases:
-        verdict = check_conjecture(n, r=r, c0=1)
+        verdict = check_conjecture(params_from_r(r, 1), n)
         assert verdict.equal and verdict.mode == "generic", (d, r, n)
         irreducibles = frozenset(
             CharacterSum.from_counts({shape: 1})

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -72,7 +73,7 @@ def test_round_trip_with_shift(r, c0, shift):
 
 
 def test_check_gap_one():
-    verdict = check_conjecture(2, r=(1, 0), c0=1)
+    verdict = check_conjecture(params_from_r((1, 0), 1), 2)
     assert verdict.equal and verdict.mode == "exact-n2"
     texts = {cs.text() for cs in verdict.cm_set}
     assert texts == {
@@ -84,27 +85,27 @@ def test_check_gap_one():
 
 
 def test_check_generic():
-    verdict = check_conjecture(3, r=(14, 7, 0), c0=1)
+    verdict = check_conjecture(params_from_r((14, 7, 0), 1), 3)
     assert verdict.equal and verdict.mode == "generic"
     assert all(len(cs.entries) == 1 for cs in verdict.cm_set)
     assert len(verdict.cm_set) == 22
 
 
 def test_check_equal_charges():
-    verdict = check_conjecture(2, r=(0, 0), c0=1)
+    verdict = check_conjecture(params_from_r((0, 0), 1), 2)
     assert verdict.equal
     assert len(verdict.cm_set) == 3
 
 
 def test_check_from_params():
     params = CMParams.from_ksharp(2, 1, (-1, 0))
-    verdict = check_conjecture(2, params=params)
+    verdict = check_conjecture(params, 2)
     assert verdict.equal and verdict.charges == (1, 0)
 
 
 def test_check_upper_bound_mode():
     # repeated charges at n = 3 are not generic; both pipelines still agree
-    verdict = check_conjecture(3, r=(1, 0, 0), c0=1)
+    verdict = check_conjecture(params_from_r((1, 0, 0), 1), 3)
     assert verdict.mode == "jm-upper-bound"
 
 
@@ -112,21 +113,21 @@ def test_check_upper_bound_mode():
 def test_check_invariant_under_scaling(factor):
     base = CMParams.from_ksharp(2, 1, (-1, 0))
     scaled = base.scaled(factor)
-    v1 = check_conjecture(2, params=base)
-    v2 = check_conjecture(2, params=scaled)
+    v1 = check_conjecture(base, 2)
+    v2 = check_conjecture(scaled, 2)
     assert v1.cm_set == v2.cm_set and v1.lm_set == v2.lm_set
     assert v1.equal and v2.equal
 
 
 @pytest.mark.parametrize("shift", [-2, 3])
 def test_check_invariant_under_charge_shift(shift):
-    v1 = check_conjecture(2, r=(1, 0), c0=1)
-    v2 = check_conjecture(2, r=(1 + shift, 0 + shift), c0=1)
+    v1 = check_conjecture(params_from_r((1, 0), 1), 2)
+    v2 = check_conjecture(params_from_r((1 + shift, 0 + shift), 1), 2)
     assert v1.lm_set == v2.lm_set and v1.cm_set == v2.cm_set
 
 
 def test_verdict_json_round_trip():
-    verdict = check_conjecture(2, r=(1, 0), c0=1)
+    verdict = check_conjecture(params_from_r((1, 0), 1), 2)
     obj = json.loads(json.dumps(verdict.to_json_obj()))
     assert obj["equal"] is True
     assert obj["mode"] == "exact-n2"
@@ -134,6 +135,59 @@ def test_verdict_json_round_trip():
 
     recovered = frozenset(CharacterSum.from_json_obj(o) for o in obj["cm_set"])
     assert recovered == verdict.cm_set
+
+
+@pytest.mark.parametrize("shift", [-3, 2])
+def test_check_shift_changes_only_the_charges(shift):
+    params = params_from_r((1, 0), 1)
+    for n in (2, 3):
+        base = check_conjecture(params, n)
+        shifted = check_conjecture(params, n, shift=shift)
+        assert shifted.charges == (1 + shift, shift)
+        assert dataclasses.replace(shifted, charges=base.charges) == base
+
+
+# (charges, n, mode, equal): one point per mode, jm-upper-bound both ways
+VERDICT_POINTS = [
+    ((1, 0), 2, "exact-n2", True),
+    ((5, 0), 3, "generic", True),
+    ((2, 0), 3, "jm-upper-bound", True),
+    ((1, 0), 3, "jm-upper-bound", False),
+]
+
+
+@pytest.mark.parametrize("r, n, mode, equal", VERDICT_POINTS)
+def test_verdict_derives_sets_and_differences(r, n, mode, equal):
+    verdict = check_conjecture(params_from_r(r, 1), n)
+    assert (verdict.mode, verdict.equal) == (mode, equal)
+    assert verdict.cm_set == frozenset(verdict.cm_multiset)
+    assert verdict.lm_set == frozenset(verdict.lm_multiset)
+    assert verdict.equal == (verdict.cm_set == verdict.lm_set)
+    def key(cs):
+        return cs.sort_key()
+
+    assert verdict.cm_only == tuple(sorted(verdict.cm_set - verdict.lm_set, key=key))
+    assert verdict.lm_only == tuple(sorted(verdict.lm_set - verdict.cm_set, key=key))
+    assert bool(verdict.note) == (mode == "jm-upper-bound" and not equal)
+    assert verdict.cm_set is verdict.cm_set
+
+
+@pytest.mark.parametrize("r, n, mode, equal", VERDICT_POINTS)
+def test_verdict_json_key_order(r, n, mode, equal):
+    obj = check_conjecture(params_from_r(r, 1), n).to_json_obj()
+    assert list(obj) == [
+        "mode",
+        "n",
+        "charges",
+        "equal",
+        "cm_set",
+        "lm_set",
+        "diff",
+        "cm_multiset",
+        "lm_multiset",
+        "note",
+    ]
+    assert list(obj["diff"]) == ["cm_only", "lm_only"]
 
 
 # Command-line surface
@@ -254,6 +308,21 @@ def test_cli_d_disagreeing_with_r(argv, capsys):
 def test_cli_k_and_r_together(command, capsys):
     _assert_usage_error(
         [command, "--k=-1,0", "--r=1,0", "--c0", "1", "--n", "3"], capsys
+    )
+
+
+def test_cli_shift_reports_shifted_charges(capsys):
+    code = cli_main(
+        ["check", "--k=-1,0", "--c0", "1", "--n", "3", "--shift", "2", "--format", "json"]
+    )
+    assert code == 1  # jm-upper-bound, inconclusive at these charges
+    assert json.loads(capsys.readouterr().out)["charges"] == [3, 2]
+
+
+def test_cli_unsorted_ratios_message_states_the_rule_it_prints(capsys):
+    assert cli_main(["check", "--k=0,-1", "--c0", "1", "--n", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "error: charges -ksharp_i / c0 must be weakly decreasing, got 0, 1\n"
     )
 
 
