@@ -99,7 +99,10 @@ def _cmd_dpartitions(args) -> int:
 
 def _cmd_tableaux(args) -> int:
     if args.shape:
-        shapes = [parse_dpartition(args.shape)]
+        try:
+            shapes = [parse_dpartition(args.shape)]
+        except ValueError as exc:
+            raise UsageError(f"cannot parse --shape {args.shape!r}: {exc}") from exc
     elif args.d is not None and args.n is not None:
         shapes = list(enumerate_dpartitions(args.d, args.n))
     else:

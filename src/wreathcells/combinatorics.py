@@ -122,7 +122,12 @@ def parse_dpartition(text: str) -> DPartition:
         if chunk in ("", "∅"):
             comps.append(())
         else:
-            comps.append(tuple(int(p) for p in chunk.split(".")))
+            try:
+                comps.append(tuple(int(p) for p in chunk.split(".")))
+            except ValueError:
+                raise ValueError(
+                    f"component {chunk!r} is not integers joined by '.'"
+                ) from None
     return DPartition(tuple(comps))
 
 

@@ -115,8 +115,11 @@ class ConjectureVerdict:
         return f"ConjectureVerdict({body})"
 
     def to_json_obj(self):
+        # each distinct character is rendered once; the lists share the dicts
+        rendered = {cs: cs.to_json_obj() for cs in self.cm_set | self.lm_set}
+
         def charlist(chars):
-            return [cs.to_json_obj() for cs in chars]
+            return [rendered[cs] for cs in chars]
 
         return {
             "mode": self.mode,

@@ -6,6 +6,10 @@ d * (ksharp(c) - c0 * content), with c the box's component.  Grouping tableaux
 by their full spectrum yields the JM cells.  These equal the Calogero-Moser
 cells when the parameters are generic and are unions of them otherwise, which
 callers should surface when reporting.
+
+A spectrum is read along a path in the branching graph of d-partitions, so
+the cells are computed by growing spectrum prefixes box by box, without
+listing the tableaux one by one (see ``jm_cellular_characters``).
 """
 
 from __future__ import annotations
@@ -19,11 +23,16 @@ from .combinatorics import (
     CharacterSum,
     DPartition,
     StandardTableau,
+    add_box,
+    addable_boxes,
     content,
     enumerate_dpartitions,
     sort_characters,
-    standard_tableaux,
 )
+
+# Not called here, but perfbench/tracing.py wraps the name in this module, so
+# it stays imported.
+from .combinatorics import standard_tableaux  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -162,14 +171,58 @@ class CellDecomposition:
 
 
 def jm_cellular_characters(params: CMParams, n: int) -> CellDecomposition:
-    """Group every standard tableau of every shape by its JM spectrum."""
-    groups: dict[tuple[Fraction, ...], dict[DPartition, int]] = {}
-    for shape in enumerate_dpartitions(params.d, n):
-        for tab in standard_tableaux(shape):
-            spec = tableau_spectrum(params, tab)
-            counts = groups.setdefault(spec, {})
-            counts[shape] = counts.get(shape, 0) + 1
+    """JM cells at size n: the standard tableaux grouped by their spectra.
+
+    The cells come in increasing order of their spectra.  A tableau is a path
+    that adds one box per step, so the spectra are grown as a trie, one level
+    per box.  A node is a spectrum prefix with the shapes its tableaux reach
+    and how many reach each; it has one child per eigenvalue of the boxes
+    addable to those shapes.  Each cell's spectrum is read from one of its
+    tableaux, which the walk carries along.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    shapes = [
+        dp for size in range(n + 1) for dp in enumerate_dpartitions(params.d, size)
+    ]
+    shape_id = {dp: i for i, dp in enumerate(shapes)}
+    # (eigenvalue, child shape id, box) per addable box of each shape below n
+    steps = [
+        [
+            (jm_eigenvalue(params, box), shape_id[add_box(dp, box)], box)
+            for box in addable_boxes(dp)
+        ]
+        for dp in shapes
+        if dp.size < n
+    ]
+    # int ranks in the order of the eigenvalues, so the walk hashes no Fraction
+    values = sorted({v for step in steps for v, _, _ in step})
+    rank = {value: i for i, value in enumerate(values)}
+    moves = [[(rank[v], child, box) for v, child, box in step] for step in steps]
+
+    # A node is (one tableau's boxes, {shape id: tableaux}); that tableau ends
+    # at the dict's first shape.  Children in rank order keep each level sorted.
+    level = [((), {0: 1})]
+    for _ in range(n):
+        next_level = []
+        for boxes, counts in level:
+            children: dict[int, tuple[tuple[BoxCoord, ...], dict[int, int]]] = {}
+            for shape, count in counts.items():
+                for r, child, box in moves[shape]:
+                    node = children.get(r)
+                    if node is None:
+                        children[r] = node = (boxes + (box,), {})
+                    reached = node[1]
+                    reached[child] = reached.get(child, 0) + count
+            next_level.extend(children[r] for r in sorted(children))
+        level = next_level
     cells = tuple(
-        (spec, CharacterSum.from_counts(groups[spec])) for spec in sorted(groups)
+        (
+            tableau_spectrum(
+                params, StandardTableau(shapes[next(iter(counts))], boxes)
+            ),
+            CharacterSum.from_counts({shapes[s]: m for s, m in counts.items()}),
+        )
+        for boxes, counts in level
     )
     return CellDecomposition(params.d, n, cells, is_generic(params, n))

@@ -19,6 +19,11 @@ The `row_*` helpers are the oracle for the one-pass bead mechanics of
 `direct_spectrum` is the oracle for the eigenvalue table behind
 `wreathcells.jucys_murphy.tableau_spectrum`: it evaluates
 d * (ksharp(c) - c0 * content) afresh for every box.
+
+`jm_cells_by_tableaux` is the oracle for the spectrum trie behind
+`wreathcells.jm_cellular_characters`: it walks every standard tableau of
+every shape and groups the tableaux by their spectra, the definition of the
+JM cells.
 """
 
 from __future__ import annotations
@@ -26,15 +31,20 @@ from __future__ import annotations
 from fractions import Fraction
 
 from wreathcells import (
+    CellDecomposition,
     CharacterSum,
     CMParams,
     FockVector,
     StandardTableau,
     Symbol,
+    enumerate_dpartitions,
     f_action,
     highest_weight_symbol,
+    is_generic,
     lt_monomial,
     q_factorial,
+    standard_tableaux,
+    tableau_spectrum,
 )
 
 
@@ -44,6 +54,19 @@ def direct_spectrum(params: CMParams, tab: StandardTableau) -> tuple[Fraction, .
         params.d * (params.ksharp(box.comp) - params.c0 * (box.col - box.row))
         for box in tab.boxes
     )
+
+
+def jm_cells_by_tableaux(params: CMParams, n: int) -> CellDecomposition:
+    """JM cells from grouping every standard tableau by its spectrum."""
+    groups: dict[tuple[Fraction, ...], dict] = {}
+    for shape in enumerate_dpartitions(params.d, n):
+        for tab in standard_tableaux(shape):
+            counts = groups.setdefault(tableau_spectrum(params, tab), {})
+            counts[shape] = counts.get(shape, 0) + 1
+    cells = tuple(
+        (spec, CharacterSum.from_counts(groups[spec])) for spec in sorted(groups)
+    )
+    return CellDecomposition(params.d, n, cells, is_generic(params, n))
 
 
 def divided_power_oracle(m: int, k: int, vec: FockVector) -> FockVector:

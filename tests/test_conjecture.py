@@ -326,6 +326,14 @@ def test_cli_unsorted_ratios_message_states_the_rule_it_prints(capsys):
     )
 
 
+@pytest.mark.parametrize("shape", ["x", "2|1.a"])
+def test_cli_tableaux_shape_error_names_the_flag_and_text(shape, capsys):
+    assert cli_main(["tableaux", "--shape", shape]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot parse --shape {shape!r}")
+    assert err.count("\n") == 1
+
+
 def test_cli_shift_with_r(capsys):
     _assert_usage_error(
         ["check", "--r=1,0", "--c0", "1", "--n", "3", "--shift", "2"], capsys

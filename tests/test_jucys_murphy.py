@@ -4,7 +4,7 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wreathcells.combinatorics import (
@@ -23,7 +23,7 @@ from wreathcells.jucys_murphy import (
     tableau_spectrum,
 )
 
-from helpers import direct_spectrum
+from helpers import direct_spectrum, jm_cells_by_tableaux
 
 
 def dp(*comps):
@@ -285,6 +285,25 @@ def test_spectrum_matches_direct_oracle(params):
     for comp in (0, params.d + 1):
         with pytest.raises(ValueError):
             jm_eigenvalue(params, BoxCoord(1, 1, comp))
+
+
+@st.composite
+def params_and_size(draw):
+    params = draw(cm_params())
+    return params, draw(st.integers(min_value=0, max_value=6 if params.d < 4 else 5))
+
+
+@settings(max_examples=40, deadline=None)
+@given(params_and_size())
+@example((P_GAP1, -1))
+def test_trie_cells_match_per_tableau_oracle(point):
+    # the whole decomposition: cell order, spectra, characters and report
+    params, n = point
+    if n < 0:
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            jm_cellular_characters(params, n)
+        return
+    assert jm_cellular_characters(params, n) == jm_cells_by_tableaux(params, n)
 
 
 def _params():
