@@ -5,9 +5,10 @@ Exit codes: 0 on success, 1 when `check` finds unequal character sets or
 deterministic; `--format json` mirrors the text tables.
 
 Subcommands taking reflection parameters read them from exactly one source:
-`--c0` with `--k`, or `--c0` with the charges `--r`.  Giving both `--k` and
-`--r`, a `--d` that differs from the number of entries, or `--shift` with
-`--r` (where it would have no effect) is a usage error.
+`--c0` with `--k`, or `--c0` with the charges `--r`; `tableaux` reads its
+shapes from `--shape` or from `--d` with `--n`.  Giving both `--k` and `--r`,
+a `--d` that differs from the number of entries, `--shift` with `--r` (where
+it would have no effect), or `--shape` with `--d` or `--n` is a usage error.
 """
 
 from __future__ import annotations
@@ -98,7 +99,9 @@ def _cmd_dpartitions(args) -> int:
 
 
 def _cmd_tableaux(args) -> int:
-    if args.shape:
+    if args.shape is not None and (args.d is not None or args.n is not None):
+        raise UsageError("give the shape via --shape or via --d and --n, not both")
+    if args.shape is not None:
         try:
             shapes = [parse_dpartition(args.shape)]
         except ValueError as exc:

@@ -16,20 +16,22 @@ F_m is formed and nothing is divided (`divided_power_f`).
 
 Standardness of a symbol is taken operationally: the crystal component of the
 highest-weight symbol under the signature-rule operator `crystal_f`.  The
-canonical basis is computed by the Leclerc-Toffin correction algorithm on top
-of the intermediate basis of divided-power monomials.  The Fock space is a
-tensor product of level-1 Fock spaces, one per row, and a tensor product of
-based modules is triangular (Lusztig, Introduction to Quantum Groups, 27.3):
-ranking a symbol by its row sizes read last row first (`_rank`), every other
-standard term of A(sym) and b(sym) ranks below sym.  So each height is built
-once, in increasing rank, and every correction uses a vector already built.
+canonical basis is computed by the Leclerc-Toffin correction algorithm, by
+induction on the peel: one peel step writes sym as F_m^(k) of a lower standard
+symbol sym', and b(sym) starts from F_m^(k) b(sym').  F_m^(k) commutes with the
+bar involution on the submodule generated by the highest-weight vector, so the
+start is bar-invariant, and a bar-invariant vector congruent to sym modulo q
+times the standard lattice is unique.  The Fock space is a tensor product of
+level-1 Fock spaces, one per row, and a tensor product of based modules is
+triangular (Lusztig, Introduction to Quantum Groups, 27.3): ranking a symbol
+by its row sizes read last row first (`_rank`), every other standard term of
+the start and of b(sym) ranks below sym.  So each height is built once, in
+increasing rank, and every correction uses a vector already built.
 """
 
 from __future__ import annotations
 
 import warnings
-from collections import Counter
-from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -46,12 +48,13 @@ from .laurent import LaurentPoly, bar_symmetric_head, one, zero
 
 
 class LeadingTermMismatch(ArithmeticError):
-    """A divided-power monomial failed to have unit leading coefficient."""
+    """A divided-power start vector lacks constant term 1 at its own symbol."""
 
 
 class NonTerminating(RuntimeError):
-    """The correction loop met a violator that does not rank below the last.
+    """The build order did not provide a vector that was already built.
 
+    b(sym) starts from F_m^(k) b(sym'), and its peel parent sym' must be standard.
     Triangularity makes each violator cleared for a symbol rank strictly below
     the one before it, the first below the symbol itself; a violator that does
     not would need a vector not yet built, and the loop would not end.
@@ -425,6 +428,8 @@ class CrystalComponent:
 
 def enumerate_standard_symbols(charges: tuple[int, ...], n: int) -> CrystalComponent:
     """Breadth-first closure of the highest-weight symbol under crystal_f."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     charges = tuple(charges)
     start = highest_weight_symbol(charges)
     layers = [frozenset([start])]
@@ -478,41 +483,31 @@ def lt_monomial(sym: Symbol) -> tuple[tuple[int, int], ...]:
     return tuple(word)
 
 
-def _monomial(sym: Symbol, monomials: Mapping[Symbol, FockVector]) -> FockVector:
-    step = _peel_step(sym)
-    if step is None:
-        return FockVector.unit(sym)
-    (m, mult), parent = step
-    base = monomials.get(parent)
-    if base is None:
-        base = _monomial(parent, monomials)
-    return divided_power_f(m, mult, base)
+def _check_leading_term(sym: Symbol, vec: FockVector) -> None:
+    if (coeff := vec.coefficient(sym)).constant_term() != 1:
+        raise LeadingTermMismatch(f"start for {sym!r} has coefficient {coeff.text()}")
 
 
-def intermediate_A(
-    sym: Symbol, monomials: Mapping[Symbol, FockVector] | None = None
-) -> FockVector:
+def intermediate_A(sym: Symbol) -> FockVector:
     """Divided-power monomial of sym's peeling word on the highest-weight vector.
 
-    Built as F_m^(k) A(parent), where (m, k) and parent come from one peel
-    step.  A(parent) is read from `monomials` when it is there and otherwise
-    built the same way, down the peel.  Bar-invariant by construction; its
-    coefficient at sym must have constant term one, else LeadingTermMismatch.
+    The product of the factors of `lt_monomial(sym)`, innermost first.
+    Bar-invariant by construction; its coefficient at sym must have constant
+    term one, else LeadingTermMismatch.  `canonical_basis` does not use it: it
+    starts each vector from the canonical basis vector of the peel parent.
     """
-    vec = _monomial(sym, monomials or {})
-    if vec.coefficient(sym).constant_term() != 1:
-        raise LeadingTermMismatch(
-            f"monomial for {sym!r} has leading coefficient "
-            f"{vec.coefficient(sym).text()}"
-        )
+    vec = FockVector.unit(highest_weight_symbol(sym.charges))
+    for m, mult in reversed(lt_monomial(sym)):
+        vec = divided_power_f(m, mult, vec)
+    _check_leading_term(sym, vec)
     return vec
 
 
 def _rank(sym: Symbol) -> tuple[int, ...]:
     """The correction's triangular order: row sizes, last row first.
 
-    Every standard term of A(sym) or b(sym) other than sym ranks strictly
-    below sym.
+    Every standard term of F_m^(k) b(sym') (sym' the peel parent of sym) or of
+    b(sym) other than sym ranks strictly below sym.
     """
     return tuple(sum(parts) for parts in reversed(sym.rows))
 
@@ -523,14 +518,16 @@ def canonical_basis(
     """Canonical basis vectors b for every standard symbol of height <= n.
 
     Each b is bar-invariant and congruent to its standard basis vector modulo
-    q times the standard lattice.  Each height is built in increasing `_rank`,
-    from the intermediate monomial A(sym), by clearing every standard
-    coefficient not in qZ[q], highest-ranked violator first, with the
-    bar-symmetric correction it determines.  Each violator must rank strictly
-    below the one cleared before it (the first below sym), so it is already
-    built and the loop ends; otherwise NonTerminating.  Symbols of equal rank
-    are ordered by `rows`, and `reverse_ties` flips that tie-break; the result
-    must not change.
+    q times the standard lattice.  Each height is built in increasing `_rank`.
+    b(sym) starts from F_m^(k) b(sym'), (m, k) and sym' from one `_peel_step`;
+    the start must have constant term 1 at sym (else LeadingTermMismatch), and
+    as it is bar-invariant, the result is b(sym) by uniqueness.  Every standard
+    coefficient not in qZ[q] is cleared, highest-ranked violator first, with
+    the bar-symmetric correction it determines.  A vector not yet built (a
+    non-standard parent, or a violator not ranking strictly below the one
+    cleared before it, the first below sym) raises NonTerminating.  Symbols of
+    equal rank are ordered by `rows`, and `reverse_ties` flips that tie-break;
+    the result must not change.
     """
     component = enumerate_standard_symbols(charges, n)
     # By height, then rank; equal ranks by rows (a stable sort keeps the tie-break).
@@ -538,22 +535,19 @@ def canonical_basis(
     order.sort(key=lambda s: (s.height, _rank(s)))
     position = {sym: i for i, sym in enumerate(order)}
 
-    # A(sym) is kept only until every standard symbol peeling to sym is built.
-    unbuilt_children = Counter(
-        step[1] for step in map(_peel_step, order) if step is not None
-    )
-    monomials: dict[Symbol, FockVector] = {}
     basis: dict[Symbol, FockVector] = {}
     for sym in order:
-        cur = intermediate_A(sym, monomials)
-        if unbuilt_children[sym]:
-            monomials[sym] = cur
         step = _peel_step(sym)
-        if step is not None:
-            parent = step[1]
-            unbuilt_children[parent] -= 1
-            if not unbuilt_children[parent]:
-                monomials.pop(parent, None)
+        if step is None:
+            cur = FockVector.unit(sym)
+        else:
+            (m, mult), parent = step
+            if parent not in basis:
+                raise NonTerminating(
+                    f"{sym!r} peels to {parent!r}, which is not a standard symbol"
+                )
+            cur = divided_power_f(m, mult, basis[parent])
+            _check_leading_term(sym, cur)
 
         last = position[sym]
         while violators := [

@@ -9,9 +9,11 @@ so they can serve as an oracle for it.
 `divided_power_oracle` is the oracle for the closed-form divided powers of
 `wreathcells.fock.divided_power_f`: it applies `f_action` k times and divides
 every coefficient by [k]! exactly.  `replayed_monomial` is the oracle for the
-incremental monomials: it applies the whole peeling word to the highest-weight
-vector, one oracle divided power per factor, as the monomials were first
-computed.
+monomials: it applies the whole peeling word to the highest-weight vector, one
+oracle divided power per factor.  `canonical_basis_from_monomials` is the
+oracle for `wreathcells.fock.canonical_basis`, which starts each vector from
+F_m^(k) applied to the vector of the peel parent: it starts each vector from
+its replayed monomial instead, in the same order with the same corrections.
 
 The `row_*` helpers are the oracle for the one-pass bead mechanics of
 `wreathcells.fock`: each decides bead membership directly with `row_contains`.
@@ -37,7 +39,9 @@ from wreathcells import (
     FockVector,
     StandardTableau,
     Symbol,
+    bar_symmetric_head,
     enumerate_dpartitions,
+    enumerate_standard_symbols,
     f_action,
     highest_weight_symbol,
     is_generic,
@@ -83,6 +87,37 @@ def replayed_monomial(sym: Symbol) -> FockVector:
     for m, mult in reversed(lt_monomial(sym)):
         vec = divided_power_oracle(m, mult, vec)
     return vec
+
+
+def canonical_basis_from_monomials(
+    charges: tuple[int, ...], n: int, reverse_ties: bool = False
+) -> dict[Symbol, FockVector]:
+    """Leclerc-Toffin from the divided-power monomials, one symbol at a time.
+
+    Symbols are built by height, then by row sizes read last row first, equal
+    ones by rows (reversed with `reverse_ties`).  Each starts from its
+    replayed monomial, and the standard coefficient not in qZ[q] at the latest
+    symbol in that order is cleared until none is left.
+    """
+    symbols = enumerate_standard_symbols(charges, n).all_symbols()
+    order = sorted(symbols, key=lambda s: s.rows, reverse=reverse_ties)
+    order.sort(key=lambda s: (s.height, tuple(sum(p) for p in reversed(s.rows))))
+    position = {s: i for i, s in enumerate(order)}
+    basis: dict[Symbol, FockVector] = {}
+    for sym in order:
+        cur = replayed_monomial(sym)
+        while violators := [
+            position[s]
+            for s, c in cur.terms.items()
+            if s != sym and s in position and not c.in_q_zq()
+        ]:
+            target = order[max(violators)]
+            if position[target] >= position[sym]:
+                raise RuntimeError(f"{target!r} is not built before {sym!r}")
+            gamma = bar_symmetric_head(cur.coefficient(target))
+            cur = cur - basis[target].scale(gamma)
+        basis[sym] = cur
+    return basis
 
 
 def row_contains(charge: int, parts: tuple[int, ...], value: int) -> bool:

@@ -334,6 +334,21 @@ def test_cli_tableaux_shape_error_names_the_flag_and_text(shape, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("shape", ["1|∅", ""])
+@pytest.mark.parametrize(
+    "sizes", [["--d", "3"], ["--n", "4"], ["--d", "3", "--n", "4"]]
+)
+def test_cli_tableaux_shape_with_d_or_n(sizes, shape, capsys):
+    _assert_usage_error(["tableaux", "--shape", shape, *sizes], capsys)
+
+
+def test_cli_tableaux_empty_shape_is_the_empty_dpartition(capsys):
+    assert cli_main(["tableaux", "--shape", ""]) == 0
+    text = capsys.readouterr().out
+    assert cli_main(["tableaux", "--shape", "∅"]) == 0
+    assert capsys.readouterr().out == text
+
+
 def test_cli_shift_with_r(capsys):
     _assert_usage_error(
         ["check", "--r=1,0", "--c0", "1", "--n", "3", "--shift", "2"], capsys

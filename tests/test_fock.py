@@ -2,10 +2,12 @@ import copy
 import dataclasses
 import os
 import pickle
+import re
 import subprocess
 import sys
 import textwrap
 import warnings
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 import wreathcells.fock as fock
 from helpers import (
+    canonical_basis_from_monomials,
     candidate_nodes,
     divided_power_oracle,
     height2_characters,
@@ -375,8 +378,13 @@ def test_standard_symbols_gap_one():
     )
 
 
-@pytest.mark.parametrize("charges,n", [((3, 0), 3), ((4, 2, 0), 2)])
+@pytest.mark.parametrize("charges,n", [((3, 0), 3), ((4, 2, 0), 2), ((1, 0), -1)])
 def test_standard_symbols_asymptotic_complete(charges, n):
+    if n < 0:
+        for build in (enumerate_standard_symbols, canonical_basis, lm_constructible):
+            with pytest.raises(ValueError, match="n must be nonnegative"):
+                build(charges, n)
+        return
     comp = enumerate_standard_symbols(charges, n)
     for h in range(n + 1):
         assert len(comp.by_height[h]) == len(enumerate_dpartitions(len(charges), h))
@@ -404,6 +412,18 @@ def test_standard_symbols_height_two_closed_form(charges):
 
 
 # Peeling and monomials
+
+
+def test_peel_parents_are_standard():
+    # canonical_basis starts b(sym) from the vector of sym's peel parent
+    for d in range(1, 5):
+        for charges in combinations_with_replacement(range(2, -1, -1), d):
+            comp = enumerate_standard_symbols(charges, 5)
+            standard = comp.all_symbols()
+            for layer in comp.by_height[1:]:
+                for s in layer:
+                    _, parent = fock._peel_step(s)
+                    assert parent in standard and parent.height < s.height
 
 
 def test_lt_monomial_trivial():
@@ -548,18 +568,29 @@ def test_canonical_basis_order_robust(charges, n):
     )
 
 
+def test_non_standard_peel_parent_is_named(monkeypatch):
+    charges = (0, 0)
+    stray = sym(charges, (1,), ())  # not standard: at height 1 only the last row moves
+    peel = fock._peel_step
+
+    def to_stray(s):
+        step = peel(s)
+        return (step[0], stray) if step and step[1].height == 1 else step
+
+    monkeypatch.setattr(fock, "_peel_step", to_stray)
+    with pytest.raises(NonTerminating, match=re.escape(f"peels to {stray!r}")):
+        canonical_basis(charges, 2)
+
+
 @pytest.mark.parametrize(
-    "charges,n", [((1, 0), 6), ((0, 0, 0), 5), ((1, 1, 0, 0), 4)]
+    "charges,n", [((1, 0), 6), ((0, 0, 0), 5), ((1, 1, 0, 0), 4)] + BASIS_BATTERY
 )
 @pytest.mark.parametrize("reverse_ties", [False, True])
-def test_canonical_basis_matches_replayed_monomials(
-    charges, n, reverse_ties, monkeypatch
-):
-    fast = canonical_basis(charges, n, reverse_ties=reverse_ties)
-    monkeypatch.setattr(
-        fock, "intermediate_A", lambda s, monomials=None: replayed_monomial(s)
-    )
-    assert canonical_basis(charges, n, reverse_ties=reverse_ties) == fast
+def test_canonical_basis_matches_replayed_monomials(charges, n, reverse_ties):
+    # the same basis as the Leclerc-Toffin start from each monomial A(sym)
+    assert canonical_basis(
+        charges, n, reverse_ties=reverse_ties
+    ) == canonical_basis_from_monomials(charges, n, reverse_ties=reverse_ties)
 
 
 def test_one_divided_power_per_standard_symbol(monkeypatch):
