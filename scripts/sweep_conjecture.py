@@ -46,8 +46,8 @@ def run_point(point):
         n,
         verdict.mode,
         verdict.equal,
-        len(verdict.cm_set),
-        len(verdict.lm_set),
+        len(verdict.cm_counts),
+        len(verdict.lm_counts),
     )
 
 

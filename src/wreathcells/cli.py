@@ -19,9 +19,9 @@ import os
 import sys
 
 from .combinatorics import (
+    character_counts,
     enumerate_dpartitions,
     parse_dpartition,
-    sort_characters,
     standard_tableaux,
 )
 from .conjecture import check_conjecture, params_from_r
@@ -70,7 +70,10 @@ def _params_from_args(args) -> CMParams:
         raise UsageError(f"{flag} requires --c0")
     if args.d is not None and args.d != len(values):
         raise UsageError(f"--d {args.d} disagrees with {len(values)} entries in {flag}")
-    c0 = parse_rational(args.c0)
+    try:
+        c0 = parse_rational(args.c0)
+    except ValueError as exc:
+        raise UsageError(f"cannot parse --c0 {args.c0!r}: {exc}") from exc
     if args.k is not None:
         return CMParams(len(values), c0, values)
     return params_from_r(values, c0)
@@ -157,17 +160,14 @@ def _cmd_jm_cells(args) -> int:
 def _cmd_standard_symbols(args) -> int:
     charges = _charges_from_args(args)
     component = enumerate_standard_symbols(charges, args.n)
+    layers = [
+        [s.text() for s in sorted(layer, key=symbol_sort_key)]
+        for layer in component.by_height
+    ]
     if args.format == "json":
-        obj = {
-            str(h): sorted(s.text() for s in layer)
-            for h, layer in enumerate(component.by_height)
-        }
-        _emit(args, obj)
+        _emit(args, {str(h): texts for h, texts in enumerate(layers)})
     else:
-        lines = []
-        for h, layer in enumerate(component.by_height):
-            syms = ", ".join(s.text() for s in sorted(layer, key=symbol_sort_key))
-            lines.append(f"height {h}: {syms}")
+        lines = [f"height {h}: {', '.join(texts)}" for h, texts in enumerate(layers)]
         _emit(args, "\n".join(lines))
     return 0
 
@@ -207,23 +207,17 @@ def _cmd_canonical_basis(args) -> int:
 def _cmd_lm_cells(args) -> int:
     charges = _charges_from_args(args)
     chars = lm_constructible(charges, args.n)
-    ordered = sorted(chars.by_symbol, key=symbol_sort_key)
+    ordered = sorted(chars, key=symbol_sort_key)
     if args.format == "json":
-        obj = {sym.text(): chars.by_symbol[sym].to_json_obj() for sym in ordered}
-        _emit(args, obj)
+        _emit(args, {sym.text(): chars[sym].to_json_obj() for sym in ordered})
     else:
-        _emit(
-            args,
-            "\n".join(
-                f"{sym.text()} : {chars.by_symbol[sym].text()}" for sym in ordered
-            ),
-        )
+        _emit(args, "\n".join(f"{sym.text()} : {chars[sym].text()}" for sym in ordered))
     return 0
 
 
 def _cmd_cm_cells_n2(args) -> int:
     params = _params_from_args(args)
-    cells = sort_characters(cm_cells_n2(params))
+    cells = character_counts(cm_cells_n2(params))
     if args.format == "json":
         obj = {
             "classes": [list(c) for c in sim_classes(params)],
@@ -289,9 +283,9 @@ def _cmd_check(args) -> int:
             f"equal: {verdict.equal}" + (f"  ({verdict.note})" if verdict.note else ""),
             "cm cells:",
         ]
-        lines.extend(f"  {cs.text()}" for cs in sort_characters(verdict.cm_set))
+        lines.extend(f"  {cs.text()}" for cs in verdict.cm_counts)
         lines.append("lm cells:")
-        lines.extend(f"  {cs.text()}" for cs in sort_characters(verdict.lm_set))
+        lines.extend(f"  {cs.text()}" for cs in verdict.lm_counts)
         if not verdict.equal:
             lines.append("cm only: " + "; ".join(cs.text() for cs in verdict.cm_only))
             lines.append("lm only: " + "; ".join(cs.text() for cs in verdict.lm_only))

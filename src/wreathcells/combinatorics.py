@@ -12,6 +12,7 @@ order on component 1, then recursively on the remaining components.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator, NamedTuple
@@ -326,6 +327,13 @@ class CharacterSum:
         return f"CharacterSum({self.text()})"
 
 
-def sort_characters(chars) -> tuple[CharacterSum, ...]:
-    """Character sums in the one order every listing uses."""
-    return tuple(sorted(chars, key=CharacterSum.sort_key))
+def character_counts(chars) -> dict[CharacterSum, int]:
+    """The distinct character sums, in the one order every listing uses, each
+    with the number of times it occurs.
+
+    >>> a, b = (CharacterSum.from_counts({parse_dpartition(t): 1}) for t in ("1|1", "2|∅"))
+    >>> {cs.text(): m for cs, m in character_counts([a, b, a]).items()}
+    {'2|∅': 1, '1|1': 2}
+    """
+    counts = Counter(chars)
+    return {cs: counts[cs] for cs in sorted(counts, key=CharacterSum.sort_key)}

@@ -6,17 +6,17 @@ derives the charges from the parameters and compares the two sides at size n;
 callers holding a charge vector pass ``params_from_r(r, c0)``.  At n = 2 the
 Calogero-Moser side is computed from the exact closed forms; for larger n it
 is replaced by the JM cells, which are exact when the parameters are generic
-and an upper bound (cells may merge) otherwise.  Comparison is primarily as
-sets, with multisets reported alongside.
+and an upper bound (cells may merge) otherwise.  Each side is its distinct
+characters in canonical order with their multiplicities; they are compared
+as sets, and the expanded multisets are reported alongside.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
-from .combinatorics import CharacterSum, sort_characters
+from .combinatorics import CharacterSum, character_counts
 from .fock import lm_constructible
 
 # cm_cells_n2 is not called here, but perfbench/tracing.py wraps the name in
@@ -75,33 +75,33 @@ def r_from_params(params: CMParams, shift: int = 0) -> tuple[int, ...]:
 
 @dataclass(frozen=True, repr=False)
 class ConjectureVerdict:
-    """The two sorted character multisets at one point; the rest derives from them."""
+    """Each side's distinct characters in canonical order, with multiplicities."""
 
     mode: str  # "exact-n2" | "generic" | "jm-upper-bound"
     n: int
     charges: tuple[int, ...]
-    cm_multiset: tuple[CharacterSum, ...]
-    lm_multiset: tuple[CharacterSum, ...]
-
-    @cached_property
-    def cm_set(self) -> frozenset[CharacterSum]:
-        return frozenset(self.cm_multiset)
-
-    @cached_property
-    def lm_set(self) -> frozenset[CharacterSum]:
-        return frozenset(self.lm_multiset)
-
-    @cached_property
-    def cm_only(self) -> tuple[CharacterSum, ...]:
-        return sort_characters(self.cm_set - self.lm_set)
-
-    @cached_property
-    def lm_only(self) -> tuple[CharacterSum, ...]:
-        return sort_characters(self.lm_set - self.cm_set)
+    cm_counts: dict[CharacterSum, int]
+    lm_counts: dict[CharacterSum, int]
 
     @property
     def equal(self) -> bool:
-        return self.cm_set == self.lm_set
+        return self.cm_counts.keys() == self.lm_counts.keys()
+
+    @property
+    def cm_only(self) -> tuple[CharacterSum, ...]:
+        return tuple(cs for cs in self.cm_counts if cs not in self.lm_counts)
+
+    @property
+    def lm_only(self) -> tuple[CharacterSum, ...]:
+        return tuple(cs for cs in self.lm_counts if cs not in self.cm_counts)
+
+    @property
+    def cm_multiset(self) -> tuple[CharacterSum, ...]:
+        return _expand(self.cm_counts)
+
+    @property
+    def lm_multiset(self) -> tuple[CharacterSum, ...]:
+        return _expand(self.lm_counts)
 
     @property
     def note(self) -> str:
@@ -110,13 +110,13 @@ class ConjectureVerdict:
         return ""
 
     def __repr__(self):
-        names = "mode n charges equal cm_set lm_set cm_only lm_only cm_multiset lm_multiset note"
+        names = "mode n charges equal cm_counts lm_counts cm_only lm_only note"
         body = ", ".join(f"{name}={getattr(self, name)!r}" for name in names.split())
         return f"ConjectureVerdict({body})"
 
     def to_json_obj(self):
         # each distinct character is rendered once; the lists share the dicts
-        rendered = {cs: cs.to_json_obj() for cs in self.cm_set | self.lm_set}
+        rendered = {cs: cs.to_json_obj() for cs in self.cm_counts | self.lm_counts}
 
         def charlist(chars):
             return [rendered[cs] for cs in chars]
@@ -126,8 +126,8 @@ class ConjectureVerdict:
             "n": self.n,
             "charges": list(self.charges),
             "equal": self.equal,
-            "cm_set": charlist(sort_characters(self.cm_set)),
-            "lm_set": charlist(sort_characters(self.lm_set)),
+            "cm_set": charlist(self.cm_counts),
+            "lm_set": charlist(self.lm_counts),
             "diff": {
                 "cm_only": charlist(self.cm_only),
                 "lm_only": charlist(self.lm_only),
@@ -138,6 +138,10 @@ class ConjectureVerdict:
         }
 
 
+def _expand(counts: dict[CharacterSum, int]) -> tuple[CharacterSum, ...]:
+    return tuple(cs for cs, m in counts.items() for _ in range(m))
+
+
 def check_conjecture(params: CMParams, n: int, *, shift: int = 0) -> ConjectureVerdict:
     """Compare the Calogero-Moser and constructible character sets at size n.
 
@@ -146,12 +150,12 @@ def check_conjecture(params: CMParams, n: int, *, shift: int = 0) -> ConjectureV
     ``check_conjecture(params_from_r(r, c0), n)``.
     """
     charges = r_from_params(params, shift)
-    lm_multiset = lm_constructible(charges, n).character_multiset()
+    lm_counts = character_counts(lm_constructible(charges, n).values())
     if n == 2:
         mode = "exact-n2"
-        cm_multiset = sort_characters(cs for _, cs in cm_cells_n2_family(params))
+        cm_counts = character_counts(cs for _, cs in cm_cells_n2_family(params))
     else:
         decomposition = jm_cellular_characters(params, n)
         mode = "generic" if decomposition.report.generic else "jm-upper-bound"
-        cm_multiset = decomposition.character_multiset()
-    return ConjectureVerdict(mode, n, charges, cm_multiset, lm_multiset)
+        cm_counts = decomposition.character_counts()
+    return ConjectureVerdict(mode, n, charges, cm_counts, lm_counts)

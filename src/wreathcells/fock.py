@@ -42,7 +42,6 @@ from .combinatorics import (
     components_sort_key,
     components_text,
     is_partition,
-    sort_characters,
 )
 from .laurent import LaurentPoly, bar_symmetric_head, one, zero
 
@@ -587,23 +586,12 @@ def _check_lattice(sym: Symbol, vec: FockVector) -> None:
         )
 
 
-@dataclass(frozen=True)
-class ConstructibleCharacters:
-    """Constructible characters of height n, keyed by standard symbol."""
-
-    charges: tuple[int, ...]
-    n: int
-    by_symbol: dict
-
-    def character_multiset(self) -> tuple:
-        return sort_characters(self.by_symbol.values())
-
-
-def lm_constructible(charges: tuple[int, ...], n: int) -> ConstructibleCharacters:
+def lm_constructible(charges: tuple[int, ...], n: int) -> dict[Symbol, CharacterSum]:
     """Leclerc-Miyachi constructible characters for G(d,1,n) at these charges.
 
     Evaluates every canonical basis vector of height n at q = 1 and reads the
-    result as a character sum through the symbol / d-partition bijection.
+    result as a character sum through the symbol / d-partition bijection,
+    keyed by the standard symbol of height n.
     """
     basis = canonical_basis(charges, n)
     out = {}
@@ -615,4 +603,4 @@ def lm_constructible(charges: tuple[int, ...], n: int) -> ConstructibleCharacter
             if value:
                 counts[dpartition_from_symbol(s)] = value
         out[sym] = CharacterSum.from_counts(counts)
-    return ConstructibleCharacters(tuple(charges), n, out)
+    return out

@@ -25,9 +25,9 @@ from .combinatorics import (
     StandardTableau,
     add_box,
     addable_boxes,
+    character_counts,
     content,
     enumerate_dpartitions,
-    sort_characters,
 )
 
 # Not called here, but perfbench/tracing.py wraps the name in this module, so
@@ -153,8 +153,8 @@ class CellDecomposition:
     cells: tuple[tuple[tuple[Fraction, ...], CharacterSum], ...]
     report: GenericityReport
 
-    def character_multiset(self) -> tuple[CharacterSum, ...]:
-        return sort_characters(cs for _, cs in self.cells)
+    def character_counts(self) -> dict[CharacterSum, int]:
+        return character_counts(cs for _, cs in self.cells)
 
     def to_json_obj(self):
         return {
@@ -177,8 +177,11 @@ def jm_cellular_characters(params: CMParams, n: int) -> CellDecomposition:
     that adds one box per step, so the spectra are grown as a trie, one level
     per box.  A node is a spectrum prefix with the shapes its tableaux reach
     and how many reach each; it has one child per eigenvalue of the boxes
-    addable to those shapes.  Each cell's spectrum is read from one of its
-    tableaux, which the walk carries along.
+    addable to those shapes.  A node carries boxes whose eigenvalues spell its
+    prefix, and a cell's spectrum is read from them.  They need not form a
+    tableau: a child takes its box from the first parent shape with a move of
+    that eigenvalue, which need not be where the earlier boxes end.  Cells
+    reaching the same shapes equally often share one character.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -200,8 +203,8 @@ def jm_cellular_characters(params: CMParams, n: int) -> CellDecomposition:
     rank = {value: i for i, value in enumerate(values)}
     moves = [[(rank[v], child, box) for v, child, box in step] for step in steps]
 
-    # A node is (one tableau's boxes, {shape id: tableaux}); that tableau ends
-    # at the dict's first shape.  Children in rank order keep each level sorted.
+    # A node is (boxes whose eigenvalues spell its prefix, {shape id:
+    # tableaux}).  Children in rank order keep each level sorted.
     level = [((), {0: 1})]
     for _ in range(n):
         next_level = []
@@ -216,13 +219,15 @@ def jm_cellular_characters(params: CMParams, n: int) -> CellDecomposition:
                     reached[child] = reached.get(child, 0) + count
             next_level.extend(children[r] for r in sorted(children))
         level = next_level
-    cells = tuple(
-        (
-            tableau_spectrum(
-                params, StandardTableau(shapes[next(iter(counts))], boxes)
-            ),
-            CharacterSum.from_counts({shapes[s]: m for s, m in counts.items()}),
-        )
-        for boxes, counts in level
-    )
-    return CellDecomposition(params.d, n, cells, is_generic(params, n))
+    characters: dict[tuple[tuple[int, int], ...], CharacterSum] = {}
+    cells = []
+    for boxes, counts in level:
+        key = tuple(sorted(counts.items()))
+        character = characters.get(key)
+        if character is None:
+            character = characters[key] = CharacterSum.from_counts(
+                {shapes[s]: m for s, m in key}
+            )
+        tab = StandardTableau(shapes[next(iter(counts))], boxes)
+        cells.append((tableau_spectrum(params, tab), character))
+    return CellDecomposition(params.d, n, tuple(cells), is_generic(params, n))

@@ -16,7 +16,10 @@ from wreathcells.conjecture import (
     params_from_r,
     r_from_params,
 )
-from wreathcells.jucys_murphy import CMParams
+from wreathcells.combinatorics import CharacterSum
+from wreathcells.fock import lm_constructible
+from wreathcells.gd12 import cm_cells_n2_family
+from wreathcells.jucys_murphy import CMParams, jm_cellular_characters
 
 
 def test_params_from_r_example():
@@ -75,7 +78,7 @@ def test_round_trip_with_shift(r, c0, shift):
 def test_check_gap_one():
     verdict = check_conjecture(params_from_r((1, 0), 1), 2)
     assert verdict.equal and verdict.mode == "exact-n2"
-    texts = {cs.text() for cs in verdict.cm_set}
+    texts = {cs.text() for cs in verdict.cm_counts}
     assert texts == {
         "2|∅",
         "1.1|∅ + 1|1",
@@ -87,14 +90,14 @@ def test_check_gap_one():
 def test_check_generic():
     verdict = check_conjecture(params_from_r((14, 7, 0), 1), 3)
     assert verdict.equal and verdict.mode == "generic"
-    assert all(len(cs.entries) == 1 for cs in verdict.cm_set)
-    assert len(verdict.cm_set) == 22
+    assert all(len(cs.entries) == 1 for cs in verdict.cm_counts)
+    assert len(verdict.cm_counts) == 22
 
 
 def test_check_equal_charges():
     verdict = check_conjecture(params_from_r((0, 0), 1), 2)
     assert verdict.equal
-    assert len(verdict.cm_set) == 3
+    assert len(verdict.cm_counts) == 3
 
 
 def test_check_from_params():
@@ -115,7 +118,7 @@ def test_check_invariant_under_scaling(factor):
     scaled = base.scaled(factor)
     v1 = check_conjecture(base, 2)
     v2 = check_conjecture(scaled, 2)
-    assert v1.cm_set == v2.cm_set and v1.lm_set == v2.lm_set
+    assert v1.cm_counts == v2.cm_counts and v1.lm_counts == v2.lm_counts
     assert v1.equal and v2.equal
 
 
@@ -123,7 +126,7 @@ def test_check_invariant_under_scaling(factor):
 def test_check_invariant_under_charge_shift(shift):
     v1 = check_conjecture(params_from_r((1, 0), 1), 2)
     v2 = check_conjecture(params_from_r((1 + shift, 0 + shift), 1), 2)
-    assert v1.lm_set == v2.lm_set and v1.cm_set == v2.cm_set
+    assert v1.lm_counts == v2.lm_counts and v1.cm_counts == v2.cm_counts
 
 
 def test_verdict_json_round_trip():
@@ -131,10 +134,8 @@ def test_verdict_json_round_trip():
     obj = json.loads(json.dumps(verdict.to_json_obj()))
     assert obj["equal"] is True
     assert obj["mode"] == "exact-n2"
-    from wreathcells.combinatorics import CharacterSum
-
     recovered = frozenset(CharacterSum.from_json_obj(o) for o in obj["cm_set"])
-    assert recovered == verdict.cm_set
+    assert recovered == verdict.cm_counts.keys()
 
 
 @pytest.mark.parametrize("shift", [-3, 2])
@@ -153,23 +154,29 @@ VERDICT_POINTS = [
     ((5, 0), 3, "generic", True),
     ((2, 0), 3, "jm-upper-bound", True),
     ((1, 0), 3, "jm-upper-bound", False),
+    ((1, 1, 0), 3, "jm-upper-bound", False),
 ]
 
 
 @pytest.mark.parametrize("r, n, mode, equal", VERDICT_POINTS)
 def test_verdict_derives_sets_and_differences(r, n, mode, equal):
-    verdict = check_conjecture(params_from_r(r, 1), n)
+    params = params_from_r(r, 1)
+    verdict = check_conjecture(params, n)
     assert (verdict.mode, verdict.equal) == (mode, equal)
-    assert verdict.cm_set == frozenset(verdict.cm_multiset)
-    assert verdict.lm_set == frozenset(verdict.lm_multiset)
-    assert verdict.equal == (verdict.cm_set == verdict.lm_set)
-    def key(cs):
-        return cs.sort_key()
-
-    assert verdict.cm_only == tuple(sorted(verdict.cm_set - verdict.lm_set, key=key))
-    assert verdict.lm_only == tuple(sorted(verdict.lm_set - verdict.cm_set, key=key))
+    # the expanded multisets are every cell's character, sorted
+    if n == 2:
+        cells = [cs for _, cs in cm_cells_n2_family(params)]
+    else:
+        cells = [cs for _, cs in jm_cellular_characters(params, n).cells]
+    key = CharacterSum.sort_key
+    assert verdict.cm_multiset == tuple(sorted(cells, key=key))
+    lm_cells = lm_constructible(verdict.charges, n).values()
+    assert verdict.lm_multiset == tuple(sorted(lm_cells, key=key))
+    cm, lm = set(verdict.cm_counts), set(verdict.lm_counts)
+    assert verdict.equal == (cm == lm)
+    assert verdict.cm_only == tuple(sorted(cm - lm, key=key))
+    assert verdict.lm_only == tuple(sorted(lm - cm, key=key))
     assert bool(verdict.note) == (mode == "jm-upper-bound" and not equal)
-    assert verdict.cm_set is verdict.cm_set
 
 
 @pytest.mark.parametrize("r, n, mode, equal", VERDICT_POINTS)
@@ -237,6 +244,7 @@ def _assert_usage_error(argv, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
 
 
 @pytest.mark.parametrize("command", ["lm-cells", "standard-symbols", "canonical-basis"])
@@ -244,8 +252,21 @@ def test_cli_charges_required(command, capsys):
     _assert_usage_error([command, "--n", "2"], capsys)
 
 
-def test_cli_zero_denominator(capsys):
-    _assert_usage_error(["check", "--r", "1,0", "--c0", "1/0", "--n", "2"], capsys)
+@pytest.mark.parametrize("c0", ["1/0", "abc"])
+def test_cli_zero_denominator(c0, capsys):
+    error = _assert_usage_error(["check", "--r", "1,0", "--c0", c0, "--n", "2"], capsys)
+    assert error.startswith(f"error: cannot parse --c0 {c0!r}")
+
+
+def test_cli_standard_symbols_json_lists_the_text_order(capsys):
+    argv = ["standard-symbols", "--r=2,0", "--n", "3"]
+    assert cli_main(argv) == 0
+    text = capsys.readouterr().out
+    assert cli_main([*argv, "--format", "json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["2"][:2] == ["2|∅", "1.1|∅"]
+    lines = [f"height {h}: {', '.join(syms)}" for h, syms in obj.items()]
+    assert lines == text.splitlines()
 
 
 def test_cli_negative_n_canonical_basis(capsys):

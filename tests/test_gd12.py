@@ -183,7 +183,7 @@ def test_jm_cells_are_sums_of_cm_cells(params):
 )
 def test_c0_zero_jm_equals_cm(params):
     jm = jm_cellular_characters(params, 2)
-    assert frozenset(jm.character_multiset()) == cm_cells_n2(params)
+    assert frozenset(jm.character_counts()) == cm_cells_n2(params)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import pickle
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from wreathcells.combinatorics import (
     BoxCoord,
+    CharacterSum,
     DPartition,
     enumerate_dpartitions,
     standard_tableaux,
@@ -191,7 +193,7 @@ def test_cells_generic_all_singletons():
     assert len(dec.cells) == sum(
         tableau_count(shape) for shape in enumerate_dpartitions(3, 3)
     )
-    assert len(frozenset(dec.character_multiset())) == len(enumerate_dpartitions(3, 3))
+    assert len(dec.character_counts()) == len(enumerate_dpartitions(3, 3))
     # distinct spectra across all tableaux is the content of genericity
     all_specs = [
         tableau_spectrum(params, t)
@@ -245,7 +247,7 @@ def test_scaling_covariance(factor):
     scaled = params.scaled(factor)
     base = jm_cellular_characters(params, 2)
     other = jm_cellular_characters(scaled, 2)
-    assert frozenset(base.character_multiset()) == frozenset(other.character_multiset())
+    assert base.character_counts().keys() == other.character_counts().keys()
     base_specs = {tuple(factor * x for x in spec) for spec, _ in base.cells}
     assert base_specs == {spec for spec, _ in other.cells}
 
@@ -304,6 +306,39 @@ def test_trie_cells_match_per_tableau_oracle(point):
             jm_cellular_characters(params, n)
         return
     assert jm_cellular_characters(params, n) == jm_cells_by_tableaux(params, n)
+
+
+def test_equal_characters_share_one_object(monkeypatch):
+    built = []
+    from_counts = CharacterSum.from_counts.__func__
+
+    def counting(cls, counts):
+        built.append(counts)
+        return from_counts(cls, counts)
+
+    monkeypatch.setattr(CharacterSum, "from_counts", classmethod(counting))
+    dec = jm_cellular_characters(P_GAP1, 6)
+    objects = {id(cs) for _, cs in dec.cells}
+    assert len(built) == len(objects) == len({cs for _, cs in dec.cells})
+    assert len(objects) < len(dec.cells)
+
+
+@st.composite
+def params_up_to_d3_and_size(draw):
+    d = draw(st.integers(min_value=1, max_value=3))
+    k = draw(st.lists(thirds_and_halves, min_size=d, max_size=d))
+    params = CMParams(d, draw(thirds_and_halves), tuple(k))
+    return params, draw(st.integers(min_value=3, max_value=5))
+
+
+@settings(max_examples=20, deadline=None)
+@given(params_up_to_d3_and_size())
+def test_character_counts_match_per_tableau_oracle(point):
+    params, n = point
+    expected = Counter(cs for _, cs in jm_cells_by_tableaux(params, n).cells)
+    counts = jm_cellular_characters(params, n).character_counts()
+    assert counts == expected
+    assert list(counts) == sorted(expected, key=CharacterSum.sort_key)
 
 
 def _params():
