@@ -58,6 +58,14 @@ def main(argv=None) -> int:
     parser.add_argument("--max-charge", type=int, default=3)
     parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
+    for flag, value, least in (
+        ("--max-d", args.max_d, 1),
+        ("--max-n", args.max_n, 2),
+        ("--max-charge", args.max_charge, 0),
+        ("--jobs", args.jobs, 1),
+    ):
+        if value < least:
+            parser.error(f"{flag} must be at least {least}, got {value}")
 
     points = built_in_battery(args.max_d, args.max_n, args.max_charge)
     if args.jobs > 1:

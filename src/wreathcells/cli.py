@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 on success, 1 when `check` finds unequal character sets or
-`gaudin-verify` finds a nonzero residual, 2 on usage errors.  All output is
+`gaudin-verify` finds a nonzero residual, 2 on usage errors, 3 on an internal
+error (any other exception; its traceback goes to stderr).  All output is
 deterministic; `--format json` mirrors the text tables.
 
 Subcommands taking reflection parameters read them from exactly one source:
@@ -17,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from .combinatorics import (
     character_counts,
@@ -379,6 +381,11 @@ def cli_main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # exit 1 means "sets unequal", so a crash must not exit 1
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def entry() -> None:

@@ -7,22 +7,21 @@ by their full spectrum yields the JM cells.  These equal the Calogero-Moser
 cells when the parameters are generic and are unions of them otherwise, which
 callers should surface when reporting.
 
-A spectrum is read along a path in the branching graph of d-partitions, so
-the cells are computed by growing spectrum prefixes box by box, without
-listing the tableaux one by one (see ``jm_cellular_characters``).
+A spectrum is read along a path in the branching graph of d-partitions: the
+edge adding a box to a shape carries that box's eigenvalue.  So the cells are
+computed by growing spectrum prefixes box by box, without listing the tableaux
+one by one (see ``jm_cellular_characters``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .combinatorics import (
     BoxCoord,
     CharacterSum,
     DPartition,
-    StandardTableau,
     add_box,
     addable_boxes,
     character_counts,
@@ -71,35 +70,25 @@ class CMParams:
         factor = Fraction(factor)
         return CMParams(self.d, self.c0 * factor, tuple(x * factor for x in self.k))
 
-    @cached_property
-    def _eigenvalues(self) -> dict[tuple[int, int], Fraction]:
-        """jm_eigenvalue by (component, content), filled as values are read."""
-        return {}
-
-    def __reduce__(self):
-        # pickle and copy the fields alone, so the table never travels
-        return CMParams, (self.d, self.c0, self.k)
-
 
 def jm_eigenvalue(params: CMParams, box: BoxCoord) -> Fraction:
-    """Eigenvalue of the Jucys-Murphy element through this box.
+    """Eigenvalue of J_p on a tableau line whose box holding p is this box.
 
-    It depends only on the box's component and content, so each distinct pair
-    is computed once per parameter set.
+    It is d * (ksharp(c) - c0 * content), with c the box's component.
     """
     if not 1 <= box.comp <= params.d:
         raise ValueError(f"component {box.comp} out of range 1..{params.d}")
-    key = (box.comp, content(box))
-    table = params._eigenvalues
-    value = table.get(key)
-    if value is None:
-        value = table[key] = params.d * (params.ksharp(box.comp) - params.c0 * key[1])
-    return value
+    return params.d * (params.ksharp(box.comp) - params.c0 * content(box))
 
 
-def tableau_spectrum(params: CMParams, tab: StandardTableau) -> tuple[Fraction, ...]:
-    """(J_1, ..., J_n) eigenvalues on the tableau line."""
-    return tuple(jm_eigenvalue(params, box) for box in tab.boxes)
+def tableau_spectrum(
+    params: CMParams, boxes: tuple[BoxCoord, ...]
+) -> tuple[Fraction, ...]:
+    """JM eigenvalues of a sequence of boxes, in order.
+
+    The boxes of a standard tableau give its spectrum (J_1, ..., J_n).
+    """
+    return tuple(jm_eigenvalue(params, box) for box in boxes)
 
 
 def euler_value(params: CMParams, dp: DPartition) -> Fraction:
@@ -174,14 +163,13 @@ def jm_cellular_characters(params: CMParams, n: int) -> CellDecomposition:
     """JM cells at size n: the standard tableaux grouped by their spectra.
 
     The cells come in increasing order of their spectra.  A tableau is a path
-    that adds one box per step, so the spectra are grown as a trie, one level
-    per box.  A node is a spectrum prefix with the shapes its tableaux reach
-    and how many reach each; it has one child per eigenvalue of the boxes
-    addable to those shapes.  A node carries boxes whose eigenvalues spell its
-    prefix, and a cell's spectrum is read from them.  They need not form a
-    tableau: a child takes its box from the first parent shape with a move of
-    that eigenvalue, which need not be where the earlier boxes end.  Cells
-    reaching the same shapes equally often share one character.
+    in the branching graph that adds one box per step, so the spectra are
+    grown as a trie, one level per box.  A node is a spectrum prefix with the
+    shapes its tableaux reach and how many reach each; it has one child per
+    eigenvalue of the boxes addable to those shapes.  The eigenvalues on the
+    edges out of a shape are computed once, from its addable boxes, and a
+    cell's spectrum is its node's prefix.  Cells reaching the same shapes
+    equally often share one character.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -189,45 +177,44 @@ def jm_cellular_characters(params: CMParams, n: int) -> CellDecomposition:
         dp for size in range(n + 1) for dp in enumerate_dpartitions(params.d, size)
     ]
     shape_id = {dp: i for i, dp in enumerate(shapes)}
-    # (eigenvalue, child shape id, box) per addable box of each shape below n
-    steps = [
-        [
-            (jm_eigenvalue(params, box), shape_id[add_box(dp, box)], box)
-            for box in addable_boxes(dp)
-        ]
-        for dp in shapes
-        if dp.size < n
-    ]
+    # (eigenvalue, child shape id) per addable box of each shape below n
+    steps = []
+    for dp in shapes:
+        if dp.size < n:
+            boxes = addable_boxes(dp)
+            spectrum = tableau_spectrum(params, boxes)
+            steps.append(
+                [(v, shape_id[add_box(dp, box)]) for v, box in zip(spectrum, boxes)]
+            )
     # int ranks in the order of the eigenvalues, so the walk hashes no Fraction
-    values = sorted({v for step in steps for v, _, _ in step})
+    values = sorted({v for step in steps for v, _ in step})
     rank = {value: i for i, value in enumerate(values)}
-    moves = [[(rank[v], child, box) for v, child, box in step] for step in steps]
+    moves = [[(rank[v], child) for v, child in step] for step in steps]
 
-    # A node is (boxes whose eigenvalues spell its prefix, {shape id:
-    # tableaux}).  Children in rank order keep each level sorted.
+    # A node is (spectrum prefix, {shape id: tableaux}).  Children in rank
+    # order keep each level sorted.
     level = [((), {0: 1})]
     for _ in range(n):
         next_level = []
-        for boxes, counts in level:
-            children: dict[int, tuple[tuple[BoxCoord, ...], dict[int, int]]] = {}
+        for prefix, counts in level:
+            children: dict[int, tuple[tuple[Fraction, ...], dict[int, int]]] = {}
             for shape, count in counts.items():
-                for r, child, box in moves[shape]:
+                for r, child in moves[shape]:
                     node = children.get(r)
                     if node is None:
-                        children[r] = node = (boxes + (box,), {})
+                        children[r] = node = (prefix + (values[r],), {})
                     reached = node[1]
                     reached[child] = reached.get(child, 0) + count
             next_level.extend(children[r] for r in sorted(children))
         level = next_level
     characters: dict[tuple[tuple[int, int], ...], CharacterSum] = {}
     cells = []
-    for boxes, counts in level:
+    for prefix, counts in level:
         key = tuple(sorted(counts.items()))
         character = characters.get(key)
         if character is None:
             character = characters[key] = CharacterSum.from_counts(
                 {shapes[s]: m for s, m in key}
             )
-        tab = StandardTableau(shapes[next(iter(counts))], boxes)
-        cells.append((tableau_spectrum(params, tab), character))
+        cells.append((prefix, character))
     return CellDecomposition(params.d, n, tuple(cells), is_generic(params, n))

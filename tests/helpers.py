@@ -18,9 +18,9 @@ its replayed monomial instead, in the same order with the same corrections.
 The `row_*` helpers are the oracle for the one-pass bead mechanics of
 `wreathcells.fock`: each decides bead membership directly with `row_contains`.
 
-`direct_spectrum` is the oracle for the eigenvalue table behind
+`direct_spectrum` is the oracle for
 `wreathcells.jucys_murphy.tableau_spectrum`: it evaluates
-d * (ksharp(c) - c0 * content) afresh for every box.
+d * (ksharp(c) - c0 * content) inline for every box of a tableau.
 
 `jm_cells_by_tableaux` is the oracle for the spectrum trie behind
 `wreathcells.jm_cellular_characters`: it walks every standard tableau of
@@ -53,7 +53,7 @@ from wreathcells import (
 
 
 def direct_spectrum(params: CMParams, tab: StandardTableau) -> tuple[Fraction, ...]:
-    """JM spectrum of a tableau, computed box by box with no table."""
+    """JM spectrum of a tableau, computed box by box inline."""
     return tuple(
         params.d * (params.ksharp(box.comp) - params.c0 * (box.col - box.row))
         for box in tab.boxes
@@ -65,7 +65,7 @@ def jm_cells_by_tableaux(params: CMParams, n: int) -> CellDecomposition:
     groups: dict[tuple[Fraction, ...], dict] = {}
     for shape in enumerate_dpartitions(params.d, n):
         for tab in standard_tableaux(shape):
-            counts = groups.setdefault(tableau_spectrum(params, tab), {})
+            counts = groups.setdefault(tableau_spectrum(params, tab.boxes), {})
             counts[shape] = counts.get(shape, 0) + 1
     cells = tuple(
         (spec, CharacterSum.from_counts(groups[spec])) for spec in sorted(groups)

@@ -174,7 +174,7 @@ def test_criterion_7_invariant_suites():
             for shape in enumerate_dpartitions(params.d, n):
                 ev = euler_value(params, shape)
                 for tab in standard_tableaux(shape):
-                    assert sum(tableau_spectrum(params, tab)) == ev
+                    assert sum(tableau_spectrum(params, tab.boxes)) == ev
             decomposition = jm_cellular_characters(params, n)
             for shape in enumerate_dpartitions(params.d, n):
                 total = sum(

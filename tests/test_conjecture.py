@@ -17,7 +17,7 @@ from wreathcells.conjecture import (
     r_from_params,
 )
 from wreathcells.combinatorics import CharacterSum
-from wreathcells.fock import lm_constructible
+from wreathcells.fock import LatticeViolation, lm_constructible
 from wreathcells.gd12 import cm_cells_n2_family
 from wreathcells.jucys_murphy import CMParams, jm_cellular_characters
 
@@ -368,6 +368,28 @@ def test_cli_tableaux_empty_shape_is_the_empty_dpartition(capsys):
     text = capsys.readouterr().out
     assert cli_main(["tableaux", "--shape", "∅"]) == 0
     assert capsys.readouterr().out == text
+
+
+def _assert_internal_error(argv, capsys, name):
+    # exit 1 means "sets unequal", so a crash exits 3 with its traceback
+    assert cli_main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):")
+    assert err.splitlines()[-1].startswith(f"internal error: {name}: ")
+
+
+def test_cli_crash_exits_3(capsys):
+    # standard_tableaux recurses one level per box
+    _assert_internal_error(["tableaux", "--shape", "1100"], capsys, "RecursionError")
+
+
+def test_cli_lattice_violation_exits_3(monkeypatch, capsys):
+    def violating(params, n, *, shift=0):
+        raise LatticeViolation("coefficient outside the lattice")
+
+    monkeypatch.setattr(cli, "check_conjecture", violating)
+    argv = ["check", "--r=1,0", "--c0", "1", "--n", "2"]
+    _assert_internal_error(argv, capsys, "LatticeViolation")
 
 
 def test_cli_shift_with_r(capsys):

@@ -8,10 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import wreathcells.jucys_murphy as jm
 from wreathcells.combinatorics import (
     BoxCoord,
     CharacterSum,
     DPartition,
+    StandardTableau,
+    addable_boxes,
     enumerate_dpartitions,
     standard_tableaux,
     tableau_count,
@@ -119,7 +122,7 @@ def test_symmetric_group_matrix_oracle():
     for shape in enumerate_dpartitions(1, 3):
         mult = tableau_count(shape)
         for tab in standard_tableaux(shape):
-            spec = tableau_spectrum(params, tab)
+            spec = tableau_spectrum(params, tab.boxes)
             key = (spec[1], spec[2])
             predicted[key] = predicted.get(key, 0) + mult
     assert observed == predicted
@@ -127,9 +130,9 @@ def test_symmetric_group_matrix_oracle():
 
 def test_spectrum_examples():
     tab = standard_tableaux(dp((2,), ()))[0]
-    assert tableau_spectrum(P_GAP1, tab) == (-2, -4)
+    assert tableau_spectrum(P_GAP1, tab.boxes) == (-2, -4)
     shape = dp((1,), (1,))
-    specs = {tableau_spectrum(P_GAP1, t) for t in standard_tableaux(shape)}
+    specs = {tableau_spectrum(P_GAP1, t.boxes) for t in standard_tableaux(shape)}
     assert specs == {(Fraction(-2), Fraction(0)), (Fraction(0), Fraction(-2))}
 
 
@@ -153,7 +156,7 @@ def test_spectrum_telescopes_to_euler(params):
         for shape in enumerate_dpartitions(params.d, n):
             ev = euler_value(params, shape)
             for tab in standard_tableaux(shape):
-                assert sum(tableau_spectrum(params, tab)) == ev
+                assert sum(tableau_spectrum(params, tab.boxes)) == ev
 
 
 def test_is_generic_examples():
@@ -196,7 +199,7 @@ def test_cells_generic_all_singletons():
     assert len(dec.character_counts()) == len(enumerate_dpartitions(3, 3))
     # distinct spectra across all tableaux is the content of genericity
     all_specs = [
-        tableau_spectrum(params, t)
+        tableau_spectrum(params, t.boxes)
         for shape in enumerate_dpartitions(3, 3)
         for t in standard_tableaux(shape)
     ]
@@ -210,7 +213,7 @@ def test_generic_spectra_pairwise_distinct(d, n):
     params = CMParams.from_ksharp(d, 1, [-n * i for i in range(d)])
     assert is_generic(params, n).generic
     specs = [
-        tableau_spectrum(params, tab)
+        tableau_spectrum(params, tab.boxes)
         for shape in enumerate_dpartitions(d, n)
         for tab in standard_tableaux(shape)
     ]
@@ -278,12 +281,10 @@ def cm_params(draw):
 @settings(max_examples=25, deadline=None)
 @given(cm_params())
 def test_spectrum_matches_direct_oracle(params):
-    # one params object across every n, so larger n read a table already filled
     for n in range(6):
         for shape in enumerate_dpartitions(params.d, n):
             for tab in standard_tableaux(shape):
-                assert tableau_spectrum(params, tab) == direct_spectrum(params, tab)
-    assert params._eigenvalues
+                assert tableau_spectrum(params, tab.boxes) == direct_spectrum(params, tab)
     for comp in (0, params.d + 1):
         with pytest.raises(ValueError):
             jm_eigenvalue(params, BoxCoord(1, 1, comp))
@@ -306,6 +307,28 @@ def test_trie_cells_match_per_tableau_oracle(point):
             jm_cellular_characters(params, n)
         return
     assert jm_cellular_characters(params, n) == jm_cells_by_tableaux(params, n)
+
+
+def test_trie_evaluates_each_edge_once_and_builds_no_tableau(monkeypatch):
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("tableau_spectrum", "jm_eigenvalue"):
+        monkeypatch.setattr(jm, name, counting(name, getattr(jm, name)))
+    monkeypatch.setattr(
+        StandardTableau, "__init__", counting("tableau", StandardTableau.__init__)
+    )
+    jm_cellular_characters(P_GAP1, 6)
+    below = [dp for size in range(6) for dp in enumerate_dpartitions(2, size)]
+    assert calls["tableau"] == 0
+    assert calls["tableau_spectrum"] == len(below)
+    assert calls["jm_eigenvalue"] == sum(len(addable_boxes(dp)) for dp in below)
 
 
 def test_equal_characters_share_one_object(monkeypatch):
@@ -348,7 +371,6 @@ def _params():
 def test_filled_eigenvalue_table_keeps_value_semantics():
     filled = _params()
     jm_cellular_characters(filled, 3)
-    assert filled._eigenvalues
     fresh = _params()
     assert filled == fresh and hash(filled) == hash(fresh)
     assert repr(filled) == repr(fresh)
@@ -357,7 +379,6 @@ def test_filled_eigenvalue_table_keeps_value_semantics():
     assert pickle.dumps(filled) == pickle.dumps(fresh)
     back = pickle.loads(pickle.dumps(filled))
     assert back == fresh and hash(back) == hash(fresh)
-    assert "_eigenvalues" not in vars(back)
 
 
 def test_scaled_params_build_their_own_table():
@@ -371,7 +392,5 @@ def test_scaled_params_build_their_own_table():
     base = [jm_eigenvalue(params, box) for box in boxes]
     factor = Fraction(-3, 2)
     scaled = params.scaled(factor)
-    assert "_eigenvalues" not in vars(scaled)
     assert [jm_eigenvalue(scaled, box) for box in boxes] == [factor * x for x in base]
-    assert scaled._eigenvalues is not params._eigenvalues
     assert [jm_eigenvalue(params, box) for box in boxes] == base
