@@ -22,17 +22,18 @@ from wreathcells import check_conjecture, params_from_r
 
 
 def charge_vectors(d: int, max_charge: int):
-    """Weakly decreasing charge vectors with entries in 0..max_charge, r_d = 0."""
+    """Weakly decreasing charge vectors with entries in 0..max_charge, r_d = 0,
+    in decreasing lexicographic order."""
     for combo in itertools.combinations_with_replacement(
         range(max_charge, -1, -1), d - 1
     ):
-        yield tuple(sorted(combo, reverse=True)) + (0,) if d > 1 else (0,)
+        yield combo + (0,)
 
 
 def built_in_battery(max_d: int, max_n: int, max_charge: int):
     points = []
     for d in range(1, max_d + 1):
-        for r in sorted(set(charge_vectors(d, max_charge)), reverse=True):
+        for r in charge_vectors(d, max_charge):
             for n in range(2, max_n + 1):
                 points.append((r, n))
     return points

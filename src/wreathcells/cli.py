@@ -8,8 +8,8 @@ deterministic; `--format json` mirrors the text tables.
 Subcommands taking reflection parameters read them from exactly one source:
 `--c0` with `--k`, or `--c0` with the charges `--r`; `tableaux` reads its
 shapes from `--shape` or from `--d` with `--n`.  Giving both `--k` and `--r`,
-a `--d` that differs from the number of entries, `--shift` with `--r` (where
-it would have no effect), or `--shape` with `--d` or `--n` is a usage error.
+or `--shape` with `--d` or `--n`, is a usage error.  Outside `dpartitions`
+and `tableaux`, d is the number of `--k` or `--r` entries.
 """
 
 from __future__ import annotations
@@ -56,10 +56,7 @@ def _charges_from_args(args) -> tuple[int, ...]:
 
 
 def _params_from_args(args) -> CMParams:
-    """Parameters from exactly one of --k and --r, each with --c0.
-
-    --d, when given, must equal the number of entries.
-    """
+    """Parameters from exactly one of --k and --r, each with --c0."""
     if args.k is not None and args.r is not None:
         raise UsageError("give parameters via --k or --r, not both")
     if args.k is None and args.r is None:
@@ -70,8 +67,6 @@ def _params_from_args(args) -> CMParams:
         flag, values = "--r", _parse_list(args.r, int, "integer")
     if args.c0 is None:
         raise UsageError(f"{flag} requires --c0")
-    if args.d is not None and args.d != len(values):
-        raise UsageError(f"--d {args.d} disagrees with {len(values)} entries in {flag}")
     try:
         c0 = parse_rational(args.c0)
     except ValueError as exc:
@@ -273,10 +268,7 @@ def _cmd_gaudin_verify(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    if args.r is not None and args.shift is not None:
-        raise UsageError("--shift applies only to --k; shift the charges in --r instead")
-    params = _params_from_args(args)
-    verdict = check_conjecture(params, args.n, shift=args.shift or 0)
+    verdict = check_conjecture(_params_from_args(args), args.n)
     if args.format == "json":
         _emit(args, verdict.to_json_obj())
     else:
@@ -306,11 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, d=False, n=False, params=False, charges=False):
+    def common(p, *, n=False, params=False, charges=False):
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", default=None, help="write output to a file")
-        if d:
-            p.add_argument("--d", type=int, default=None)
         if n:
             p.add_argument("--n", type=int, required=True)
         if params:
@@ -327,12 +317,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tableaux", help="list standard d-tableaux")
     p.add_argument("--shape", default=None, help='d-partition text, e.g. "2.1|∅"')
-    common(p, d=True)
+    common(p)
+    p.add_argument("--d", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
     p.set_defaults(func=_cmd_tableaux)
 
     p = sub.add_parser("jm-cells", help="Jucys-Murphy cells for given parameters")
-    common(p, d=True, n=True, params=True, charges=True)
+    common(p, n=True, params=True, charges=True)
     p.set_defaults(func=_cmd_jm_cells)
 
     p = sub.add_parser("standard-symbols", help="crystal component by height")
@@ -348,18 +339,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_lm_cells)
 
     p = sub.add_parser("cm-cells-n2", help="closed-form Calogero-Moser cells at n=2")
-    common(p, d=True, params=True, charges=True)
+    common(p, params=True, charges=True)
     p.set_defaults(func=_cmd_cm_cells_n2)
 
     p = sub.add_parser("gaudin-verify", help="verify the 2x2 Gaudin eigen-systems")
-    common(p, d=True, params=True, charges=True)
+    common(p, params=True, charges=True)
     p.add_argument("--i", type=int, default=None)
     p.add_argument("--j", type=int, default=None)
     p.set_defaults(func=_cmd_gaudin_verify)
 
     p = sub.add_parser("check", help="compare the two character sets")
-    common(p, d=True, n=True, params=True, charges=True)
-    p.add_argument("--shift", type=int, default=None)
+    common(p, n=True, params=True, charges=True)
     p.set_defaults(func=_cmd_check)
 
     return parser

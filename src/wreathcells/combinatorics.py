@@ -12,6 +12,7 @@ order on component 1, then recursively on the remaining components.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -232,22 +233,34 @@ class StandardTableau:
 
 @lru_cache(maxsize=None)
 def standard_tableaux(shape: DPartition) -> tuple[StandardTableau, ...]:
-    """All standard d-tableaux of the given shape, deterministically ordered."""
-    if shape.size == 0:
-        return (StandardTableau(shape, ()),)
-    out = []
-    for box in removable_boxes(shape):
-        for sub in standard_tableaux(remove_box(shape, box)):
-            out.append(StandardTableau(shape, sub.boxes + (box,)))
-    return tuple(out)
+    """All standard d-tableaux of the given shape, deterministically ordered.
+
+    The boxes are peeled off from the last: each level removes one removable
+    box, in ``removable_boxes`` order, from every partial tableau in turn, so
+    the tableaux come in lexicographic order of these choices.
+    """
+    level = [(shape, ())]
+    for _ in range(shape.size):
+        level = [
+            (remove_box(dp, box), (box,) + boxes)
+            for dp, boxes in level
+            for box in removable_boxes(dp)
+        ]
+    return tuple(StandardTableau(shape, boxes) for _, boxes in level)
 
 
-@lru_cache(maxsize=None)
 def tableau_count(shape: DPartition) -> int:
-    """Number of standard tableaux, via the branching recursion."""
-    if shape.size == 0:
-        return 1
-    return sum(tableau_count(remove_box(shape, box)) for box in removable_boxes(shape))
+    """Number of standard tableaux: n! over the product of all hook lengths.
+
+    This is the dimension of the irreducible of G(d,1,n) labelled by shape.
+    """
+    hooks = 1
+    for comp in shape.components:
+        for a, row_len in enumerate(comp):
+            for b in range(row_len):
+                below = sum(1 for r in comp[a + 1 :] if r > b)
+                hooks *= row_len - b + below
+    return math.factorial(shape.size) // hooks
 
 
 @dataclass(frozen=True)

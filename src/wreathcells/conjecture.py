@@ -3,7 +3,8 @@ end-to-end comparison of the two character pipelines.
 
 The dictionary sets ksharp_i = -c0 * r_i.  ``check_conjecture(params, n)``
 derives the charges from the parameters and compares the two sides at size n;
-callers holding a charge vector pass ``params_from_r(r, c0)``.  At n = 2 the
+callers holding a charge vector pass ``params_from_r(r, c0)``.  Both sides are
+unchanged by a common integer shift of the charges.  At n = 2 the
 Calogero-Moser side is computed from the exact closed forms; for larger n it
 is replaced by the JM cells, which are exact when the parameters are generic
 and an upper bound (cells may merge) otherwise.  Each side is its distinct
@@ -48,12 +49,8 @@ def params_from_r(r, c0) -> CMParams:
     return CMParams.from_ksharp(len(r), c0, [-c0 * ri for ri in r])
 
 
-def r_from_params(params: CMParams, shift: int = 0) -> tuple[int, ...]:
-    """Charge vector r_i = -ksharp_i / c0 (+ an optional common integer shift).
-
-    Cell partitions on both sides are invariant under common integer shifts of
-    the charges, so the shift is a labelling convenience only.
-    """
+def r_from_params(params: CMParams) -> tuple[int, ...]:
+    """Charge vector r_i = -ksharp_i / c0."""
     if params.c0 == 0:
         raise InvalidParam("c0 must be nonzero")
     ratios = [-params.ksharp(i) / params.c0 for i in range(1, params.d + 1)]
@@ -62,15 +59,10 @@ def r_from_params(params: CMParams, shift: int = 0) -> tuple[int, ...]:
             "charges -ksharp_i / c0 must be weakly decreasing, got "
             + ", ".join(str(x) for x in ratios)
         )
-    out = []
     for x in ratios:
-        shifted = x + shift
-        if shifted.denominator != 1:
-            raise NonIntegralRatio(
-                f"-ksharp/c0 ratio {x} is not an integer (shift {shift})"
-            )
-        out.append(int(shifted))
-    return tuple(out)
+        if x.denominator != 1:
+            raise NonIntegralRatio(f"-ksharp/c0 ratio {x} is not an integer")
+    return tuple(int(x) for x in ratios)
 
 
 @dataclass(frozen=True, repr=False)
@@ -142,14 +134,14 @@ def _expand(counts: dict[CharacterSum, int]) -> tuple[CharacterSum, ...]:
     return tuple(cs for cs, m in counts.items() for _ in range(m))
 
 
-def check_conjecture(params: CMParams, n: int, *, shift: int = 0) -> ConjectureVerdict:
+def check_conjecture(params: CMParams, n: int) -> ConjectureVerdict:
     """Compare the Calogero-Moser and constructible character sets at size n.
 
-    The charges are ``r_from_params(params, shift)``, so the dictionary's
+    The charges are ``r_from_params(params)``, so the dictionary's
     preconditions apply; start from a charge vector with
     ``check_conjecture(params_from_r(r, c0), n)``.
     """
-    charges = r_from_params(params, shift)
+    charges = r_from_params(params)
     lm_counts = character_counts(lm_constructible(charges, n).values())
     if n == 2:
         mode = "exact-n2"

@@ -22,7 +22,7 @@ from .combinatorics import (
     BoxCoord,
     CharacterSum,
     DPartition,
-    add_box,
+    Partition,
     addable_boxes,
     character_counts,
     content,
@@ -105,15 +105,7 @@ def euler_value(params: CMParams, dp: DPartition) -> Fraction:
 @dataclass(frozen=True)
 class GenericityReport:
     generic: bool
-    c0_zero: bool = False
     witness: tuple[int, int, int] | None = None
-
-    def to_json_obj(self):
-        return {
-            "generic": self.generic,
-            "c0_zero": self.c0_zero,
-            "witness": list(self.witness) if self.witness else None,
-        }
 
 
 def is_generic(params: CMParams, n: int) -> GenericityReport:
@@ -122,7 +114,7 @@ def is_generic(params: CMParams, n: int) -> GenericityReport:
     The witness (p, q, j) uses the storage indices 0..d-1 of the k vector.
     """
     if params.c0 == 0:
-        return GenericityReport(generic=False, c0_zero=True)
+        return GenericityReport(generic=False)
     for p in range(params.d):
         for qi in range(params.d):
             if p == qi:
@@ -137,8 +129,6 @@ def is_generic(params: CMParams, n: int) -> GenericityReport:
 class CellDecomposition:
     """JM cells: distinct spectra with their tableau-counting characters."""
 
-    d: int
-    n: int
     cells: tuple[tuple[tuple[Fraction, ...], CharacterSum], ...]
     report: GenericityReport
 
@@ -155,7 +145,7 @@ class CellDecomposition:
                 for spec, cs in self.cells
             ],
             "generic": self.report.generic,
-            "witness": self.report.to_json_obj()["witness"],
+            "witness": list(self.report.witness) if self.report.witness else None,
         }
 
 
@@ -176,7 +166,7 @@ def jm_cellular_characters(params: CMParams, n: int) -> CellDecomposition:
     shapes = [
         dp for size in range(n + 1) for dp in enumerate_dpartitions(params.d, size)
     ]
-    shape_id = {dp: i for i, dp in enumerate(shapes)}
+    shape_id = {dp.components: i for i, dp in enumerate(shapes)}
     # (eigenvalue, child shape id) per addable box of each shape below n
     steps = []
     for dp in shapes:
@@ -184,7 +174,10 @@ def jm_cellular_characters(params: CMParams, n: int) -> CellDecomposition:
             boxes = addable_boxes(dp)
             spectrum = tableau_spectrum(params, boxes)
             steps.append(
-                [(v, shape_id[add_box(dp, box)]) for v, box in zip(spectrum, boxes)]
+                [
+                    (v, shape_id[_grown(dp.components, box)])
+                    for v, box in zip(spectrum, boxes)
+                ]
             )
     # int ranks in the order of the eigenvalues, so the walk hashes no Fraction
     values = sorted({v for step in steps for v, _ in step})
@@ -217,4 +210,11 @@ def jm_cellular_characters(params: CMParams, n: int) -> CellDecomposition:
                 {shapes[s]: m for s, m in key}
             )
         cells.append((prefix, character))
-    return CellDecomposition(params.d, n, tuple(cells), is_generic(params, n))
+    return CellDecomposition(tuple(cells), is_generic(params, n))
+
+
+def _grown(components: tuple[Partition, ...], box: BoxCoord) -> tuple[Partition, ...]:
+    """The components with an addable box added: its row becomes box.col long."""
+    row, comp = box.row, components[box.comp - 1]
+    grown = comp[: row - 1] + (box.col,) + comp[row:]
+    return components[: box.comp - 1] + (grown,) + components[box.comp :]

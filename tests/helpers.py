@@ -22,6 +22,11 @@ The `row_*` helpers are the oracle for the one-pass bead mechanics of
 `wreathcells.jucys_murphy.tableau_spectrum`: it evaluates
 d * (ksharp(c) - c0 * content) inline for every box of a tableau.
 
+`recursive_standard_tableaux` and `recursive_tableau_count` are the oracles
+for `wreathcells.standard_tableaux` (an iterative peel) and
+`wreathcells.tableau_count` (the hook length formula): both recurse on the
+branching rule, removing the last box in every possible way.
+
 `jm_cells_by_tableaux` is the oracle for the spectrum trie behind
 `wreathcells.jm_cellular_characters`: it walks every standard tableau of
 every shape and groups the tableaux by their spectra, the definition of the
@@ -31,11 +36,13 @@ JM cells.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from wreathcells import (
     CellDecomposition,
     CharacterSum,
     CMParams,
+    DPartition,
     FockVector,
     StandardTableau,
     Symbol,
@@ -47,9 +54,11 @@ from wreathcells import (
     is_generic,
     lt_monomial,
     q_factorial,
+    removable_boxes,
     standard_tableaux,
     tableau_spectrum,
 )
+from wreathcells.combinatorics import remove_box
 
 
 def direct_spectrum(params: CMParams, tab: StandardTableau) -> tuple[Fraction, ...]:
@@ -70,7 +79,30 @@ def jm_cells_by_tableaux(params: CMParams, n: int) -> CellDecomposition:
     cells = tuple(
         (spec, CharacterSum.from_counts(groups[spec])) for spec in sorted(groups)
     )
-    return CellDecomposition(params.d, n, cells, is_generic(params, n))
+    return CellDecomposition(cells, is_generic(params, n))
+
+
+@lru_cache(maxsize=None)
+def recursive_standard_tableaux(shape: DPartition) -> tuple[StandardTableau, ...]:
+    """Standard tableaux by the branching recursion on the last box."""
+    if shape.size == 0:
+        return (StandardTableau(shape, ()),)
+    out = []
+    for box in removable_boxes(shape):
+        for sub in recursive_standard_tableaux(remove_box(shape, box)):
+            out.append(StandardTableau(shape, sub.boxes + (box,)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def recursive_tableau_count(shape: DPartition) -> int:
+    """Number of standard tableaux by the branching recursion."""
+    if shape.size == 0:
+        return 1
+    return sum(
+        recursive_tableau_count(remove_box(shape, box))
+        for box in removable_boxes(shape)
+    )
 
 
 def divided_power_oracle(m: int, k: int, vec: FockVector) -> FockVector:

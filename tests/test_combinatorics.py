@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import recursive_standard_tableaux, recursive_tableau_count
 from wreathcells.combinatorics import (
     BoxCoord,
     CharacterSum,
@@ -117,6 +118,23 @@ def test_branching_consistency(d, n):
             tableau_count(remove_box(shape, box)) for box in removable_boxes(shape)
         )
         assert tableau_count(shape) == len(standard_tableaux(shape))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_tableaux_match_the_branching_recursion(d):
+    for n in range(7):
+        for shape in enumerate_dpartitions(d, n):
+            assert standard_tableaux(shape) == recursive_standard_tableaux(shape)
+            assert tableau_count(shape) == recursive_tableau_count(shape)
+
+
+def test_tableaux_of_a_thousand_boxes():
+    # neither routine recurses once per box
+    row = dp((1100,))
+    assert tableau_count(row) == 1
+    assert tableau_count(dp((1000,), (1,))) == 1001
+    (tab,) = standard_tableaux(row)
+    assert tab.boxes == tuple(BoxCoord(1, b, 1) for b in range(1, 1101))
 
 
 @pytest.mark.parametrize("d,n", [(2, 3), (3, 2)])

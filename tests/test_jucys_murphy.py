@@ -170,7 +170,7 @@ def test_is_generic_examples():
 
     zero_c0 = CMParams.from_ksharp(2, 0, (-1, 0))
     report = is_generic(zero_c0, 2)
-    assert not report.generic and report.c0_zero
+    assert not report.generic and report.witness is None
 
 
 def test_cells_gap_one():
