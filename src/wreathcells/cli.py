@@ -147,9 +147,10 @@ def _cmd_jm_cells(args) -> int:
                 else ""
             ),
         ]
+        texts = {cs: cs.text() for cs, _ in decomposition.finals.values()}
         for spec, cs in decomposition.cells:
             spec_text = ", ".join(str(x) for x in spec)
-            lines.append(f"spectrum ({spec_text}): {cs.text()}")
+            lines.append(f"spectrum ({spec_text}): {texts[cs]}")
         _emit(args, "\n".join(lines))
     return 0
 

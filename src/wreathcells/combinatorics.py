@@ -112,10 +112,6 @@ def components_text(components: tuple[Partition, ...]) -> str:
     )
 
 
-def empty_dpartition(d: int) -> DPartition:
-    return DPartition(((),) * d)
-
-
 def parse_dpartition(text: str) -> DPartition:
     """Inverse of DPartition.text; accepts "" as well as the empty-set sign."""
     comps = []
@@ -199,16 +195,6 @@ def remove_box(dp: DPartition, box: BoxCoord) -> DPartition:
     return dp.with_component(box.comp, tuple(new))
 
 
-def add_box(dp: DPartition, box: BoxCoord) -> DPartition:
-    comp = dp.components[box.comp - 1]
-    new = list(comp)
-    if box.row == len(new) + 1:
-        new.append(1)
-    else:
-        new[box.row - 1] += 1
-    return dp.with_component(box.comp, tuple(new))
-
-
 @dataclass(frozen=True)
 class StandardTableau:
     """A standard d-tableau, stored as the sequence box(1), ..., box(n)."""
@@ -219,13 +205,6 @@ class StandardTableau:
     @property
     def n(self) -> int:
         return len(self.boxes)
-
-    def shape_chain(self) -> tuple[DPartition, ...]:
-        """The chain of shapes [lambda(0), ..., lambda(n)] grown box by box."""
-        chain = [empty_dpartition(self.shape.d)]
-        for box in self.boxes:
-            chain.append(add_box(chain[-1], box))
-        return tuple(chain)
 
     def text(self) -> str:
         return " -> ".join(f"({b.row},{b.col},{b.comp})" for b in self.boxes)
@@ -304,17 +283,6 @@ class CharacterSum:
 
     def support(self) -> tuple[DPartition, ...]:
         return tuple(dp for dp, _ in self.entries)
-
-    def __add__(self, other: "CharacterSum") -> "CharacterSum":
-        counts = self.counts()
-        for dp, m in other.entries:
-            counts[dp] = counts.get(dp, 0) + m
-        return CharacterSum.from_counts(counts)
-
-    def scale(self, factor: int) -> "CharacterSum":
-        if factor < 0:
-            raise ValueError("character sums have nonnegative multiplicities")
-        return CharacterSum.from_counts({dp: factor * m for dp, m in self.entries})
 
     def is_zero(self) -> bool:
         return not self.entries

@@ -8,15 +8,18 @@ cells when the parameters are generic and are unions of them otherwise, which
 callers should surface when reporting.
 
 A spectrum is read along a path in the branching graph of d-partitions: the
-edge adding a box to a shape carries that box's eigenvalue.  So the cells are
-computed by growing spectrum prefixes box by box, without listing the tableaux
-one by one (see ``jm_cellular_characters``).
+edge adding a box to a shape carries that box's eigenvalue.  Spectrum prefixes
+that reach the same shapes equally often grow alike, so the cells are computed
+on a graph of these merged states, without listing the tableaux one by one.
+A cell's character is read off its final state, and its multiplicity off the
+number of paths into that state (see ``jm_cellular_characters``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .combinatorics import (
     BoxCoord,
@@ -24,7 +27,6 @@ from .combinatorics import (
     DPartition,
     Partition,
     addable_boxes,
-    character_counts,
     content,
     enumerate_dpartitions,
 )
@@ -125,23 +127,55 @@ def is_generic(params: CMParams, n: int) -> GenericityReport:
     return GenericityReport(generic=True)
 
 
+# A state is the sorted (shape id, tableaux) pairs that a spectrum prefix
+# reaches; the empty prefix reaches the empty shape, id 0, once.
+State = tuple[tuple[int, int], ...]
+_ROOT: State = ((0, 1),)
+
+
 @dataclass(frozen=True)
 class CellDecomposition:
-    """JM cells: distinct spectra with their tableau-counting characters."""
+    """JM cells as a graph of merged states (see ``jm_cellular_characters``).
 
-    cells: tuple[tuple[tuple[Fraction, ...], CharacterSum], ...]
+    ``children`` maps each state below size n to its moves, (eigenvalue, child
+    state) in increasing eigenvalue order.  ``finals`` maps each state of size
+    n to its character and the number of spectra that reach it.
+    """
+
+    children: dict[State, tuple[tuple[Fraction, State], ...]]
+    finals: dict[State, tuple[CharacterSum, int]]
     report: GenericityReport
 
     def character_counts(self) -> dict[CharacterSum, int]:
-        return character_counts(cs for _, cs in self.cells)
+        """The distinct cell characters in canonical order, with multiplicities.
+
+        Distinct final states reach distinct shape counts, so their characters
+        are distinct, and no cell is listed.
+        """
+        return dict(sorted(self.finals.values(), key=lambda it: it[0].sort_key()))
+
+    @cached_property
+    def cells(self) -> tuple[tuple[tuple[Fraction, ...], CharacterSum], ...]:
+        """Every cell as (spectrum, character), in increasing spectrum order.
+
+        Each level extends the prefixes of the last in order, each by its
+        state's moves in eigenvalue order, so every level stays sorted.
+        """
+        level = [((), _ROOT)]
+        while level[0][1] not in self.finals:
+            level = [
+                (prefix + (v,), child)
+                for prefix, state in level
+                for v, child in self.children[state]
+            ]
+        return tuple((prefix, self.finals[state][0]) for prefix, state in level)
 
     def to_json_obj(self):
+        # each distinct character is rendered once; the cells share the dicts
+        rendered = {cs: cs.to_json_obj() for cs, _ in self.finals.values()}
         return {
             "cells": [
-                {
-                    "spectrum": [str(x) for x in spec],
-                    "character": cs.to_json_obj(),
-                }
+                {"spectrum": [str(x) for x in spec], "character": rendered[cs]}
                 for spec, cs in self.cells
             ],
             "generic": self.report.generic,
@@ -152,14 +186,14 @@ class CellDecomposition:
 def jm_cellular_characters(params: CMParams, n: int) -> CellDecomposition:
     """JM cells at size n: the standard tableaux grouped by their spectra.
 
-    The cells come in increasing order of their spectra.  A tableau is a path
-    in the branching graph that adds one box per step, so the spectra are
-    grown as a trie, one level per box.  A node is a spectrum prefix with the
-    shapes its tableaux reach and how many reach each; it has one child per
-    eigenvalue of the boxes addable to those shapes.  The eigenvalues on the
-    edges out of a shape are computed once, from its addable boxes, and a
-    cell's spectrum is its node's prefix.  Cells reaching the same shapes
-    equally often share one character.
+    A tableau is a path in the branching graph that adds one box per step, and
+    the edge adding a box carries its eigenvalue, computed once per shape from
+    its addable boxes.  A spectrum prefix reaches some shapes, each by some
+    number of tableaux, and prefixes that reach the same counts, one state,
+    grow alike.  So the states are grown level by level: each distinct state
+    is expanded once, its moves grouped by eigenvalue into child states, and
+    the number of prefixes reaching each state is counted alongside.  A state
+    of size n is the character of as many cells as prefixes reach it.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -168,49 +202,39 @@ def jm_cellular_characters(params: CMParams, n: int) -> CellDecomposition:
     ]
     shape_id = {dp.components: i for i, dp in enumerate(shapes)}
     # (eigenvalue, child shape id) per addable box of each shape below n
-    steps = []
+    moves = []
     for dp in shapes:
         if dp.size < n:
             boxes = addable_boxes(dp)
             spectrum = tableau_spectrum(params, boxes)
-            steps.append(
+            moves.append(
                 [
                     (v, shape_id[_grown(dp.components, box)])
                     for v, box in zip(spectrum, boxes)
                 ]
             )
-    # int ranks in the order of the eigenvalues, so the walk hashes no Fraction
-    values = sorted({v for step in steps for v, _ in step})
-    rank = {value: i for i, value in enumerate(values)}
-    moves = [[(rank[v], child) for v, child in step] for step in steps]
 
-    # A node is (spectrum prefix, {shape id: tableaux}).  Children in rank
-    # order keep each level sorted.
-    level = [((), {0: 1})]
+    children: dict[State, tuple[tuple[Fraction, State], ...]] = {}
+    paths = {_ROOT: 1}
     for _ in range(n):
-        next_level = []
-        for prefix, counts in level:
-            children: dict[int, tuple[tuple[Fraction, ...], dict[int, int]]] = {}
-            for shape, count in counts.items():
-                for r, child in moves[shape]:
-                    node = children.get(r)
-                    if node is None:
-                        children[r] = node = (prefix + (values[r],), {})
-                    reached = node[1]
-                    reached[child] = reached.get(child, 0) + count
-            next_level.extend(children[r] for r in sorted(children))
-        level = next_level
-    characters: dict[tuple[tuple[int, int], ...], CharacterSum] = {}
-    cells = []
-    for prefix, counts in level:
-        key = tuple(sorted(counts.items()))
-        character = characters.get(key)
-        if character is None:
-            character = characters[key] = CharacterSum.from_counts(
-                {shapes[s]: m for s, m in key}
+        next_paths: dict[State, int] = {}
+        for state, count in paths.items():
+            grouped: dict[Fraction, dict[int, int]] = {}
+            for shape, tableaux in state:
+                for v, child in moves[shape]:
+                    reached = grouped.setdefault(v, {})
+                    reached[child] = reached.get(child, 0) + tableaux
+            children[state] = tuple(
+                (v, tuple(sorted(grouped[v].items()))) for v in sorted(grouped)
             )
-        cells.append((prefix, character))
-    return CellDecomposition(tuple(cells), is_generic(params, n))
+            for _, child in children[state]:
+                next_paths[child] = next_paths.get(child, 0) + count
+        paths = next_paths
+    finals = {
+        state: (CharacterSum.from_counts({shapes[s]: m for s, m in state}), count)
+        for state, count in paths.items()
+    }
+    return CellDecomposition(children, finals, is_generic(params, n))
 
 
 def _grown(components: tuple[Partition, ...], box: BoxCoord) -> tuple[Partition, ...]:

@@ -27,31 +27,37 @@ for `wreathcells.standard_tableaux` (an iterative peel) and
 `wreathcells.tableau_count` (the hook length formula): both recurse on the
 branching rule, removing the last box in every possible way.
 
-`jm_cells_by_tableaux` is the oracle for the spectrum trie behind
-`wreathcells.jm_cellular_characters`: it walks every standard tableau of
-every shape and groups the tableaux by their spectra, the definition of the
-JM cells.
+`jm_cells_by_tableaux` and `jm_cells_by_trie` are the oracles for the graph
+of merged states behind `wreathcells.jm_cellular_characters`.  The first
+walks every standard tableau of every shape and groups the tableaux by their
+spectra, the definition of the JM cells.  The second grows one trie node per
+spectrum prefix, with the shapes its tableaux reach and how many reach each,
+and never merges two prefixes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from wreathcells import (
-    CellDecomposition,
+    BoxCoord,
     CharacterSum,
     CMParams,
     DPartition,
     FockVector,
+    GenericityReport,
     StandardTableau,
     Symbol,
+    addable_boxes,
     bar_symmetric_head,
     enumerate_dpartitions,
     enumerate_standard_symbols,
     f_action,
     highest_weight_symbol,
     is_generic,
+    jm_eigenvalue,
     lt_monomial,
     q_factorial,
     removable_boxes,
@@ -69,7 +75,14 @@ def direct_spectrum(params: CMParams, tab: StandardTableau) -> tuple[Fraction, .
     )
 
 
-def jm_cells_by_tableaux(params: CMParams, n: int) -> CellDecomposition:
+class JMCells(NamedTuple):
+    """Every JM cell as (spectrum, character), in increasing spectrum order."""
+
+    cells: tuple[tuple[tuple[Fraction, ...], CharacterSum], ...]
+    report: GenericityReport
+
+
+def jm_cells_by_tableaux(params: CMParams, n: int) -> JMCells:
     """JM cells from grouping every standard tableau by its spectrum."""
     groups: dict[tuple[Fraction, ...], dict] = {}
     for shape in enumerate_dpartitions(params.d, n):
@@ -79,7 +92,42 @@ def jm_cells_by_tableaux(params: CMParams, n: int) -> CellDecomposition:
     cells = tuple(
         (spec, CharacterSum.from_counts(groups[spec])) for spec in sorted(groups)
     )
-    return CellDecomposition(cells, is_generic(params, n))
+    return JMCells(cells, is_generic(params, n))
+
+
+def jm_cells_by_trie(params: CMParams, n: int) -> JMCells:
+    """JM cells from a trie of spectrum prefixes, one node per prefix.
+
+    A node is (prefix, {shape: tableaux}); its children, one per eigenvalue of
+    the boxes addable to its shapes, come in increasing eigenvalue order, so
+    each level is sorted.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    level = [((), {DPartition(((),) * params.d): 1})]
+    for _ in range(n):
+        next_level = []
+        for prefix, counts in level:
+            children: dict[Fraction, tuple] = {}
+            for shape, count in counts.items():
+                for box in addable_boxes(shape):
+                    v = jm_eigenvalue(params, box)
+                    reached = children.setdefault(v, (prefix + (v,), {}))[1]
+                    child = grown(shape, box)
+                    reached[child] = reached.get(child, 0) + count
+            next_level.extend(children[v] for v in sorted(children))
+        level = next_level
+    cells = tuple(
+        (prefix, CharacterSum.from_counts(counts)) for prefix, counts in level
+    )
+    return JMCells(cells, is_generic(params, n))
+
+
+def grown(shape: DPartition, box: BoxCoord) -> DPartition:
+    """The shape with an addable box added."""
+    comp = shape.components[box.comp - 1]
+    row = comp[: box.row - 1] + (box.col,) + comp[box.row :]
+    return shape.with_component(box.comp, row)
 
 
 @lru_cache(maxsize=None)

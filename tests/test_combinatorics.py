@@ -14,7 +14,6 @@ from wreathcells.combinatorics import (
     addable_boxes,
     content,
     dpartition_sort_key,
-    empty_dpartition,
     enumerate_dpartitions,
     parse_dpartition,
     removable_boxes,
@@ -137,17 +136,6 @@ def test_tableaux_of_a_thousand_boxes():
     assert tab.boxes == tuple(BoxCoord(1, b, 1) for b in range(1, 1101))
 
 
-@pytest.mark.parametrize("d,n", [(2, 3), (3, 2)])
-def test_tableau_prefixes_are_shapes(d, n):
-    for shape in enumerate_dpartitions(d, n):
-        for tab in standard_tableaux(shape):
-            chain = tab.shape_chain()
-            assert chain[0] == empty_dpartition(d)
-            assert chain[-1] == shape
-            for step in chain:
-                DPartition(step.components)  # validates weak decrease
-
-
 @given(dpartitions_st)
 def test_text_round_trip(dpart):
     assert parse_dpartition(dpart.text()) == dpart
@@ -162,8 +150,6 @@ def test_character_sum_basics():
     a = CharacterSum.from_counts({dp((2,), ()): 1, dp((1,), (1,)): 2})
     b = CharacterSum.from_counts({dp((1,), (1,)): 2, dp((2,), ()): 1})
     assert a == b and hash(a) == hash(b)
-    total = a + b
-    assert total.multiplicity(dp((1,), (1,))) == 4
     assert CharacterSum.from_json_obj(a.to_json_obj()) == a
 
 

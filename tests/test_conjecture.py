@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import wreathcells.cli as cli
+import wreathcells.conjecture as conjecture
 from wreathcells.cli import cli_main
 from wreathcells.conjecture import (
     InvalidParam,
@@ -104,6 +105,23 @@ def test_check_upper_bound_mode():
     # repeated charges at n = 3 are not generic; both pipelines still agree
     verdict = check_conjecture(params_from_r((1, 0, 0), 1), 3)
     assert verdict.mode == "jm-upper-bound"
+
+
+def test_check_lists_no_jm_cell(monkeypatch):
+    # the multiplicities are path counts in the JM state graph
+    built = []
+
+    def recording(params, n):
+        built.append(jm_cellular_characters(params, n))
+        return built[-1]
+
+    monkeypatch.setattr(conjecture, "jm_cellular_characters", recording)
+    verdict = check_conjecture(params_from_r((1, 1, 0), 1), 5)
+    (decomposition,) = built
+    assert "cells" not in vars(decomposition)
+    assert verdict.cm_multiset == tuple(
+        sorted((cs for _, cs in decomposition.cells), key=CharacterSum.sort_key)
+    )
 
 
 @pytest.mark.parametrize("factor", [Fraction(2), Fraction(-1, 3)])

@@ -28,7 +28,7 @@ from wreathcells.jucys_murphy import (
     tableau_spectrum,
 )
 
-from helpers import direct_spectrum, jm_cells_by_tableaux
+from helpers import direct_spectrum, jm_cells_by_tableaux, jm_cells_by_trie
 
 
 def dp(*comps):
@@ -303,10 +303,20 @@ def test_trie_cells_match_per_tableau_oracle(point):
     # the whole decomposition: cell order, spectra, characters and report
     params, n = point
     if n < 0:
-        with pytest.raises(ValueError, match="n must be nonnegative"):
-            jm_cellular_characters(params, n)
+        for build in (jm_cellular_characters, jm_cells_by_trie):
+            with pytest.raises(ValueError, match="n must be nonnegative"):
+                build(params, n)
         return
-    assert jm_cellular_characters(params, n) == jm_cells_by_tableaux(params, n)
+    dec = jm_cellular_characters(params, n)
+    counts = dec.character_counts()
+    assert "cells" not in vars(dec)
+    characters = [cs for cs, _ in dec.finals.values()]
+    assert len(set(characters)) == len(characters) == len(counts)
+    assert sum(paths for _, paths in dec.finals.values()) == len(dec.cells)
+    for oracle in (jm_cells_by_tableaux, jm_cells_by_trie):
+        expected = oracle(params, n)
+        assert dec.cells == expected.cells
+        assert dec.report == expected.report
 
 
 def test_trie_evaluates_each_edge_once_and_builds_no_tableau(monkeypatch):
@@ -324,7 +334,7 @@ def test_trie_evaluates_each_edge_once_and_builds_no_tableau(monkeypatch):
     monkeypatch.setattr(
         StandardTableau, "__init__", counting("tableau", StandardTableau.__init__)
     )
-    jm_cellular_characters(P_GAP1, 6)
+    jm_cellular_characters(P_GAP1, 6).cells
     below = [dp for size in range(6) for dp in enumerate_dpartitions(2, size)]
     assert calls["tableau"] == 0
     assert calls["tableau_spectrum"] == len(below)
@@ -341,6 +351,7 @@ def test_equal_characters_share_one_object(monkeypatch):
 
     monkeypatch.setattr(CharacterSum, "from_counts", classmethod(counting))
     dec = jm_cellular_characters(P_GAP1, 6)
+    assert len(built) == len(dec.finals)
     objects = {id(cs) for _, cs in dec.cells}
     assert len(built) == len(objects) == len({cs for _, cs in dec.cells})
     assert len(objects) < len(dec.cells)
