@@ -3,7 +3,10 @@
 Exit codes: 0 on success, 1 when `check` finds unequal character sets or
 `gaudin-verify` finds a nonzero residual, 2 on usage errors, 3 on an internal
 error (any other exception; its traceback goes to stderr).  All output is
-deterministic; `--format json` mirrors the text tables.
+deterministic; `--format json` mirrors the text tables and is exactly
+`json.dumps(obj, indent=2)`, non-ASCII escaped, from a private encoder that
+accepts only dicts with str keys, lists, str, int, bool and None (anything
+else is an internal error).
 
 Subcommands taking reflection parameters read them from exactly one source:
 `--c0` with `--k`, or `--c0` with the charges `--r`; `tableaux` reads its
@@ -15,12 +18,13 @@ and `tableaux`, d is the number of `--k` or `--r` entries.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import traceback
+from json.encoder import encode_basestring_ascii as _quote
 
 from .combinatorics import (
+    CharacterSum,
     character_counts,
     enumerate_dpartitions,
     parse_dpartition,
@@ -76,13 +80,81 @@ def _params_from_args(args) -> CMParams:
     return params_from_r(values, c0)
 
 
+def _json_text(obj) -> str:
+    """``json.dumps(obj, indent=2)`` for the values the CLI emits.
+
+    Those are dicts with str keys, lists, str, int, bool and None; anything
+    else raises TypeError.  Strings go through the stdlib's C escaper, a list
+    of strings is one join, and a dict holding only scalars is encoded once
+    per depth: the listings repeat a few such dicts thousands of times.
+    """
+    flat: dict[tuple[int, int], str] = {}
+
+    def scalar(value) -> str:
+        if isinstance(value, str):
+            return _quote(value)
+        if value is None:
+            return "null"
+        if value is True:
+            return "true"
+        if value is False:
+            return "false"
+        if isinstance(value, int):
+            return int.__repr__(value)
+        raise TypeError(f"cannot encode {type(value).__name__} as JSON")
+
+    def encode(value, depth: int) -> str:
+        if isinstance(value, dict):
+            return encode_dict(value, depth)
+        if isinstance(value, list):
+            return encode_list(value, depth)
+        return scalar(value)
+
+    def encode_dict(obj: dict, depth: int) -> str:
+        if not obj:
+            return "{}"
+        text = flat.get((id(obj), depth))
+        if text is not None:
+            return text
+        items, scalars_only = [], True
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"cannot encode {type(key).__name__} key as JSON")
+            if isinstance(value, (dict, list)):
+                scalars_only = False
+            items.append(f"{_quote(key)}: {encode(value, depth + 1)}")
+        text = _bracket("{", items, "}", depth)
+        if scalars_only:
+            # ``obj`` is alive until the encoding ends, so its id is not reused
+            flat[id(obj), depth] = text
+        return text
+
+    def encode_list(obj: list, depth: int) -> str:
+        if not obj:
+            return "[]"
+        if isinstance(obj[0], str):
+            try:
+                return _bracket("[", map(_quote, obj), "]", depth)
+            except TypeError:  # a later item is not a str
+                pass
+        return _bracket("[", [encode(value, depth + 1) for value in obj], "]", depth)
+
+    return encode(obj, 0)
+
+
+def _bracket(open_: str, items, close: str, depth: int) -> str:
+    inner = "\n" + "  " * (depth + 1)
+    return f"{open_}{inner}{(',' + inner).join(items)}\n{'  ' * depth}{close}"
+
+
 def _emit(args, out) -> None:
     """Write `out` to --out or stdout: a str as is, anything else as JSON."""
-    text = out if isinstance(out, str) else json.dumps(out, indent=2)
+    text = out if isinstance(out, str) else _json_text(out)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
+                handle.write(text)
+                handle.write("\n")
         except OSError as exc:
             raise UsageError(f"cannot write --out {args.out}: {exc.strerror}") from exc
     else:
@@ -147,10 +219,8 @@ def _cmd_jm_cells(args) -> int:
                 else ""
             ),
         ]
-        texts = {cs: cs.text() for cs, _ in decomposition.finals.values()}
-        for spec, cs in decomposition.cells:
-            spec_text = ", ".join(str(x) for x in spec)
-            lines.append(f"spectrum ({spec_text}): {texts[cs]}")
+        for spec, text in decomposition.walk(str, CharacterSum.text):
+            lines.append(f"spectrum ({', '.join(spec)}): {text}")
         _emit(args, "\n".join(lines))
     return 0
 

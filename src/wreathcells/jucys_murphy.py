@@ -17,6 +17,7 @@ number of paths into that state (see ``jm_cellular_characters``).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -156,31 +157,55 @@ class CellDecomposition:
 
     @cached_property
     def cells(self) -> tuple[tuple[tuple[Fraction, ...], CharacterSum], ...]:
-        """Every cell as (spectrum, character), in increasing spectrum order.
+        """Every cell as (spectrum, character), in increasing spectrum order."""
+        return tuple(self.walk(_same, _same))
 
-        Each level extends the prefixes of the last in order, each by its
-        state's moves in eigenvalue order, so every level stays sorted.
+    def walk(self, label, render) -> Iterator[tuple[tuple, object]]:
+        """Every cell as (labelled spectrum, rendered character), in order.
+
+        ``label`` runs once per move, on its eigenvalue, and ``render`` once per
+        final state, on its character, so a listing renders each distinct value
+        once, not once per cell.  Each state's moves are linked to its
+        children's moves once per edge.  Then each level extends the prefixes
+        of the last in order, each by its state's moves in eigenvalue order, so
+        every level stays sorted.  The last level is yielded cell by cell.
         """
-        level = [((), _ROOT)]
-        while level[0][1] not in self.finals:
-            level = [
-                (prefix + (v,), child)
-                for prefix, state in level
-                for v, child in self.children[state]
-            ]
-        return tuple((prefix, self.finals[state][0]) for prefix, state in level)
+        leaves = {state: render(cs) for state, (cs, _) in self.finals.items()}
+        linked = {state: [] for state in self.children}
+        for state, moves in self.children.items():
+            linked[state].extend(
+                (label(v), linked[child] if child in linked else leaves[child])
+                for v, child in moves
+            )
+        depth, state = 0, _ROOT
+        while state in self.children:
+            depth, state = depth + 1, self.children[state][0][1]
+        level = iter([((), linked[_ROOT] if depth else leaves[_ROOT])])
+        for _ in range(depth):
+            # a generator expression builds its outermost iterable at once, so
+            # each level but the last is listed here
+            level = (
+                (prefix + (text,), child)
+                for prefix, moves in list(level)
+                for text, child in moves
+            )
+        return level
 
     def to_json_obj(self):
-        # each distinct character is rendered once; the cells share the dicts
-        rendered = {cs: cs.to_json_obj() for cs, _ in self.finals.values()}
+        # each eigenvalue is rendered once per move and each character once;
+        # the cells share the strings and dicts
         return {
             "cells": [
-                {"spectrum": [str(x) for x in spec], "character": rendered[cs]}
-                for spec, cs in self.cells
+                {"spectrum": list(spec), "character": character}
+                for spec, character in self.walk(str, CharacterSum.to_json_obj)
             ],
             "generic": self.report.generic,
             "witness": list(self.report.witness) if self.report.witness else None,
         }
+
+
+def _same(value):
+    return value
 
 
 def jm_cellular_characters(params: CMParams, n: int) -> CellDecomposition:
