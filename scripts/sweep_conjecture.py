@@ -2,9 +2,11 @@
 """Sweep the character-set comparison over a battery of parameter points.
 
 Each point is a charge vector with a value of n; the two character sets are
-computed independently and compared.  Points are independent pure
-computations, so they can be fanned out over processes; output order always
-follows input order.
+computed independently and compared.  The points of one charge vector share
+their work: one JM graph and one canonical basis, built to its largest n,
+serve every n (``check_conjecture_sizes``).  Charge vectors are independent
+pure computations, so they can be fanned out over processes; output order
+always follows input order.
 
 Usage:
     python scripts/sweep_conjecture.py                 # built-in battery
@@ -17,8 +19,13 @@ import argparse
 import itertools
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 
-from wreathcells import check_conjecture, params_from_r
+from wreathcells import check_conjecture_sizes, params_from_r
+
+# Not called here, but perfbench/tracing.py wraps the name in this module, so
+# it stays imported.
+from wreathcells import check_conjecture  # noqa: F401
 
 
 def charge_vectors(d: int, max_charge: int):
@@ -39,17 +46,25 @@ def built_in_battery(max_d: int, max_n: int, max_charge: int):
     return points
 
 
-def run_point(point):
-    r, n = point
-    verdict = check_conjecture(params_from_r(r, 1), n)
-    return (
-        r,
-        n,
-        verdict.mode,
-        verdict.equal,
-        len(verdict.cm_counts),
-        len(verdict.lm_counts),
-    )
+def check_battery(points, jobs: int = 1):
+    """The row (r, n, mode, equal, #cm, #lm) of every (r, n) point, in order.
+
+    Consecutive points of one charge vector are checked together, one task
+    each, on ``jobs`` processes.  Each verdict is cut to its row as it
+    arrives, so no more than one charge vector's characters are held.
+    """
+    groups = [
+        (params_from_r(r, 1), [n for _, n in group])
+        for r, group in itertools.groupby(points, key=lambda point: point[0])
+    ]
+    params, sizes = [p for p, _ in groups], [ns for _, ns in groups]
+    with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
+        mapped = (pool.map if pool else map)(check_conjecture_sizes, params, sizes)
+        return [
+            (v.charges, v.n, v.mode, v.equal, len(v.cm_counts), len(v.lm_counts))
+            for verdicts in mapped
+            for v in verdicts
+        ]
 
 
 def main(argv=None) -> int:
@@ -69,11 +84,7 @@ def main(argv=None) -> int:
             parser.error(f"{flag} must be at least {least}, got {value}")
 
     points = built_in_battery(args.max_d, args.max_n, args.max_charge)
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(run_point, points))
-    else:
-        results = [run_point(p) for p in points]
+    results = check_battery(points, args.jobs)
 
     header = f"{'charges':>16}  {'n':>2}  {'mode':>14}  {'equal':>5}  {'#cm':>4}  {'#lm':>4}"
     print(header)

@@ -3,8 +3,10 @@ end-to-end comparison of the two character pipelines.
 
 The dictionary sets ksharp_i = -c0 * r_i.  ``check_conjecture(params, n)``
 derives the charges from the parameters and compares the two sides at size n;
-callers holding a charge vector pass ``params_from_r(r, c0)``.  Both sides are
-unchanged by a common integer shift of the charges.  At n = 2 the
+callers holding a charge vector pass ``params_from_r(r, c0)``.
+``check_conjecture_sizes(params, sizes)`` is the same comparison at several
+sizes, every size read off one JM graph and one canonical basis.  Both sides
+are unchanged by a common integer shift of the charges.  At n = 2 the
 Calogero-Moser side is computed from the exact closed forms; for larger n it
 is replaced by the JM cells, which are exact when the parameters are generic
 and an upper bound (cells may merge) otherwise.  Each side is its distinct
@@ -18,12 +20,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinatorics import CharacterSum, character_counts
-from .fock import lm_constructible
+from .fock import lm_constructible_by_height
 
-# cm_cells_n2 is not called here, but perfbench/tracing.py wraps the name in
-# this module, so it stays imported.
+# cm_cells_n2 and lm_constructible are not called here, but
+# perfbench/tracing.py wraps the names in this module, so they stay imported.
+from .fock import lm_constructible  # noqa: F401
 from .gd12 import cm_cells_n2, cm_cells_n2_family  # noqa: F401
-from .jucys_murphy import CMParams, jm_cellular_characters
+from .jucys_murphy import CMParams, is_generic, jm_cellular_characters
 
 
 class InvalidParam(ValueError):
@@ -141,13 +144,31 @@ def check_conjecture(params: CMParams, n: int) -> ConjectureVerdict:
     preconditions apply; start from a charge vector with
     ``check_conjecture(params_from_r(r, c0), n)``.
     """
+    (verdict,) = check_conjecture_sizes(params, (n,))
+    return verdict
+
+
+def check_conjecture_sizes(params: CMParams, sizes) -> tuple[ConjectureVerdict, ...]:
+    """``check_conjecture`` at each of the sizes, in their order.
+
+    One JM graph and one canonical basis, built to the largest size, serve
+    every size: each size is a level of the one and a height of the other.
+    The genericity of each size is its own, and n = 2 reads the closed forms.
+    """
+    sizes = tuple(sizes)
     charges = r_from_params(params)
-    lm_counts = character_counts(lm_constructible(charges, n).values())
-    if n == 2:
-        mode = "exact-n2"
-        cm_counts = character_counts(cs for _, cs in cm_cells_n2_family(params))
-    else:
-        decomposition = jm_cellular_characters(params, n)
-        mode = "generic" if decomposition.report.generic else "jm-upper-bound"
-        cm_counts = decomposition.character_counts()
-    return ConjectureVerdict(mode, n, charges, cm_counts, lm_counts)
+    lm = lm_constructible_by_height(charges, sizes)
+    jm = None
+    if any(n != 2 for n in sizes):
+        jm = jm_cellular_characters(params, max(sizes))
+    verdicts = []
+    for n in sizes:
+        lm_counts = character_counts(lm[n].values())
+        if n == 2:
+            mode = "exact-n2"
+            cm_counts = character_counts(cs for _, cs in cm_cells_n2_family(params))
+        else:
+            mode = "generic" if is_generic(params, n).generic else "jm-upper-bound"
+            cm_counts = jm.character_counts(n)
+        verdicts.append(ConjectureVerdict(mode, n, charges, cm_counts, lm_counts))
+    return tuple(verdicts)

@@ -41,6 +41,7 @@ from .combinatorics import (
     Partition,
     components_sort_key,
     components_text,
+    enumerate_dpartitions,
     is_partition,
 )
 from .laurent import LaurentPoly, bar_symmetric_head, one, zero
@@ -593,14 +594,33 @@ def lm_constructible(charges: tuple[int, ...], n: int) -> dict[Symbol, Character
     result as a character sum through the symbol / d-partition bijection,
     keyed by the standard symbol of height n.
     """
-    basis = canonical_basis(charges, n)
-    out = {}
+    return lm_constructible_by_height(charges, (n,))[n]
+
+
+def lm_constructible_by_height(
+    charges: tuple[int, ...], heights
+) -> dict[int, dict[Symbol, CharacterSum]]:
+    """``lm_constructible`` at each of the heights, all read off one canonical
+    basis built to the largest.
+
+    ``canonical_basis(charges, n)`` holds ``canonical_basis(charges, k)`` for
+    every k <= n, since each vector is built from vectors of its own height
+    and of its peel parent's.  Each term's rows are looked up among the
+    d-partitions of its height, so every shape and its sort key are made once.
+    """
+    charges = tuple(charges)
+    heights = sorted(set(heights))
+    if not heights:
+        raise ValueError("need at least one height")
+    basis = canonical_basis(charges, max(heights))
+    shapes = {
+        n: {dp.components: dp for dp in enumerate_dpartitions(len(charges), n)}
+        for n in heights
+    }
+    out: dict[int, dict[Symbol, CharacterSum]] = {n: {} for n in heights}
     for sym, vec in basis.items():
-        if sym.height != n:
-            continue
-        counts = {}
-        for s, value in vec.eval_at_one().items():
-            if value:
-                counts[dpartition_from_symbol(s)] = value
-        out[sym] = CharacterSum.from_counts(counts)
+        if (n := sym.height) in out:
+            out[n][sym] = CharacterSum.from_counts(
+                {shapes[n][s.rows]: c.eval_at_one() for s, c in vec.terms.items()}
+            )
     return out

@@ -140,20 +140,37 @@ class CellDecomposition:
 
     ``children`` maps each state below size n to its moves, (eigenvalue, child
     state) in increasing eigenvalue order.  ``finals`` maps each state of size
-    n to its character and the number of spectra that reach it.
+    n to its character and the number of spectra that reach it.  ``paths``
+    maps the states of each size k = 0..n to that number, and ``shapes`` lists
+    the d-partitions of size at most n by the ids that states use.
     """
 
     children: dict[State, tuple[tuple[Fraction, State], ...]]
     finals: dict[State, tuple[CharacterSum, int]]
     report: GenericityReport
+    paths: tuple[dict[State, int], ...]
+    shapes: tuple[DPartition, ...]
 
-    def character_counts(self) -> dict[CharacterSum, int]:
-        """The distinct cell characters in canonical order, with multiplicities.
+    def character_counts(self, k: int | None = None) -> dict[CharacterSum, int]:
+        """The distinct cell characters of size k (n by default) in canonical
+        order, with multiplicities.
 
-        Distinct final states reach distinct shape counts, so their characters
-        are distinct, and no cell is listed.
+        Distinct states reach distinct shape counts, so their characters are
+        distinct, and no cell is listed.  Shapes are numbered by size first,
+        so the states of size k and their path counts are those of a build
+        for k: this equals ``jm_cellular_characters(params, k).character_counts()``.
         """
-        return dict(sorted(self.finals.values(), key=lambda it: it[0].sort_key()))
+        n = len(self.paths) - 1
+        if k is None or k == n:
+            pairs = self.finals.values()
+        elif 0 <= k < n:
+            pairs = [
+                (_character(self.shapes, state), count)
+                for state, count in self.paths[k].items()
+            ]
+        else:
+            raise ValueError(f"size {k} is not in 0..{n}")
+        return dict(sorted(pairs, key=lambda it: it[0].sort_key()))
 
     @cached_property
     def cells(self) -> tuple[tuple[tuple[Fraction, ...], CharacterSum], ...]:
@@ -218,7 +235,9 @@ def jm_cellular_characters(params: CMParams, n: int) -> CellDecomposition:
     grow alike.  So the states are grown level by level: each distinct state
     is expanded once, its moves grouped by eigenvalue into child states, and
     the number of prefixes reaching each state is counted alongside.  A state
-    of size n is the character of as many cells as prefixes reach it.
+    of size n is the character of as many cells as prefixes reach it.  The
+    counts of every level are kept, so one build serves each size up to n
+    (``CellDecomposition.character_counts``).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -241,6 +260,7 @@ def jm_cellular_characters(params: CMParams, n: int) -> CellDecomposition:
 
     children: dict[State, tuple[tuple[Fraction, State], ...]] = {}
     paths = {_ROOT: 1}
+    levels = [paths]
     for _ in range(n):
         next_paths: dict[State, int] = {}
         for state, count in paths.items():
@@ -255,11 +275,18 @@ def jm_cellular_characters(params: CMParams, n: int) -> CellDecomposition:
             for _, child in children[state]:
                 next_paths[child] = next_paths.get(child, 0) + count
         paths = next_paths
+        levels.append(paths)
     finals = {
-        state: (CharacterSum.from_counts({shapes[s]: m for s, m in state}), count)
-        for state, count in paths.items()
+        state: (_character(shapes, state), count) for state, count in paths.items()
     }
-    return CellDecomposition(children, finals, is_generic(params, n))
+    return CellDecomposition(
+        children, finals, is_generic(params, n), tuple(levels), tuple(shapes)
+    )
+
+
+def _character(shapes, state: State) -> CharacterSum:
+    """The character of a state: its shapes, each as often as it is reached."""
+    return CharacterSum.from_counts({shapes[s]: m for s, m in state})
 
 
 def _grown(components: tuple[Partition, ...], box: BoxCoord) -> tuple[Partition, ...]:

@@ -29,7 +29,7 @@ from helpers import (
     sym_pair,
     sym_prime,
 )
-from wreathcells.combinatorics import DPartition, enumerate_dpartitions
+from wreathcells.combinatorics import CharacterSum, DPartition, enumerate_dpartitions
 from wreathcells.fock import (
     FockVector,
     LatticeViolation,
@@ -47,6 +47,7 @@ from wreathcells.fock import (
     highest_weight_symbol,
     intermediate_A,
     lm_constructible,
+    lm_constructible_by_height,
     lt_monomial,
     symbol_from_dpartition,
     _row_eps,
@@ -703,3 +704,54 @@ def test_lm_asymptotic_all_irreducible():
 def test_lm_matches_height2_closed_forms(charges):
     got = lm_constructible(charges, 2)
     assert got == height2_characters(charges)
+
+
+# One basis built to n holds the basis of every height k <= n, so LM reads
+# every height off it.
+
+
+def _characters_at(basis, n):
+    """Height n of a basis at q = 1, each term's d-partition built afresh."""
+    return {
+        sym: CharacterSum.from_counts(
+            {dpartition_from_symbol(s): c for s, c in vec.eval_at_one().items()}
+        )
+        for sym, vec in basis.items()
+        if sym.height == n
+    }
+
+
+def _assert_heights_match_builds(charges, n, heights):
+    basis = canonical_basis(charges, n)
+    by_height = lm_constructible_by_height(charges, heights)
+    assert sorted(by_height) == sorted(set(heights))
+    for k in range(n + 1):
+        expected = canonical_basis(charges, k)
+        assert [(s, v) for s, v in basis.items() if s.height <= k] == list(expected.items())
+        if k in by_height:
+            chars = _characters_at(expected, k)
+            assert list(by_height[k].items()) == list(chars.items())
+            assert list(lm_constructible(charges, k).items()) == list(chars.items())
+            shapes = {id(dp) for dp in enumerate_dpartitions(len(charges), k)}
+            assert all(
+                id(dp) in shapes for cs in by_height[k].values() for dp, _ in cs.entries
+            )
+
+
+@pytest.mark.parametrize("charges, n", [((1, 1, 0), 8), ((2, 0), 8), ((0, 0, 0, 0), 6)])
+def test_heights_of_one_basis_match_builds_per_height(charges, n):
+    _assert_heights_match_builds(charges, n, range(n + 1))
+
+
+@settings(max_examples=25, deadline=None)
+@given(charges_st, st.integers(0, 4), st.data())
+def test_heights_of_one_basis_match_builds_per_height_random(charges, n, data):
+    heights = data.draw(st.lists(st.integers(0, n), min_size=1, max_size=n + 1))
+    if n not in heights:
+        heights.append(n)
+    _assert_heights_match_builds(charges, n, heights)
+
+
+def test_lm_by_height_needs_a_height():
+    with pytest.raises(ValueError, match="need at least one height"):
+        lm_constructible_by_height((1, 0), ())

@@ -375,6 +375,33 @@ def test_character_counts_match_per_tableau_oracle(point):
     assert list(counts) == sorted(expected, key=CharacterSum.sort_key)
 
 
+# One build for n serves every size k <= n: level k of its graph is the graph
+# a build for k makes, with the same path counts and the same order.
+ONE_PASS_POINTS = [((1, 1, 0), 8), ((2, 0), 8), ((0, 0, 0, 0), 6)]
+
+
+def _assert_levels_match_builds(params, n):
+    dec = jm_cellular_characters(params, n)
+    for k in range(n + 1):
+        expected = jm_cellular_characters(params, k).character_counts()
+        assert list(dec.character_counts(k).items()) == list(expected.items())
+    assert dec.character_counts() == dec.character_counts(n)
+    for k in (-1, n + 1):
+        with pytest.raises(ValueError, match=f"size {k} is not in 0..{n}"):
+            dec.character_counts(k)
+
+
+@pytest.mark.parametrize("r, n", ONE_PASS_POINTS)
+def test_levels_of_one_build_match_builds_per_size(r, n):
+    _assert_levels_match_builds(CMParams.from_ksharp(len(r), 1, [-x for x in r]), n)
+
+
+@settings(max_examples=20, deadline=None)
+@given(params_up_to_d3_and_size())
+def test_levels_of_one_build_match_builds_per_size_random(point):
+    _assert_levels_match_builds(*point)
+
+
 def _params():
     return CMParams.from_ksharp(3, Fraction(-1, 2), (1, Fraction(1, 3), 0))
 

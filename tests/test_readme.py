@@ -1,6 +1,5 @@
 import importlib.util
 import shlex
-import sys
 from pathlib import Path
 
 import pytest
@@ -17,12 +16,10 @@ def _readme_examples() -> list[str]:
     return block.splitlines()
 
 
-def _sweep_main(monkeypatch):
+def _sweep_main():
     path = ROOT / "scripts" / "sweep_conjecture.py"
     spec = importlib.util.spec_from_file_location("sweep_conjecture", path)
     module = importlib.util.module_from_spec(spec)
-    # registered, so a worker process can unpickle the point function
-    monkeypatch.setitem(sys.modules, spec.name, module)
     spec.loader.exec_module(module)
     return module.main
 
@@ -32,12 +29,12 @@ def test_readme_has_examples():
 
 
 @pytest.mark.parametrize("line", _readme_examples())
-def test_readme_example_exits_0(line, monkeypatch, capsys):
+def test_readme_example_exits_0(line, capsys):
     program, *argv = shlex.split(line)
     if program == "wreathcells":
         assert cli_main(argv) == 0
     else:
         assert [program, argv[0]] == ["python", "scripts/sweep_conjecture.py"]
-        assert _sweep_main(monkeypatch)(argv[1:]) == 0
+        assert _sweep_main()(argv[1:]) == 0
     captured = capsys.readouterr()
     assert captured.out and not captured.err
