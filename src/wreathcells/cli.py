@@ -3,10 +3,10 @@
 Exit codes: 0 on success, 1 when `check` finds unequal character sets or
 `gaudin-verify` finds a nonzero residual, 2 on usage errors, 3 on an internal
 error (any other exception; its traceback goes to stderr).  All output is
-deterministic; `--format json` mirrors the text tables and is exactly
-`json.dumps(obj, indent=2)`, non-ASCII escaped, from a private encoder that
-accepts only dicts with str keys, lists, str, int, bool and None (anything
-else is an internal error).
+deterministic.  Text is written line by line as it is made; `--format json`
+mirrors the text tables and is exactly `json.dumps(obj, indent=2)`, non-ASCII
+escaped, from a private encoder that accepts only dicts with str keys, lists,
+str, int, bool and None (anything else is an internal error).
 
 Subcommands taking reflection parameters read them from exactly one source:
 `--c0` with `--k`, or `--c0` with the charges `--r`; `tableaux` reads its
@@ -21,6 +21,7 @@ import argparse
 import os
 import sys
 import traceback
+from contextlib import contextmanager
 from json.encoder import encode_basestring_ascii as _quote
 
 from .combinatorics import (
@@ -147,26 +148,47 @@ def _bracket(open_: str, items, close: str, depth: int) -> str:
     return f"{open_}{inner}{(',' + inner).join(items)}\n{'  ' * depth}{close}"
 
 
-def _emit(args, out) -> None:
-    """Write `out` to --out or stdout: a str as is, anything else as JSON."""
-    text = out if isinstance(out, str) else _json_text(out)
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
-                handle.write("\n")
-        except OSError as exc:
-            raise UsageError(f"cannot write --out {args.out}: {exc.strerror}") from exc
-    else:
-        print(text)
+@contextmanager
+def _destination(args):
+    """--out opened for writing, or stdout; failing to write --out is a usage error."""
+    if not args.out:
+        yield sys.stdout
+        return
+    try:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            yield handle
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {args.out}: {exc.strerror}") from exc
+
+
+def _emit_json(args, obj) -> None:
+    """Write `obj` as JSON to --out or stdout, encoded before either is opened."""
+    text = _json_text(obj)
+    with _destination(args) as handle:
+        handle.write(text)
+        handle.write("\n")
+
+
+def _emit_lines(args, lines) -> None:
+    """Write each text line to --out or stdout as it is made.
+
+    Each line ends in a newline, and an empty listing is one newline.
+    """
+    with _destination(args) as handle:
+        empty = True
+        for line in lines:
+            handle.write(line + "\n")
+            empty = False
+        if empty:
+            handle.write("\n")
 
 
 def _cmd_dpartitions(args) -> int:
     items = enumerate_dpartitions(args.d, args.n)
     if args.format == "json":
-        _emit(args, [dp.text() for dp in items])
+        _emit_json(args, [dp.text() for dp in items])
     else:
-        _emit(args, "\n".join(dp.text() for dp in items))
+        _emit_lines(args, (dp.text() for dp in items))
     return 0
 
 
@@ -187,15 +209,17 @@ def _cmd_tableaux(args) -> int:
             shape.text(): [tab.text() for tab in standard_tableaux(shape)]
             for shape in shapes
         }
-        _emit(args, obj)
+        _emit_json(args, obj)
     else:
-        lines = []
-        for shape in shapes:
-            tabs = standard_tableaux(shape)
-            lines.append(f"{shape.text()}  ({len(tabs)} tableaux)")
-            for tab in tabs:
-                lines.append(f"  {tab.text()}")
-        _emit(args, "\n".join(lines))
+
+        def lines():
+            for shape in shapes:
+                tabs = standard_tableaux(shape)
+                yield f"{shape.text()}  ({len(tabs)} tableaux)"
+                for tab in tabs:
+                    yield f"  {tab.text()}"
+
+        _emit_lines(args, lines())
     return 0
 
 
@@ -203,25 +227,23 @@ def _cmd_jm_cells(args) -> int:
     params = _params_from_args(args)
     decomposition = jm_cellular_characters(params, args.n)
     if args.format == "json":
-        _emit(args, decomposition.to_json_obj())
+        _emit_json(args, decomposition.to_json_obj())
     else:
-        label = (
-            "JM cells (= CM cells: parameters generic)"
-            if decomposition.report.generic
-            else "JM cells (upper bounds: CM cells may be merged)"
-        )
-        lines = [
-            label,
-            f"generic: {decomposition.report.generic}"
-            + (
-                f"  witness(k-index p, q, j): {decomposition.report.witness}"
-                if decomposition.report.witness
-                else ""
-            ),
-        ]
-        for spec, text in decomposition.walk(str, CharacterSum.text):
-            lines.append(f"spectrum ({', '.join(spec)}): {text}")
-        _emit(args, "\n".join(lines))
+
+        def lines():
+            report = decomposition.report
+            yield (
+                "JM cells (= CM cells: parameters generic)"
+                if report.generic
+                else "JM cells (upper bounds: CM cells may be merged)"
+            )
+            yield f"generic: {report.generic}" + (
+                f"  witness(k-index p, q, j): {report.witness}" if report.witness else ""
+            )
+            for spec, text in decomposition.walk(str, CharacterSum.text):
+                yield f"spectrum ({', '.join(spec)}): {text}"
+
+        _emit_lines(args, lines())
     return 0
 
 
@@ -233,10 +255,9 @@ def _cmd_standard_symbols(args) -> int:
         for layer in component.by_height
     ]
     if args.format == "json":
-        _emit(args, {str(h): texts for h, texts in enumerate(layers)})
+        _emit_json(args, {str(h): texts for h, texts in enumerate(layers)})
     else:
-        lines = [f"height {h}: {', '.join(texts)}" for h, texts in enumerate(layers)]
-        _emit(args, "\n".join(lines))
+        _emit_lines(args, (f"height {h}: {', '.join(t)}" for h, t in enumerate(layers)))
     return 0
 
 
@@ -259,16 +280,18 @@ def _cmd_canonical_basis(args) -> int:
                 for sym in ordered
             ],
         }
-        _emit(args, obj)
+        _emit_json(args, obj)
     else:
-        lines = []
-        for sym in ordered:
-            vec = basis[sym]
-            body = " + ".join(
-                f"({vec.coefficient(s).text()})[{s.text()}]" for s in vec.support()
-            )
-            lines.append(f"{sym.text()} : {body}")
-        _emit(args, "\n".join(lines))
+
+        def lines():
+            for sym in ordered:
+                vec = basis[sym]
+                body = " + ".join(
+                    f"({vec.coefficient(s).text()})[{s.text()}]" for s in vec.support()
+                )
+                yield f"{sym.text()} : {body}"
+
+        _emit_lines(args, lines())
     return 0
 
 
@@ -277,9 +300,9 @@ def _cmd_lm_cells(args) -> int:
     chars = lm_constructible(charges, args.n)
     ordered = sorted(chars, key=symbol_sort_key)
     if args.format == "json":
-        _emit(args, {sym.text(): chars[sym].to_json_obj() for sym in ordered})
+        _emit_json(args, {sym.text(): chars[sym].to_json_obj() for sym in ordered})
     else:
-        _emit(args, "\n".join(f"{sym.text()} : {chars[sym].text()}" for sym in ordered))
+        _emit_lines(args, (f"{sym.text()} : {chars[sym].text()}" for sym in ordered))
     return 0
 
 
@@ -291,11 +314,11 @@ def _cmd_cm_cells_n2(args) -> int:
             "classes": [list(c) for c in sim_classes(params)],
             "cells": [cs.to_json_obj() for cs in cells],
         }
-        _emit(args, obj)
+        _emit_json(args, obj)
     else:
         lines = [f"classes: {sim_classes(params)}"]
         lines.extend(cs.text() for cs in cells)
-        _emit(args, "\n".join(lines))
+        _emit_lines(args, lines)
     return 0
 
 
@@ -321,7 +344,7 @@ def _cmd_gaudin_verify(args) -> int:
                 {"d": d, "pair": [i, j], "regimes": [], "irreducible": str(exc)}
             )
     if args.format == "json":
-        _emit(args, reports)
+        _emit_json(args, reports)
     else:
         lines = []
         for rep in reports:
@@ -334,14 +357,14 @@ def _cmd_gaudin_verify(args) -> int:
                 lines.append(f"pair {pair}: {verdicts} (ok={rep['ok']})")
             else:
                 lines.append(f"pair {pair}: {rep['irreducible']}")
-        _emit(args, "\n".join(lines))
+        _emit_lines(args, lines)
     return 0 if all_ok else 1
 
 
 def _cmd_check(args) -> int:
     verdict = check_conjecture(_params_from_args(args), args.n)
     if args.format == "json":
-        _emit(args, verdict.to_json_obj())
+        _emit_json(args, verdict.to_json_obj())
     else:
         lines = [
             f"mode: {verdict.mode}",
@@ -354,7 +377,7 @@ def _cmd_check(args) -> int:
         if not verdict.equal:
             lines.append("cm only: " + "; ".join(cs.text() for cs in verdict.cm_only))
             lines.append("lm only: " + "; ".join(cs.text() for cs in verdict.lm_only))
-        _emit(args, "\n".join(lines))
+        _emit_lines(args, lines)
     return 0 if verdict.equal else 1
 
 
@@ -436,6 +459,8 @@ def cli_main(argv=None) -> int:
         if getattr(args, "n", None) is not None and args.n < 0:
             raise UsageError(f"--n must be nonnegative, got {args.n}")
         out = getattr(args, "out", None)
+        if out and os.path.isdir(out):
+            raise UsageError(f"cannot write --out {out}: Is a directory")
         if out and not os.path.isdir(os.path.dirname(out) or "."):
             raise UsageError(f"cannot write --out {out}: no such directory")
         return args.func(args)

@@ -149,17 +149,19 @@ def enumerate_dpartitions(d: int, n: int) -> tuple[DPartition, ...]:
         raise ValueError("d must be positive")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return tuple(DPartition(comps) for comps in _dpartition_components(d, n))
+    return tuple(DPartition(comps) for comps in dpartition_components(d, n))
 
 
-def _dpartition_components(d: int, n: int) -> Iterator[tuple[Partition, ...]]:
+def dpartition_components(d: int, n: int) -> Iterator[tuple[Partition, ...]]:
+    """The components of every d-partition of n, in `enumerate_dpartitions`
+    order, as bare tuples: nothing is validated, wrapped or kept."""
     if d == 1:
         for lam in partitions(n):
             yield (lam,)
         return
     for first_size in range(n, -1, -1):
         for lam in partitions(first_size):
-            for rest in _dpartition_components(d - 1, n - first_size):
+            for rest in dpartition_components(d - 1, n - first_size):
                 yield (lam,) + rest
 
 

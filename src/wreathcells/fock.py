@@ -14,18 +14,20 @@ m -> m+1 in every row of S at once, weighted by q^e with e the sum of eps_i
 over j in S and i > j not in S, eps_i the K_m-weight of row i.  No power of
 F_m is formed and nothing is divided (`divided_power_f`).
 
-Standardness of a symbol is taken operationally: the crystal component of the
-highest-weight symbol under the signature-rule operator `crystal_f`.  The
-canonical basis is computed by the Leclerc-Toffin correction algorithm, by
-induction on the peel: one peel step writes sym as F_m^(k) of a lower standard
-symbol sym', and b(sym) starts from F_m^(k) b(sym').  F_m^(k) commutes with the
-bar involution on the submodule generated by the highest-weight vector, so the
+A symbol is standard when its bead columns weakly increase down the rows
+(`enumerate_standard_symbols`).  The tests check this rule against the crystal
+closure of the highest weight under `crystal_f` at every charge vector with
+entries 0..6 and r_d = 0, up to n = 9, 8, 6, 5, 4 for d = 1..5.  The canonical
+basis is computed by the Leclerc-Toffin correction algorithm, by induction on
+the peel: one peel step writes sym as F_m^(k) of a lower standard symbol sym',
+and b(sym) starts from F_m^(k) b(sym').  F_m^(k) commutes with the bar
+involution on the submodule generated by the highest-weight vector, so the
 start is bar-invariant, and a bar-invariant vector congruent to sym modulo q
 times the standard lattice is unique.  The Fock space is a tensor product of
 level-1 Fock spaces, one per row, and a tensor product of based modules is
-triangular (Lusztig, Introduction to Quantum Groups, 27.3): ranking a symbol
-by its row sizes read last row first (`_rank`), every other standard term of
-the start and of b(sym) ranks below sym.  So each height is built once, in
+triangular (Lusztig, Introduction to Quantum Groups, 27.3): ranking a symbol by
+its row sizes read last row first (`_rank`), every other standard term of the
+start and of b(sym) ranks below sym.  So each height is built once, in
 increasing rank, and every correction uses a vector already built.
 """
 
@@ -41,6 +43,7 @@ from .combinatorics import (
     Partition,
     components_sort_key,
     components_text,
+    dpartition_components,
     enumerate_dpartitions,
     is_partition,
 )
@@ -370,6 +373,7 @@ def divided_power_f(m: int, mult: int, vec: FockVector) -> FockVector:
     return _lower(m, mult, vec)
 
 
+# Not called here, but tests use both and perfbench/tracing.py wraps crystal_f.
 def crystal_signature(m: int, sym: Symbol) -> tuple[int | None, int]:
     """(surviving row index or None, count of surviving '+' rows) at node m.
 
@@ -405,19 +409,9 @@ def crystal_f(m: int, sym: Symbol) -> Symbol | None:
     return sym._moved(j, _row_move(sym.charges[j], sym.rows[j], m, 1))
 
 
-def _candidate_nodes(sym: Symbol) -> list[int]:
-    """Nodes where some row is lowerable (at its top undisplaced or a displaced bead)."""
-    nodes = set()
-    for r, parts in zip(sym.charges, sym.rows):
-        for v in [r - len(parts)] + [r - j + p for j, p in enumerate(parts)]:
-            if _row_eps(r, parts, v) == 1:
-                nodes.add(v)
-    return sorted(nodes)
-
-
 @dataclass(frozen=True)
 class CrystalComponent:
-    """Standard symbols: the crystal component of the highest-weight symbol."""
+    """Standard symbols by height: those whose bead columns weakly increase."""
 
     charges: tuple[int, ...]
     by_height: tuple[frozenset[Symbol], ...]
@@ -427,21 +421,27 @@ class CrystalComponent:
 
 
 def enumerate_standard_symbols(charges: tuple[int, ...], n: int) -> CrystalComponent:
-    """Breadth-first closure of the highest-weight symbol under crystal_f."""
+    """The standard symbols of every height h <= n, by the column rule.
+
+    Height h keeps the d-partitions of h in which consecutive rows, with gap
+    g = r_i - r_{i+1}, have parts_i[j + g] <= parts_{i+1}[j] for every j >= 0,
+    a missing part read as 0 (bead beta_i(k) <= beta_{i+1}(k) for k <= r_{i+1}).
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    charges = tuple(charges)
-    start = highest_weight_symbol(charges)
-    layers = [frozenset([start])]
-    for h in range(n):
-        nxt = set()
-        for sym in layers[h]:
-            for m in _candidate_nodes(sym):
-                child = crystal_f(m, sym)
-                if child is not None:
-                    nxt.add(child)
-        layers.append(frozenset(nxt))
-    return CrystalComponent(charges, tuple(layers))
+    charges = highest_weight_symbol(charges).charges  # validates the charges
+    gaps = tuple(a - b for a, b in zip(charges, charges[1:]))
+    return CrystalComponent(charges, tuple(
+        frozenset(
+            _unchecked_symbol(charges, rows)
+            for rows in dpartition_components(len(charges), h)
+            if all(
+                len(up) <= len(low) + g and all(p <= q for p, q in zip(up[g:], low))
+                for up, low, g in zip(rows, rows[1:], gaps)
+            )
+        )
+        for h in range(n + 1)
+    ))
 
 
 def _peel_step(sym: Symbol) -> tuple[tuple[int, int], Symbol] | None:

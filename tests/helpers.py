@@ -18,6 +18,11 @@ its replayed monomial instead, in the same order with the same corrections.
 The `row_*` helpers are the oracle for the one-pass bead mechanics of
 `wreathcells.fock`: each decides bead membership directly with `row_contains`.
 
+`crystal_closure` is the oracle for `wreathcells.fock.enumerate_standard_symbols`,
+which reads each height off the column rule: it closes the highest-weight
+symbol under the signature-rule operator `crystal_f`, breadth first, trying at
+each symbol the nodes `candidate_nodes` names.
+
 `direct_spectrum` is the oracle for
 `wreathcells.jucys_murphy.tableau_spectrum`: it evaluates
 d * (ksharp(c) - c0 * content) inline for every box of a tableau.
@@ -52,6 +57,7 @@ from wreathcells import (
     Symbol,
     addable_boxes,
     bar_symmetric_head,
+    crystal_f,
     enumerate_dpartitions,
     enumerate_standard_symbols,
     f_action,
@@ -264,6 +270,25 @@ def candidate_nodes(sym: Symbol) -> list[int]:
             if not row_contains(r, parts, v + 1):
                 nodes.add(v)
     return sorted(nodes)
+
+
+def crystal_closure(charges: tuple[int, ...], n: int) -> tuple[frozenset[Symbol], ...]:
+    """The crystal component of the highest-weight symbol, by height 0..n.
+
+    Breadth first: height h + 1 is every non-None crystal_f(m, sym) for sym
+    of height h and m a node where some row of sym is lowerable.
+    """
+    layers = [frozenset([highest_weight_symbol(charges)])]
+    for _ in range(n):
+        layers.append(
+            frozenset(
+                child
+                for sym in layers[-1]
+                for m in candidate_nodes(sym)
+                if (child := crystal_f(m, sym)) is not None
+            )
+        )
+    return tuple(layers)
 
 
 def blocks_of(charges: tuple[int, ...]) -> list[tuple[list[int], int]]:

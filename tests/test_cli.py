@@ -1,9 +1,10 @@
-"""The CLI's JSON layout and the `jm-cells` listings.
+"""The CLI's JSON layout, its text writer and the `jm-cells` listings.
 
 `json.dumps(obj, indent=2)` is the oracle for the CLI's own encoder.
 """
 
 import json
+import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -91,7 +92,7 @@ def test_unencodable_output_is_an_internal_error(monkeypatch, capsys):
     assert "internal error: TypeError: cannot encode float as JSON" in captured.err
 
 
-JSON_COMMANDS = [
+COMMANDS = [
     (["dpartitions", "--d", "2", "--n", "3"], 0),
     (["tableaux", "--d", "2", "--n", "3"], 0),
     (["tableaux", "--shape", "∅"], 0),
@@ -111,7 +112,7 @@ JSON_COMMANDS = [
 
 
 @pytest.mark.parametrize(
-    "argv, code", JSON_COMMANDS, ids=[" ".join(argv) for argv, _ in JSON_COMMANDS]
+    "argv, code", COMMANDS, ids=[" ".join(argv) for argv, _ in COMMANDS]
 )
 def test_cli_json_is_laid_out_as_json_dumps(argv, code, tmp_path, capsys):
     assert cli_main([*argv, "--format", "json"]) == code
@@ -122,6 +123,38 @@ def test_cli_json_is_laid_out_as_json_dumps(argv, code, tmp_path, capsys):
     assert cli_main([*argv, "--format", "json", "--out", str(target)]) == code
     assert capsys.readouterr().out == ""
     assert target.read_text(encoding="utf-8") == out
+
+
+@pytest.mark.parametrize(
+    "argv, code", COMMANDS, ids=[" ".join(argv) for argv, _ in COMMANDS]
+)
+def test_cli_text_goes_to_out_as_to_stdout(argv, code, tmp_path, capsys):
+    assert cli_main(argv) == code
+    out = capsys.readouterr().out
+    assert out.endswith("\n") and not out.endswith("\n\n")
+    target = tmp_path / "out.txt"
+    assert cli_main([*argv, "--out", str(target)]) == code
+    assert capsys.readouterr().out == ""
+    assert target.read_text(encoding="utf-8") == out
+
+
+def test_text_lines_are_written_as_they_are_made(monkeypatch):
+    written = []
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=written.append))
+
+    def lines():
+        yield "first"
+        assert written == ["first\n"]
+        yield "second"
+
+    cli._emit_lines(SimpleNamespace(out=None), lines())
+    assert written == ["first\n", "second\n"]
+
+
+def test_an_empty_text_listing_is_one_newline(capsys):
+    # d = 1 has no pair of rows to verify
+    assert cli_main(["gaudin-verify", "--r=0", "--c0", "1"]) == 0
+    assert capsys.readouterr().out == "\n"
 
 
 @pytest.mark.parametrize(

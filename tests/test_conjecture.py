@@ -303,6 +303,17 @@ def test_cli_out_missing_directory_fails_before_computing(
     )
 
 
+def test_cli_out_directory_fails_before_computing(tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("jm_cellular_characters ran before --out was checked")
+
+    monkeypatch.setattr(cli, "jm_cellular_characters", fail)
+    error = _assert_usage_error(
+        ["jm-cells", "--k=1", "--c0", "1", "--n", "3", "--out", str(tmp_path)], capsys
+    )
+    assert error == f"error: cannot write --out {tmp_path}: Is a directory"
+
+
 @pytest.mark.parametrize("index", [["--i", "1"], ["--j", "2"]])
 def test_cli_gaudin_needs_both_indices(index, capsys):
     _assert_usage_error(["gaudin-verify", "--r", "2,1,0", "--c0", "1", *index], capsys)

@@ -11,13 +11,14 @@ from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import wreathcells.fock as fock
 from helpers import (
     canonical_basis_from_monomials,
     candidate_nodes,
+    crystal_closure,
     divided_power_oracle,
     height2_characters,
     height2_monomials_at_one,
@@ -30,6 +31,7 @@ from helpers import (
     sym_prime,
 )
 from wreathcells.combinatorics import CharacterSum, DPartition, enumerate_dpartitions
+from wreathcells.conjecture import check_conjecture_sizes, params_from_r
 from wreathcells.fock import (
     FockVector,
     LatticeViolation,
@@ -104,13 +106,6 @@ def test_row_mechanics_match_oracle(row, offset):
             assert _row_move(charge, parts, m, 1) == row_move_up(charge, parts, m)
         elif eps == -1:
             assert _row_move(charge, parts, m + 1, -1) == row_move_down(charge, parts, m)
-
-
-@given(st.lists(random_rows(), min_size=1, max_size=4))
-def test_candidate_nodes_match_oracle(rows):
-    rows = sorted(rows, reverse=True)
-    s = Symbol(tuple(c for c, _ in rows), tuple(p for _, p in rows))
-    assert fock._candidate_nodes(s) == candidate_nodes(s)
 
 
 # Symbol / d-partition bijection
@@ -377,6 +372,72 @@ def test_standard_symbols_gap_one():
             sym_prime((1, 0), 2),
         ]
     )
+
+
+def test_standard_symbols_match_crystal_closure():
+    # 330 charge vectors, 1,823 (charges, n) points
+    for d, n in zip(range(1, 6), (9, 8, 6, 5, 4)):
+        for head in combinations_with_replacement(range(6, -1, -1), d - 1):
+            charges = head + (0,)
+            comp = enumerate_standard_symbols(charges, n)
+            assert comp.by_height == crystal_closure(charges, n), charges
+
+
+@st.composite
+def gapped_symbols(draw):
+    """A symbol of height <= 6 with random charge gaps and rows, d <= 3."""
+    gaps = draw(st.lists(st.integers(0, 4), max_size=2))
+    charges = [draw(st.integers(-2, 2))]
+    for g in gaps:
+        charges.insert(0, charges[0] + g)
+    rows = tuple(
+        tuple(sorted(draw(st.lists(st.integers(1, 3), max_size=3)), reverse=True))
+        for _ in charges
+    )
+    s = Symbol(tuple(charges), rows)
+    assume(s.height <= 6)
+    return s
+
+
+@settings(max_examples=60, deadline=None)
+@given(gapped_symbols())
+def test_column_rule_on_random_rows(s):
+    h = s.height
+    standard = s in enumerate_standard_symbols(s.charges, h).by_height[h]
+    low = min(s.charges) - h - 1  # below this every bead is undisplaced
+    beads_increase = all(
+        s.beta(i, k) <= s.beta(i + 1, k)
+        for i in range(1, s.d)
+        for k in range(low, s.charges[i] + 1)
+    )
+    assert standard == beads_increase == (s in crystal_closure(s.charges, h)[h])
+
+
+@pytest.mark.parametrize("charges,n", [((0, 0, 0), 5), ((2, 2), 6)])
+def test_equal_charges_nest_rows(charges, n):
+    def inside(a, b):
+        return len(a) <= len(b) and all(p <= q for p, q in zip(a, b))
+
+    comp = enumerate_standard_symbols(charges, n)
+    for h in range(n + 1):
+        nested = {
+            symbol_from_dpartition(dp, charges)
+            for dp in enumerate_dpartitions(len(charges), h)
+            if all(map(inside, dp.components, dp.components[1:]))
+        }
+        assert comp.by_height[h] == nested
+
+
+def test_lm_pipeline_calls_no_crystal_operator(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("a crystal operator was called")
+
+    standard = sum(map(len, crystal_closure((1, 1, 0), 6)))
+    monkeypatch.setattr(fock, "crystal_f", refuse)
+    monkeypatch.setattr(fock, "crystal_signature", refuse)
+    assert len(canonical_basis((1, 1, 0), 6)) == standard
+    verdicts = check_conjecture_sizes(params_from_r((1, 1, 0), 1), (3, 4, 5))
+    assert [v.n for v in verdicts] == [3, 4, 5]
 
 
 @pytest.mark.parametrize("charges,n", [((3, 0), 3), ((4, 2, 0), 2), ((1, 0), -1)])
