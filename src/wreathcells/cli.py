@@ -12,7 +12,8 @@ Subcommands taking reflection parameters read them from exactly one source:
 `--c0` with `--k`, or `--c0` with the charges `--r`; `tableaux` reads its
 shapes from `--shape` or from `--d` with `--n`.  Giving both `--k` and `--r`,
 or `--shape` with `--d` or `--n`, is a usage error.  Outside `dpartitions`
-and `tableaux`, d is the number of `--k` or `--r` entries.
+and `tableaux`, d is the number of `--k` or `--r` entries.  `gaudin-verify`
+verifies every pair of components, so it needs d >= 2.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import os
 import sys
 import traceback
 from contextlib import contextmanager
+from itertools import combinations
 from json.encoder import encode_basestring_ascii as _quote
 
 from .combinatorics import (
@@ -170,17 +172,13 @@ def _emit_json(args, obj) -> None:
 
 
 def _emit_lines(args, lines) -> None:
-    """Write each text line to --out or stdout as it is made.
+    """Write each text line, newline-terminated, to --out or stdout as it is made.
 
-    Each line ends in a newline, and an empty listing is one newline.
+    No subcommand makes an empty listing: each writes a header or height 0.
     """
     with _destination(args) as handle:
-        empty = True
         for line in lines:
             handle.write(line + "\n")
-            empty = False
-        if empty:
-            handle.write("\n")
 
 
 def _cmd_dpartitions(args) -> int:
@@ -325,16 +323,11 @@ def _cmd_cm_cells_n2(args) -> int:
 def _cmd_gaudin_verify(args) -> int:
     params = _params_from_args(args)
     d = params.d
-    if (args.i is None) != (args.j is None):
-        raise UsageError("gaudin-verify needs both --i and --j, or neither")
-    pairs = (
-        [(args.i, args.j)]
-        if args.i is not None and args.j is not None
-        else [(i, j) for i in range(1, d + 1) for j in range(i + 1, d + 1)]
-    )
+    if d < 2:
+        raise UsageError("gaudin-verify needs at least two components")
     reports = []
     all_ok = True
-    for i, j in pairs:
+    for i, j in combinations(range(1, d + 1), 2):
         try:
             report = verify_gaudin_eigensystem(d, i, j, params)
             reports.append(report.to_json_obj())
@@ -438,8 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gaudin-verify", help="verify the 2x2 Gaudin eigen-systems")
     common(p, params=True, charges=True)
-    p.add_argument("--i", type=int, default=None)
-    p.add_argument("--j", type=int, default=None)
     p.set_defaults(func=_cmd_gaudin_verify)
 
     p = sub.add_parser("check", help="compare the two character sets")

@@ -72,17 +72,10 @@ class DPartition:
     def d(self) -> int:
         return len(self.components)
 
-    @property
+    @cached_property
     def size(self) -> int:
+        """Number of boxes, computed on first use."""
         return sum(sum(c) for c in self.components)
-
-    def boxes(self) -> tuple[BoxCoord, ...]:
-        out = []
-        for ci, comp in enumerate(self.components, start=1):
-            for a, row_len in enumerate(comp, start=1):
-                for b in range(1, row_len + 1):
-                    out.append(BoxCoord(a, b, ci))
-        return tuple(out)
 
     def with_component(self, comp_index: int, parts: Partition) -> "DPartition":
         comps = list(self.components)
@@ -101,7 +94,8 @@ class DPartition:
         return f"DPartition({self.text()})"
 
     def __reduce__(self):
-        # pickle and copy the components alone, so the sort key never travels
+        # pickle and copy the components alone, so the cached size and sort
+        # key never travel
         return DPartition, (self.components,)
 
 
@@ -298,10 +292,6 @@ class CharacterSum:
 
     def to_json_obj(self) -> dict[str, int]:
         return {dp.text(): m for dp, m in self.entries}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict[str, int]) -> "CharacterSum":
-        return cls.from_counts({parse_dpartition(k): v for k, v in obj.items()})
 
     def sort_key(self):
         return tuple((dpartition_sort_key(dp), m) for dp, m in self.entries)

@@ -3,10 +3,9 @@
 Symbols are charged bead sequences stored finitely: each row keeps its charge
 r_i together with the partition of bead displacements, the bead at position k
 of row i having value k + lambda_{r_i - k + 1} (zero displacement beyond the
-partition).  Chevalley operators act through the comultiplication
-Delta(F) = F (x) K + 1 (x) F and Delta(E) = E (x) 1 + K^-1 (x) E, so F at node
-m picks up q^(sum of K-weights of the later rows) and E the inverse weights of
-the earlier rows.
+partition).  The Chevalley operator F acts through the comultiplication
+Delta(F) = F (x) K + 1 (x) F, so F at node m picks up q^(sum of K-weights of
+the later rows).
 
 Each row is a level-1 Fock space, on which F_m^2 = 0, so the divided power
 F_m^(k) is a sum over the k-subsets S of rows lowerable at m: move the bead
@@ -39,7 +38,6 @@ from itertools import combinations
 
 from .combinatorics import (
     CharacterSum,
-    DPartition,
     Partition,
     components_sort_key,
     components_text,
@@ -102,47 +100,12 @@ class Symbol:
     def height(self) -> int:
         return sum(sum(parts) for parts in self.rows)
 
-    def beta(self, i: int, k: int) -> int:
-        """Bead value at position k of row i (i is 1-based, k <= r_i)."""
-        if not 1 <= i <= self.d:
-            raise ValueError(f"no row {i} in a symbol with {self.d} rows")
-        r = self.charges[i - 1]
-        if k > r:
-            raise ValueError(f"row {i} has no position {k} (charge {r})")
-        parts = self.rows[i - 1]
-        j = r - k  # 0-based index into the displacement partition
-        return k + (parts[j] if j < len(parts) else 0)
-
-    def with_row(self, idx: int, parts: Partition) -> "Symbol":
-        """The symbol with row idx (0-based) replaced by parts."""
-        if not 0 <= idx < self.d:
-            raise ValueError(f"no row index {idx} in a symbol with {self.d} rows")
-        parts = tuple(parts)
-        if not is_partition(parts):
-            raise ValueError(f"invalid displacement partition {parts!r}")
-        return self._moved(idx, parts)
-
     def _moved(self, idx: int, parts: Partition) -> "Symbol":
-        """with_row for a row that a bead move produced, left unvalidated."""
+        """The symbol with row idx (0-based) replaced by parts, a row that a
+        bead move produced, so left unvalidated."""
         return _unchecked_symbol(
             self.charges, self.rows[:idx] + (parts,) + self.rows[idx + 1 :]
         )
-
-    def weight(self) -> tuple[tuple[int, int], ...]:
-        """Finite fingerprint of the sl_infinity weight.
-
-        Maps each bead value v to (number of rows containing v) minus the same
-        count for the highest-weight symbol; only nonzero differences are kept.
-        """
-        delta: dict[int, int] = {}
-        for r, parts in zip(self.charges, self.rows):
-            s = len(parts)
-            for j in range(1, s + 1):
-                val = r - j + 1 + parts[j - 1]
-                baseline = r - j + 1
-                delta[val] = delta.get(val, 0) + 1
-                delta[baseline] = delta.get(baseline, 0) - 1
-        return tuple(sorted((v, c) for v, c in delta.items() if c))
 
     def text(self) -> str:
         return components_text(self.rows)
@@ -169,15 +132,6 @@ def _unchecked_symbol(charges: tuple[int, ...], rows: tuple[Partition, ...]) -> 
 
 def highest_weight_symbol(charges: tuple[int, ...]) -> Symbol:
     return Symbol(tuple(charges), ((),) * len(charges))
-
-
-def symbol_from_dpartition(dp: DPartition, charges: tuple[int, ...]) -> Symbol:
-    """Attach charges to a d-partition of displacements."""
-    return Symbol(tuple(charges), dp.components)
-
-
-def dpartition_from_symbol(sym: Symbol) -> DPartition:
-    return DPartition(sym.rows)
 
 
 def symbol_sort_key(sym: Symbol):
@@ -311,20 +265,14 @@ def _lower(m: int, k: int, vec: FockVector) -> FockVector:
             for j, b, parts in subset:
                 rows[j] = parts
                 shift += b
-            _add_shifted(out, _unchecked_symbol(sym.charges, tuple(rows)), coeff, shift)
+            target = _unchecked_symbol(sym.charges, tuple(rows))
+            acc = out.get(target)
+            if acc is None:
+                out[target] = acc = {}
+            for e, c in coeff.coeffs.items():
+                e += shift
+                acc[e] = acc.get(e, 0) + c
     return FockVector({sym: LaurentPoly(acc) for sym, acc in out.items()})
-
-
-def _add_shifted(
-    out: dict[Symbol, dict[int, int]], target: Symbol, coeff: LaurentPoly, shift: int
-) -> None:
-    """Add q^shift * coeff to out's exponent -> integer dict for target."""
-    acc = out.get(target)
-    if acc is None:
-        out[target] = acc = {}
-    for e, c in coeff.coeffs.items():
-        e += shift
-        acc[e] = acc.get(e, 0) + c
 
 
 def f_action(m: int, vec: FockVector) -> FockVector:
@@ -334,19 +282,6 @@ def f_action(m: int, vec: FockVector) -> FockVector:
     the row-j term weighted by q to the sum of K_m-weights of the rows below j.
     """
     return _lower(m, 1, vec)
-
-
-def e_action(m: int, vec: FockVector) -> FockVector:
-    """Chevalley raising operator E_m, mirror of f_action on the earlier rows."""
-    out: dict[Symbol, dict[int, int]] = {}
-    for sym, coeff in vec.terms.items():
-        above = 0
-        for j, e in enumerate(_weights(sym, m)):
-            if e == -1:
-                target = sym._moved(j, _row_move(sym.charges[j], sym.rows[j], m + 1, -1))
-                _add_shifted(out, target, coeff, -above)
-            above += e
-    return FockVector({sym: LaurentPoly(acc) for sym, acc in out.items()})
 
 
 def divided_power_f(m: int, mult: int, vec: FockVector) -> FockVector:

@@ -66,13 +66,6 @@ class CMParams:
             k[(1 - i) % d] = ksharp[i - 1]
         return cls(d, c0, tuple(k))
 
-    def ksharp_vector(self) -> tuple[Fraction, ...]:
-        return tuple(self.ksharp(i) for i in range(1, self.d + 1))
-
-    def scaled(self, factor) -> "CMParams":
-        factor = Fraction(factor)
-        return CMParams(self.d, self.c0 * factor, tuple(x * factor for x in self.k))
-
 
 def jm_eigenvalue(params: CMParams, box: BoxCoord) -> Fraction:
     """Eigenvalue of J_p on a tableau line whose box holding p is this box.
@@ -92,17 +85,6 @@ def tableau_spectrum(
     The boxes of a standard tableau give its spectrum (J_1, ..., J_n).
     """
     return tuple(jm_eigenvalue(params, box) for box in boxes)
-
-
-def euler_value(params: CMParams, dp: DPartition) -> Fraction:
-    """Scalar action of the Euler element on the irreducible labelled by dp."""
-    if dp.d != params.d:
-        raise ValueError("d-partition and parameters disagree on d")
-    comp_sizes = sum(
-        params.ksharp(c) * sum(dp.components[c - 1]) for c in range(1, dp.d + 1)
-    )
-    contents = sum(content(box) for box in dp.boxes())
-    return params.d * comp_sizes - params.d * params.c0 * contents
 
 
 @dataclass(frozen=True)
@@ -194,9 +176,8 @@ class CellDecomposition:
                 (label(v), linked[child] if child in linked else leaves[child])
                 for v, child in moves
             )
-        depth, state = 0, _ROOT
-        while state in self.children:
-            depth, state = depth + 1, self.children[state][0][1]
+        # every shape has an addable box, so every state below n has children
+        depth = len(self.paths) - 1
         level = iter([((), linked[_ROOT] if depth else leaves[_ROOT])])
         for _ in range(depth):
             # a generator expression builds its outermost iterable at once, so

@@ -7,7 +7,6 @@ entries; all operations return fresh values and never mutate their arguments.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 
 
@@ -95,10 +94,6 @@ class LaurentPoly:
     def __bool__(self):
         return bool(self.coeffs)
 
-    def bar(self) -> "LaurentPoly":
-        """The involution q -> q^-1 (negate every exponent)."""
-        return LaurentPoly({-e: c for e, c in self.coeffs.items()})
-
     def in_q_zq(self) -> bool:
         """True iff every exponent is >= 1, i.e. the polynomial lies in qZ[q]."""
         return all(e >= 1 for e in self.coeffs)
@@ -175,39 +170,6 @@ def exact_quotient(num: list[int], den: list[int]) -> list[int]:
     return quot
 
 
-_TERM_RE = re.compile(r"^(\d*)(q(\^(-?\d+))?)?$")
-
-
-def parse_laurent(text: str) -> LaurentPoly:
-    """Parse the canonical text form back into a polynomial."""
-    s = text.strip().replace(" ", "")
-    if s == "0":
-        return LaurentPoly()
-    terms = []
-    start = 0
-    for idx in range(1, len(s)):
-        if s[idx] in "+-" and s[idx - 1] != "^":
-            terms.append(s[start:idx])
-            start = idx
-    terms.append(s[start:])
-    coeffs: dict[int, int] = {}
-    for signed in terms:
-        sign = -1 if signed.startswith("-") else 1
-        body = signed.lstrip("+-")
-        m = _TERM_RE.match(body)
-        if not m or not body:
-            raise ValueError(f"cannot parse Laurent term {signed!r}")
-        mag = int(m.group(1)) if m.group(1) else 1
-        if m.group(2) is None:
-            exp = 0
-        elif m.group(4) is None:
-            exp = 1
-        else:
-            exp = int(m.group(4))
-        coeffs[exp] = coeffs.get(exp, 0) + sign * mag
-    return LaurentPoly(coeffs)
-
-
 def zero() -> LaurentPoly:
     return LaurentPoly()
 
@@ -218,21 +180,6 @@ def one() -> LaurentPoly:
 
 def q(exp: int = 1) -> LaurentPoly:
     return LaurentPoly({exp: 1})
-
-
-def q_integer(m: int) -> LaurentPoly:
-    """[m] = q^(m-1) + q^(m-3) + ... + q^(1-m)."""
-    if m < 0:
-        raise ValueError("q-integers are defined for m >= 0")
-    return LaurentPoly({m - 1 - 2 * t: 1 for t in range(m)})
-
-
-def q_factorial(m: int) -> LaurentPoly:
-    """[m]! = [1][2]...[m]."""
-    out = one()
-    for k in range(2, m + 1):
-        out = out * q_integer(k)
-    return out
 
 
 def bar_symmetric_head(p: LaurentPoly) -> LaurentPoly:

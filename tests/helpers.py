@@ -38,10 +38,33 @@ walks every standard tableau of every shape and groups the tableaux by their
 spectra, the definition of the JM cells.  The second grows one trie node per
 spectrum prefix, with the shapes its tableaux reach and how many reach each,
 and never merges two prefixes.
+
+The remaining oracles are small routines that the package itself never runs:
+
+- `e_action`, the raising operator E_m built on the `row_*` helpers, checks
+  `wreathcells.f_action` through the quantum-group relations [E_i, F_j].
+- `weight`, a symbol's sl_infinity weight, checks that `f_action` is
+  homogeneous.
+- `beta`, a symbol's bead values, checks the column rule of
+  `enumerate_standard_symbols` and the bead layout of `wreathcells.Symbol`.
+- `symbol_from_dpartition` and `dpartition_from_symbol`, the bijection
+  between symbols and d-partitions, check `lm_constructible`, which reads
+  each term's shape among `enumerate_dpartitions`.
+- `euler_value`, the Euler element's scalar on an irreducible summed over
+  `boxes`, checks `tableau_spectrum`: a spectrum telescopes to it.
+- `scaled`, the parameters times a rational, checks that
+  `jm_cellular_characters`, `jm_eigenvalue` and `check_conjecture` scale
+  covariantly.
+- `q_integer` and `q_factorial` divide in `divided_power_oracle`, the oracle
+  for `divided_power_f`.
+- `bar`, the involution q -> q^-1, checks `bar_symmetric_head`.
+- `parse_laurent`, the inverse of `LaurentPoly.text`, checks that text form
+  and writes expected vectors in the Fock-space tests.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -53,10 +76,12 @@ from wreathcells import (
     DPartition,
     FockVector,
     GenericityReport,
+    LaurentPoly,
     StandardTableau,
     Symbol,
     addable_boxes,
     bar_symmetric_head,
+    content,
     crystal_f,
     enumerate_dpartitions,
     enumerate_standard_symbols,
@@ -65,12 +90,13 @@ from wreathcells import (
     is_generic,
     jm_eigenvalue,
     lt_monomial,
-    q_factorial,
+    q,
     removable_boxes,
     standard_tableaux,
     tableau_spectrum,
 )
 from wreathcells.combinatorics import remove_box
+from wreathcells.laurent import one
 
 
 def direct_spectrum(params: CMParams, tab: StandardTableau) -> tuple[Fraction, ...]:
@@ -371,8 +397,6 @@ def height2_monomials_at_one(charges) -> dict[Symbol, dict[Symbol, int]]:
 
 def height2_characters(charges) -> dict[Symbol, CharacterSum]:
     """Expected constructible characters at n = 2, from the closed forms."""
-    from wreathcells import dpartition_from_symbol
-
     out = {}
     for sigma, terms in height2_monomials_at_one(charges).items():
         counts = {}
@@ -380,3 +404,139 @@ def height2_characters(charges) -> dict[Symbol, CharacterSum]:
             counts[dpartition_from_symbol(sym)] = coeff
         out[sigma] = CharacterSum.from_counts(counts)
     return out
+
+
+def e_action(m: int, vec: FockVector) -> FockVector:
+    """Chevalley raising operator E_m, mirror of f_action on the earlier rows.
+
+    Delta(E) = E (x) 1 + K^-1 (x) E, so the term that raises row j is weighted
+    by q to minus the sum of the K_m-weights of the rows before j.
+    """
+    out: dict[Symbol, LaurentPoly] = {}
+    for sym, coeff in vec.terms.items():
+        above = 0
+        for j, (r, parts) in enumerate(zip(sym.charges, sym.rows)):
+            e = row_eps(r, parts, m)
+            if e == -1:
+                rows = sym.rows[:j] + (row_move_down(r, parts, m),) + sym.rows[j + 1 :]
+                target = Symbol(sym.charges, rows)
+                out[target] = out.get(target, LaurentPoly()) + coeff * q(-above)
+            above += e
+    return FockVector(out)
+
+
+def weight(sym: Symbol) -> tuple[tuple[int, int], ...]:
+    """Finite fingerprint of the sl_infinity weight.
+
+    Maps each bead value v to (number of rows containing v) minus the same
+    count for the highest-weight symbol; only nonzero differences are kept.
+    """
+    delta: dict[int, int] = {}
+    for r, parts in zip(sym.charges, sym.rows):
+        for j in range(1, len(parts) + 1):
+            val = r - j + 1 + parts[j - 1]
+            baseline = r - j + 1
+            delta[val] = delta.get(val, 0) + 1
+            delta[baseline] = delta.get(baseline, 0) - 1
+    return tuple(sorted((v, c) for v, c in delta.items() if c))
+
+
+def beta(sym: Symbol, i: int, k: int) -> int:
+    """Bead value at position k of row i (i is 1-based, k <= r_i)."""
+    if not 1 <= i <= sym.d:
+        raise ValueError(f"no row {i} in a symbol with {sym.d} rows")
+    r = sym.charges[i - 1]
+    if k > r:
+        raise ValueError(f"row {i} has no position {k} (charge {r})")
+    parts = sym.rows[i - 1]
+    j = r - k  # 0-based index into the displacement partition
+    return k + (parts[j] if j < len(parts) else 0)
+
+
+def symbol_from_dpartition(dp: DPartition, charges: tuple[int, ...]) -> Symbol:
+    """Attach charges to a d-partition of displacements."""
+    return Symbol(tuple(charges), dp.components)
+
+
+def dpartition_from_symbol(sym: Symbol) -> DPartition:
+    return DPartition(sym.rows)
+
+
+def boxes(dp: DPartition) -> tuple[BoxCoord, ...]:
+    """Every box of dp, component by component, row by row."""
+    return tuple(
+        BoxCoord(a, b, ci)
+        for ci, comp in enumerate(dp.components, start=1)
+        for a, row_len in enumerate(comp, start=1)
+        for b in range(1, row_len + 1)
+    )
+
+
+def euler_value(params: CMParams, dp: DPartition) -> Fraction:
+    """Scalar action of the Euler element on the irreducible labelled by dp."""
+    if dp.d != params.d:
+        raise ValueError("d-partition and parameters disagree on d")
+    comp_sizes = sum(
+        params.ksharp(c) * sum(dp.components[c - 1]) for c in range(1, dp.d + 1)
+    )
+    contents = sum(content(box) for box in boxes(dp))
+    return params.d * comp_sizes - params.d * params.c0 * contents
+
+
+def scaled(params: CMParams, factor) -> CMParams:
+    """The parameters c0 and k, all multiplied by factor."""
+    factor = Fraction(factor)
+    return CMParams(params.d, params.c0 * factor, tuple(x * factor for x in params.k))
+
+
+def q_integer(m: int) -> LaurentPoly:
+    """[m] = q^(m-1) + q^(m-3) + ... + q^(1-m)."""
+    if m < 0:
+        raise ValueError("q-integers are defined for m >= 0")
+    return LaurentPoly({m - 1 - 2 * t: 1 for t in range(m)})
+
+
+def q_factorial(m: int) -> LaurentPoly:
+    """[m]! = [1][2]...[m]."""
+    out = one()
+    for k in range(2, m + 1):
+        out = out * q_integer(k)
+    return out
+
+
+def bar(p: LaurentPoly) -> LaurentPoly:
+    """The involution q -> q^-1 (negate every exponent)."""
+    return LaurentPoly({-e: c for e, c in p.coeffs.items()})
+
+
+_TERM_RE = re.compile(r"^(\d*)(q(\^(-?\d+))?)?$")
+
+
+def parse_laurent(text: str) -> LaurentPoly:
+    """Parse the canonical text form back into a polynomial."""
+    s = text.strip().replace(" ", "")
+    if s == "0":
+        return LaurentPoly()
+    terms = []
+    start = 0
+    for idx in range(1, len(s)):
+        if s[idx] in "+-" and s[idx - 1] != "^":
+            terms.append(s[start:idx])
+            start = idx
+    terms.append(s[start:])
+    coeffs: dict[int, int] = {}
+    for signed in terms:
+        sign = -1 if signed.startswith("-") else 1
+        body = signed.lstrip("+-")
+        m = _TERM_RE.match(body)
+        if not m or not body:
+            raise ValueError(f"cannot parse Laurent term {signed!r}")
+        mag = int(m.group(1)) if m.group(1) else 1
+        if m.group(2) is None:
+            exp = 0
+        elif m.group(4) is None:
+            exp = 1
+        else:
+            exp = int(m.group(4))
+        coeffs[exp] = coeffs.get(exp, 0) + sign * mag
+    return LaurentPoly(coeffs)

@@ -11,7 +11,7 @@ import warnings
 from fractions import Fraction
 from math import factorial
 
-from helpers import height2_characters, height2_monomials_at_one
+from helpers import euler_value, height2_characters, height2_monomials_at_one
 from wreathcells.combinatorics import (
     CharacterSum,
     enumerate_dpartitions,
@@ -29,7 +29,6 @@ from wreathcells.fock import (
 from wreathcells.gd12 import cm_cells_n2, verify_frac_identity, verify_gaudin_eigensystem
 from wreathcells.jucys_murphy import (
     CMParams,
-    euler_value,
     jm_cellular_characters,
     tableau_spectrum,
 )

@@ -151,10 +151,13 @@ def test_text_lines_are_written_as_they_are_made(monkeypatch):
     assert written == ["first\n", "second\n"]
 
 
-def test_an_empty_text_listing_is_one_newline(capsys):
-    # d = 1 has no pair of rows to verify
-    assert cli_main(["gaudin-verify", "--r=0", "--c0", "1"]) == 0
-    assert capsys.readouterr().out == "\n"
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_gaudin_verify_needs_two_components(fmt, capsys):
+    # d = 1 has no pair of components to verify
+    assert cli_main(["gaudin-verify", "--r=0", "--c0", "1", "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: gaudin-verify needs at least two components\n"
 
 
 @pytest.mark.parametrize(

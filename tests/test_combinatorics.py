@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import pickle
 from math import factorial
 
@@ -150,7 +151,8 @@ def test_character_sum_basics():
     a = CharacterSum.from_counts({dp((2,), ()): 1, dp((1,), (1,)): 2})
     b = CharacterSum.from_counts({dp((1,), (1,)): 2, dp((2,), ()): 1})
     assert a == b and hash(a) == hash(b)
-    assert CharacterSum.from_json_obj(a.to_json_obj()) == a
+    assert json.dumps(a.to_json_obj()) == json.dumps(b.to_json_obj())
+    assert a.to_json_obj() == {"2|∅": 1, "1|1": 2}
 
 
 def test_character_sum_rejects_mixed_sizes():
@@ -165,6 +167,7 @@ def test_filled_sort_key_keeps_value_semantics():
     filled = fresh()
     key = dpartition_sort_key(filled)
     assert dpartition_sort_key(filled) is key
+    assert filled.size == 4 and "size" in vars(filled)
     assert key == ((-3, (-2, -1)), (0, ()), (-1, (-1,)))
     new = fresh()
     assert filled == new and hash(filled) == hash(new) and repr(filled) == repr(new)
@@ -173,5 +176,5 @@ def test_filled_sort_key_keeps_value_semantics():
     assert pickle.dumps(filled) == pickle.dumps(new)
     back = pickle.loads(pickle.dumps(filled))
     assert back == new and hash(back) == hash(new)
-    assert "_sort_key" not in vars(back)
+    assert "_sort_key" not in vars(back) and "size" not in vars(back)
     assert CharacterSum.from_counts({filled: 1}) == CharacterSum.from_counts({new: 1})

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import scaled
 import wreathcells.cli as cli
 import wreathcells.conjecture as conjecture
 from wreathcells.cli import cli_main
@@ -25,7 +26,7 @@ from wreathcells.jucys_murphy import CMParams, jm_cellular_characters
 
 def test_params_from_r_example():
     params = params_from_r((1, 0), 1)
-    assert params.ksharp_vector() == (Fraction(-1), Fraction(0))
+    assert (params.ksharp(1), params.ksharp(2)) == (Fraction(-1), Fraction(0))
 
 
 def test_params_from_r_zero_charges():
@@ -127,9 +128,8 @@ def test_check_lists_no_jm_cell(monkeypatch):
 @pytest.mark.parametrize("factor", [Fraction(2), Fraction(-1, 3)])
 def test_check_invariant_under_scaling(factor):
     base = CMParams.from_ksharp(2, 1, (-1, 0))
-    scaled = base.scaled(factor)
     v1 = check_conjecture(base, 2)
-    v2 = check_conjecture(scaled, 2)
+    v2 = check_conjecture(scaled(base, factor), 2)
     assert v1.cm_counts == v2.cm_counts and v1.lm_counts == v2.lm_counts
     assert v1.equal and v2.equal
 
@@ -149,8 +149,7 @@ def test_verdict_json_round_trip():
     obj = json.loads(json.dumps(verdict.to_json_obj()))
     assert obj["equal"] is True
     assert obj["mode"] == "exact-n2"
-    recovered = frozenset(CharacterSum.from_json_obj(o) for o in obj["cm_set"])
-    assert recovered == verdict.cm_counts.keys()
+    assert obj["cm_set"] == [cs.to_json_obj() for cs in verdict.cm_counts]
 
 
 # (charges, n, mode, equal): one point per mode, jm-upper-bound both ways
@@ -315,8 +314,12 @@ def test_cli_out_directory_fails_before_computing(tmp_path, monkeypatch, capsys)
 
 
 @pytest.mark.parametrize("index", [["--i", "1"], ["--j", "2"]])
-def test_cli_gaudin_needs_both_indices(index, capsys):
-    _assert_usage_error(["gaudin-verify", "--r", "2,1,0", "--c0", "1", *index], capsys)
+def test_cli_gaudin_has_no_index_options(index, capsys):
+    # gaudin-verify verifies every pair, so no option picks one
+    assert cli_main(["gaudin-verify", "--r", "2,1,0", "--c0", "1", *index]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: unrecognized arguments: {' '.join(index)}\n")
 
 
 @pytest.mark.parametrize(

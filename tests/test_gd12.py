@@ -281,9 +281,9 @@ def test_frac_identity_all(d):
 
 
 def test_traces_and_determinants_agree():
-    params = CMParams.from_ksharp(5, 1, (7, 3, 2, -1, -5))
+    ksharp = (7, 3, 2, -1, -5)
     for d in range(2, 6):
-        p = CMParams.from_ksharp(d, 1, params.ksharp_vector()[:d])
+        p = CMParams.from_ksharp(d, 1, ksharp[:d])
         for i in range(1, d + 1):
             for j in range(i + 1, d + 1):
                 mx, my = gaudin_matrices(d, i, j, p)

@@ -21,14 +21,19 @@ from wreathcells.combinatorics import (
 )
 from wreathcells.jucys_murphy import (
     CMParams,
-    euler_value,
     is_generic,
     jm_cellular_characters,
     jm_eigenvalue,
     tableau_spectrum,
 )
 
-from helpers import direct_spectrum, jm_cells_by_tableaux, jm_cells_by_trie
+from helpers import (
+    direct_spectrum,
+    euler_value,
+    jm_cells_by_tableaux,
+    jm_cells_by_trie,
+    scaled,
+)
 
 
 def dp(*comps):
@@ -247,9 +252,9 @@ nonzero_rationals = st.fractions(
 @given(nonzero_rationals)
 def test_scaling_covariance(factor):
     params = CMParams.from_ksharp(2, 1, (-1, 0))
-    scaled = params.scaled(factor)
+    scaled_params = scaled(params, factor)
     base = jm_cellular_characters(params, 2)
-    other = jm_cellular_characters(scaled, 2)
+    other = jm_cellular_characters(scaled_params, 2)
     assert base.character_counts().keys() == other.character_counts().keys()
     base_specs = {tuple(factor * x for x in spec) for spec, _ in base.cells}
     assert base_specs == {spec for spec, _ in other.cells}
@@ -429,6 +434,5 @@ def test_scaled_params_build_their_own_table():
     ]
     base = [jm_eigenvalue(params, box) for box in boxes]
     factor = Fraction(-3, 2)
-    scaled = params.scaled(factor)
-    assert [jm_eigenvalue(scaled, box) for box in boxes] == [factor * x for x in base]
+    assert [jm_eigenvalue(scaled(params, factor), box) for box in boxes] == [factor * x for x in base]
     assert [jm_eigenvalue(params, box) for box in boxes] == base
