@@ -33,6 +33,13 @@ class RegimeMismatch(ValueError):
     """Parameters fit no displayed degenerate regime of the 2x2 Gaudin action."""
 
 
+class DiscriminantMismatch(AssertionError):
+    """The discriminant is a monomial square although no regime applies.
+
+    An internal invariant, not a usage error, so it is not a ValueError.
+    """
+
+
 # Exact cyclotomic arithmetic.
 
 
@@ -403,7 +410,8 @@ def verify_gaudin_eigensystem(d: int, i: int, j: int, params: CMParams) -> Gaudi
     Requires c0 != 0 (the c0 = 0 action is diagonal and handled by the closed
     forms directly).  Raises RegimeMismatch when the parameters fit none of the
     degenerate regimes; the matrices are then certified irreducible by checking
-    that the discriminant is not one of the candidate monomial-square patterns.
+    that the discriminant is not one of the candidate monomial-square patterns,
+    and DiscriminantMismatch if it is one.
     """
     if params.c0 == 0:
         raise ValueError("the eigen-system oracle assumes c0 != 0")
@@ -467,7 +475,7 @@ def verify_gaudin_eigensystem(d: int, i: int, j: int, params: CMParams) -> Gaudi
             mid = XYPoly.monomial(d // 2, d // 2, 2 * c0)
             candidates.append(mid * mid)
         if any(disc == cand for cand in candidates):
-            raise AssertionError(
+            raise DiscriminantMismatch(
                 "discriminant matched a square pattern outside every regime"
             )
         raise RegimeMismatch(

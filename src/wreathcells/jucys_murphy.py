@@ -8,11 +8,14 @@ cells when the parameters are generic and are unions of them otherwise, which
 callers should surface when reporting.
 
 A spectrum is read along a path in the branching graph of d-partitions: the
-edge adding a box to a shape carries that box's eigenvalue.  Spectrum prefixes
-that reach the same shapes equally often grow alike, so the cells are computed
-on a graph of these merged states, without listing the tableaux one by one.
-A cell's character is read off its final state, and its multiplicity off the
-number of paths into that state (see ``jm_cellular_characters``).
+edge adding a box to a shape carries that box's eigenvalue.  An eigenvalue
+depends only on the box's component and content, so a build computes each
+distinct one once and the graph moves on its rank among them, an int.
+Spectrum prefixes that reach the same shapes equally often grow alike, so the
+cells are computed on a graph of these merged states, without listing the
+tableaux one by one.  A cell's character is read off its final state, and
+its multiplicity off the number of paths into that state (see
+``jm_cellular_characters``).
 """
 
 from __future__ import annotations
@@ -120,14 +123,18 @@ _ROOT: State = ((0, 1),)
 class CellDecomposition:
     """JM cells as a graph of merged states (see ``jm_cellular_characters``).
 
-    ``children`` maps each state below size n to its moves, (eigenvalue, child
-    state) in increasing eigenvalue order.  ``finals`` maps each state of size
-    n to its character and the number of spectra that reach it.  ``paths``
-    maps the states of each size k = 0..n to that number, and ``shapes`` lists
-    the d-partitions of size at most n by the ids that states use.
+    ``values`` lists the build's distinct eigenvalues in increasing order, and
+    ``children`` maps each state below size n to its moves, (rank, child
+    state) in increasing rank order, the rank indexing ``values``; ranks
+    follow value order, so this is also eigenvalue order.  ``finals`` maps
+    each state of size n to its character and the number of spectra that
+    reach it.  ``paths`` maps the states of each size k = 0..n to that number,
+    and ``shapes`` lists the d-partitions of size at most n by the ids that
+    states use.
     """
 
-    children: dict[State, tuple[tuple[Fraction, State], ...]]
+    values: tuple[Fraction, ...]
+    children: dict[State, tuple[tuple[int, State], ...]]
     finals: dict[State, tuple[CharacterSum, int]]
     report: GenericityReport
     paths: tuple[dict[State, int], ...]
@@ -162,19 +169,20 @@ class CellDecomposition:
     def walk(self, label, render) -> Iterator[tuple[tuple, object]]:
         """Every cell as (labelled spectrum, rendered character), in order.
 
-        ``label`` runs once per move, on its eigenvalue, and ``render`` once per
+        ``label`` runs once per distinct eigenvalue, and ``render`` once per
         final state, on its character, so a listing renders each distinct value
-        once, not once per cell.  Each state's moves are linked to its
+        once, not once per move or cell.  Each state's moves are linked to its
         children's moves once per edge.  Then each level extends the prefixes
         of the last in order, each by its state's moves in eigenvalue order, so
         every level stays sorted.  The last level is yielded cell by cell.
         """
+        labels = [label(v) for v in self.values]
         leaves = {state: render(cs) for state, (cs, _) in self.finals.items()}
         linked = {state: [] for state in self.children}
         for state, moves in self.children.items():
             linked[state].extend(
-                (label(v), linked[child] if child in linked else leaves[child])
-                for v, child in moves
+                (labels[rank], linked[child] if child in linked else leaves[child])
+                for rank, child in moves
             )
         # every shape has an addable box, so every state below n has children
         depth = len(self.paths) - 1
@@ -190,7 +198,7 @@ class CellDecomposition:
         return level
 
     def to_json_obj(self):
-        # each eigenvalue is rendered once per move and each character once;
+        # each distinct eigenvalue and each character is rendered once;
         # the cells share the strings and dicts
         return {
             "cells": [
@@ -210,14 +218,21 @@ def jm_cellular_characters(params: CMParams, n: int) -> CellDecomposition:
     """JM cells at size n: the standard tableaux grouped by their spectra.
 
     A tableau is a path in the branching graph that adds one box per step, and
-    the edge adding a box carries its eigenvalue, computed once per shape from
-    its addable boxes.  A spectrum prefix reaches some shapes, each by some
-    number of tableaux, and prefixes that reach the same counts, one state,
-    grow alike.  So the states are grown level by level: each distinct state
-    is expanded once, its moves grouped by eigenvalue into child states, and
-    the number of prefixes reaching each state is counted alongside.  A state
-    of size n is the character of as many cells as prefixes reach it.  The
-    counts of every level are kept, so one build serves each size up to n
+    the edge adding a box carries its eigenvalue.  That depends only on the
+    box's (component, content), so each distinct pair among the addable boxes
+    below n is evaluated once (one ``tableau_spectrum`` call per build), and
+    each edge carries its value's rank among the build's distinct values,
+    ranked in increasing value order: equal values share a rank, and sorting
+    ranks sorts values, also at c0 < 0, where value order reverses content
+    order.  Moves are grouped and sorted on these ints.
+
+    A spectrum prefix reaches some shapes, each by some number of tableaux,
+    and prefixes that reach the same counts, one state, grow alike.  So the
+    states are grown level by level: each distinct state is expanded once, its
+    moves grouped by rank into child states, and the number of prefixes
+    reaching each state is counted alongside.  A state of size n is the
+    character of as many cells as prefixes reach it.  The counts of every
+    level are kept, so one build serves each size up to n
     (``CellDecomposition.character_counts``).
     """
     if n < 0:
@@ -226,32 +241,39 @@ def jm_cellular_characters(params: CMParams, n: int) -> CellDecomposition:
         dp for size in range(n + 1) for dp in enumerate_dpartitions(params.d, size)
     ]
     shape_id = {dp.components: i for i, dp in enumerate(shapes)}
-    # (eigenvalue, child shape id) per addable box of each shape below n
-    moves = []
+    # (key, child shape id) per addable box of each shape below n, keyed by
+    # the box's (component, content), on which alone its eigenvalue depends;
+    # the first box of each key stands for it
+    firsts: dict[tuple[int, int], BoxCoord] = {}
+    keyed_moves = []
     for dp in shapes:
         if dp.size < n:
-            boxes = addable_boxes(dp)
-            spectrum = tableau_spectrum(params, boxes)
-            moves.append(
-                [
-                    (v, shape_id[_grown(dp.components, box)])
-                    for v, box in zip(spectrum, boxes)
-                ]
-            )
+            row = []
+            for box in addable_boxes(dp):
+                key = (box.comp, content(box))
+                firsts.setdefault(key, box)
+                row.append((key, shape_id[_grown(dp.components, box)]))
+            keyed_moves.append(row)
+    # each distinct eigenvalue once, moves on its rank among them
+    spectrum = tableau_spectrum(params, tuple(firsts.values()))
+    values = tuple(sorted(set(spectrum)))
+    rank = {v: i for i, v in enumerate(values)}
+    key_rank = {key: rank[v] for key, v in zip(firsts, spectrum)}
+    moves = [[(key_rank[key], child) for key, child in row] for row in keyed_moves]
 
-    children: dict[State, tuple[tuple[Fraction, State], ...]] = {}
+    children: dict[State, tuple[tuple[int, State], ...]] = {}
     paths = {_ROOT: 1}
     levels = [paths]
     for _ in range(n):
         next_paths: dict[State, int] = {}
         for state, count in paths.items():
-            grouped: dict[Fraction, dict[int, int]] = {}
+            grouped: dict[int, dict[int, int]] = {}
             for shape, tableaux in state:
-                for v, child in moves[shape]:
-                    reached = grouped.setdefault(v, {})
+                for r, child in moves[shape]:
+                    reached = grouped.setdefault(r, {})
                     reached[child] = reached.get(child, 0) + tableaux
             children[state] = tuple(
-                (v, tuple(sorted(grouped[v].items()))) for v in sorted(grouped)
+                (r, tuple(sorted(grouped[r].items()))) for r in sorted(grouped)
             )
             for _, child in children[state]:
                 next_paths[child] = next_paths.get(child, 0) + count
@@ -261,7 +283,7 @@ def jm_cellular_characters(params: CMParams, n: int) -> CellDecomposition:
         state: (_character(shapes, state), count) for state, count in paths.items()
     }
     return CellDecomposition(
-        children, finals, is_generic(params, n), tuple(levels), tuple(shapes)
+        values, children, finals, is_generic(params, n), tuple(levels), tuple(shapes)
     )
 
 

@@ -186,7 +186,7 @@ def test_jm_cells_listings_read_each_cell(params, n, capsys):
     ]
 
 
-def test_walk_renders_each_move_and_character_once():
+def test_walk_renders_each_value_and_character_once():
     dec = jm_cellular_characters(CMParams.from_ksharp(2, 1, (-1, 0)), 6)
     labelled, rendered = [], []
 
@@ -199,7 +199,7 @@ def test_walk_renders_each_move_and_character_once():
         return cs.text()
 
     cells = list(dec.walk(label, render))
-    assert len(labelled) == sum(len(moves) for moves in dec.children.values())
+    assert labelled == list(dec.values)
     assert len(rendered) == len(dec.finals)
     assert cells == [
         (tuple(str(x) for x in spec), cs.text()) for spec, cs in dec.cells

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wreathcells.cli import cli_main
 from wreathcells.combinatorics import CharacterSum, DPartition
 from wreathcells.gd12 import (
     Cyclo,
+    DiscriminantMismatch,
     RegimeMismatch,
     XYPoly,
     cm_cells_n2,
@@ -330,6 +332,20 @@ def test_gaudin_regime_mismatch():
     params = CMParams.from_ksharp(3, 1, (5, 0, -7))
     with pytest.raises(RegimeMismatch):
         verify_gaudin_eigensystem(3, 1, 2, params)
+
+
+def test_square_discriminant_outside_every_regime_is_a_named_invariant_error(
+    monkeypatch, capsys
+):
+    # delta = 5 is neither 0 nor +-c0, so no regime applies; with every XYPoly
+    # comparison forced true, the discriminant matches a square pattern
+    params = CMParams.from_ksharp(3, 1, (5, 0, -7))
+    monkeypatch.setattr(XYPoly, "__eq__", lambda self, other: True)
+    with pytest.raises(DiscriminantMismatch, match="square pattern") as info:
+        verify_gaudin_eigensystem(3, 1, 2, params)
+    assert not isinstance(info.value, ValueError)
+    assert cli_main(["gaudin-verify", "--c0", "1", "--k", "5,-7,0"]) == 3
+    assert "DiscriminantMismatch" in capsys.readouterr().err
 
 
 def test_gaudin_rejects_d_other_than_params_d():

@@ -30,6 +30,7 @@ from wreathcells.jucys_murphy import (
 from helpers import (
     direct_spectrum,
     euler_value,
+    grown,
     jm_cells_by_tableaux,
     jm_cells_by_trie,
     scaled,
@@ -324,7 +325,9 @@ def test_trie_cells_match_per_tableau_oracle(point):
         assert dec.report == expected.report
 
 
-def test_trie_evaluates_each_edge_once_and_builds_no_tableau(monkeypatch):
+def test_build_evaluates_each_distinct_box_key_once_and_builds_no_tableau(
+    monkeypatch,
+):
     calls = Counter()
 
     def counting(name, fn):
@@ -341,9 +344,67 @@ def test_trie_evaluates_each_edge_once_and_builds_no_tableau(monkeypatch):
     )
     jm_cellular_characters(P_GAP1, 6).cells
     below = [dp for size in range(6) for dp in enumerate_dpartitions(2, size)]
+    keys = {
+        (box.comp, box.col - box.row) for dp in below for box in addable_boxes(dp)
+    }
     assert calls["tableau"] == 0
-    assert calls["tableau_spectrum"] == len(below)
-    assert calls["jm_eigenvalue"] == sum(len(addable_boxes(dp)) for dp in below)
+    assert calls["tableau_spectrum"] == 1
+    assert calls["jm_eigenvalue"] == len(keys) == 22
+
+
+# Eigenvalues collide (c0 = 0, coinciding charges) or run against content
+# order (c0 < 0); ranks must follow value order either way.
+RANK_POINTS = [
+    (CMParams.from_ksharp(2, 0, (0, 0)), 4),
+    (CMParams.from_ksharp(3, 0, (1, 0, 1)), 4),
+    (CMParams.from_ksharp(2, -1, (1, 0)), 5),
+    (CMParams.from_ksharp(3, Fraction(-1, 2), (1, Fraction(1, 2), 0)), 4),
+    (CMParams(3, Fraction(2, 3), (Fraction(1, 2), Fraction(0), Fraction(-3))), 4),
+    (CMParams.from_ksharp(1, 1, (0,)), 6),
+    (P_GAP1, 0),
+    (P_GAP1, 1),
+]
+
+
+def _assert_moves_follow_value_order(params, n):
+    dec = jm_cellular_characters(params, n)
+    assert all(a < b for a, b in zip(dec.values, dec.values[1:]))
+    shape_id = {shape: i for i, shape in enumerate(dec.shapes)}
+    for state, moves in dec.children.items():
+        # the child of each value: the shapes grown by boxes of that value
+        expected: dict = {}
+        for s, tableaux in state:
+            for box in addable_boxes(dec.shapes[s]):
+                reached = expected.setdefault(jm_eigenvalue(params, box), Counter())
+                reached[shape_id[grown(dec.shapes[s], box)]] += tableaux
+        assert [dec.values[r] for r, _ in moves] == sorted(expected)
+        for r, child in moves:
+            assert child == tuple(sorted(expected[dec.values[r]].items()))
+    for oracle in (jm_cells_by_trie, jm_cells_by_tableaux):
+        assert dec.cells == oracle(params, n).cells
+
+
+@pytest.mark.parametrize("params, n", RANK_POINTS)
+def test_moves_follow_value_order_where_values_collide_or_reverse(params, n):
+    _assert_moves_follow_value_order(params, n)
+
+
+SMALL_RATIONALS = [Fraction(x) for x in ("-1", "-1/2", "0", "1/2", "1", "2/3")]
+
+
+@st.composite
+def colliding_params_and_size(draw):
+    # few values, so that eigenvalues of different boxes often coincide
+    d = draw(st.integers(min_value=1, max_value=3))
+    k = draw(st.lists(st.sampled_from(SMALL_RATIONALS[2:]), min_size=d, max_size=d))
+    c0 = draw(st.sampled_from(SMALL_RATIONALS))
+    return CMParams(d, c0, tuple(k)), draw(st.integers(min_value=0, max_value=4))
+
+
+@settings(max_examples=30, deadline=None)
+@given(colliding_params_and_size())
+def test_moves_follow_value_order_random(point):
+    _assert_moves_follow_value_order(*point)
 
 
 def test_equal_characters_share_one_object(monkeypatch):
