@@ -31,6 +31,8 @@ from .combinatorics import (
     character_counts,
     enumerate_dpartitions,
     parse_dpartition,
+    partition_sort_key,
+    partition_text,
     standard_tableaux,
 )
 from .conjecture import check_conjecture, params_from_r
@@ -259,37 +261,62 @@ def _cmd_standard_symbols(args) -> int:
     return 0
 
 
+class _PerRow(dict):
+    """fn of each distinct row partition, made on first use."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, parts):
+        self[parts] = value = self.fn(parts)
+        return value
+
+
 def _cmd_canonical_basis(args) -> int:
     charges = _charges_from_args(args)
     basis = canonical_basis(charges, args.n)
-    ordered = sorted(basis, key=lambda s: (s.height, symbol_sort_key(s)))
+    # A listing repeats few distinct rows, so each row's text and sort key is
+    # made once, and a symbol's are assembled from its rows'.
+    row_text, row_key = _PerRow(partition_text), _PerRow(partition_sort_key)
+
+    def text(sym):
+        return "|".join(map(row_text.__getitem__, sym.rows))
+
+    def key(sym):
+        return tuple(map(row_key.__getitem__, sym.rows))
+
+    def listing():
+        """(symbol text, [(term text, coefficient text)]) per basis vector,
+        in the order of `symbol_sort_key` and `FockVector.support`."""
+        for sym in sorted(basis, key=lambda s: (s.height, key(s))):
+            coeffs = basis[sym].terms
+            terms = [(text(s), coeffs[s].text()) for s in sorted(coeffs, key=key)]
+            yield text(sym), terms
+
     if args.format == "json":
         obj = {
             "charges": list(charges),
             "max_height": args.n,
             "basis": [
                 {
-                    "symbol": sym.text(),
-                    "terms": [
-                        {"symbol": s.text(), "coeff": basis[sym].coefficient(s).text()}
-                        for s in basis[sym].support()
-                    ],
+                    "symbol": sym,
+                    "terms": [{"symbol": s, "coeff": c} for s, c in terms],
                 }
-                for sym in ordered
+                for sym, terms in listing()
             ],
         }
         _emit_json(args, obj)
     else:
-
-        def lines():
-            for sym in ordered:
-                vec = basis[sym]
-                body = " + ".join(
-                    f"({vec.coefficient(s).text()})[{s.text()}]" for s in vec.support()
-                )
-                yield f"{sym.text()} : {body}"
-
-        _emit_lines(args, lines())
+        _emit_lines(
+            args,
+            (
+                f"{sym} : " + " + ".join(f"({c})[{s}]" for s, c in terms)
+                for sym, terms in listing()
+            ),
+        )
     return 0
 
 

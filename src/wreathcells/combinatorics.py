@@ -99,11 +99,14 @@ class DPartition:
         return DPartition, (self.components,)
 
 
+def partition_text(parts: Partition) -> str:
+    """One component's text: parts joined by '.', the empty partition as '∅'."""
+    return ".".join(map(str, parts)) if parts else "∅"
+
+
 def components_text(components: tuple[Partition, ...]) -> str:
-    """Text form of a tuple of partitions: parts joined by '.', components by '|'."""
-    return "|".join(
-        ".".join(str(p) for p in comp) if comp else "∅" for comp in components
-    )
+    """Text form of a tuple of partitions: `partition_text`s joined by '|'."""
+    return "|".join(map(partition_text, components))
 
 
 def parse_dpartition(text: str) -> DPartition:
@@ -131,9 +134,15 @@ def dpartition_sort_key(dp: DPartition):
     return dp._sort_key
 
 
+def partition_sort_key(parts: Partition):
+    """One component's place in `components_sort_key`: bigger first, then
+    larger parts first."""
+    return -sum(parts), tuple(-p for p in parts)
+
+
 def components_sort_key(components: tuple[Partition, ...]):
     """dpartition_sort_key on a bare tuple of partitions."""
-    return tuple((-sum(c), tuple(-p for p in c)) for c in components)
+    return tuple(map(partition_sort_key, components))
 
 
 @lru_cache(maxsize=None)

@@ -3,15 +3,18 @@
 Symbols are charged bead sequences stored finitely: each row keeps its charge
 r_i together with the partition of bead displacements, the bead at position k
 of row i having value k + lambda_{r_i - k + 1} (zero displacement beyond the
-partition).  The Chevalley operator F acts through the comultiplication
-Delta(F) = F (x) K + 1 (x) F, so F at node m picks up q^(sum of K-weights of
-the later rows).
+partition).  A `Symbol` is a validated tuple (charges, rows), so it compares
+and hashes as that tuple: hash(sym) == hash((charges, rows)).  The Chevalley
+operator F acts through the comultiplication Delta(F) = F (x) K + 1 (x) F, so
+F at node m picks up q^(sum of K-weights of the later rows).
 
 Each row is a level-1 Fock space, on which F_m^2 = 0, so the divided power
 F_m^(k) is a sum over the k-subsets S of rows lowerable at m: move the bead
 m -> m+1 in every row of S at once, weighted by q^e with e the sum of eps_i
 over j in S and i > j not in S, eps_i the K_m-weight of row i.  No power of
-F_m is formed and nothing is divided (`divided_power_f`).
+F_m is formed and nothing is divided (`divided_power_f`).  Within one call,
+each distinct row (charge, partition) gets its K_m-weight and its moved row
+once, and each target's coefficient is trimmed of zeros once.
 
 A symbol is standard when its bead columns weakly increase down the rows
 (`enumerate_standard_symbols`).  The tests check this rule against the crystal
@@ -35,6 +38,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .combinatorics import (
     CharacterSum,
@@ -45,7 +49,7 @@ from .combinatorics import (
     enumerate_dpartitions,
     is_partition,
 )
-from .laurent import LaurentPoly, bar_symmetric_head, one, zero
+from .laurent import LaurentPoly, _trimmed_poly, bar_symmetric_head, one, zero
 
 
 class LeadingTermMismatch(ArithmeticError):
@@ -74,23 +78,29 @@ class PositivityWarning(UserWarning):
     """A canonical-basis coefficient fell outside N[q]."""
 
 
-@dataclass(frozen=True)
-class Symbol:
-    """A d-row symbol: weakly decreasing charges plus displacement partitions."""
-
-    __slots__ = ("charges", "rows")
-
+class _SymbolFields(NamedTuple):
     charges: tuple[int, ...]
     rows: tuple[Partition, ...]
 
-    def __post_init__(self):
-        if len(self.charges) != len(self.rows) or not self.charges:
+
+class Symbol(_SymbolFields):
+    """A d-row symbol: weakly decreasing charges plus displacement partitions.
+
+    A validated, immutable tuple (charges, rows): it hashes, compares, pickles
+    and copies as that tuple, so hash(sym) == hash((sym.charges, sym.rows)).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, charges: tuple[int, ...], rows: tuple[Partition, ...]):
+        if len(charges) != len(rows) or not charges:
             raise ValueError("need one displacement partition per charge")
-        if any(self.charges[i] < self.charges[i + 1] for i in range(len(self.charges) - 1)):
+        if any(charges[i] < charges[i + 1] for i in range(len(charges) - 1)):
             raise ValueError("charges must be weakly decreasing")
-        for parts in self.rows:
+        for parts in rows:
             if not is_partition(parts):
                 raise ValueError(f"invalid displacement partition {parts!r}")
+        return tuple.__new__(cls, (charges, rows))
 
     @property
     def d(self) -> int:
@@ -113,10 +123,6 @@ class Symbol:
     def __repr__(self):
         return f"Symbol(r={','.join(map(str, self.charges))}; {self.text()})"
 
-    def __reduce__(self):
-        # slots leave no __dict__ to restore, and a frozen instance refuses setattr
-        return Symbol, (self.charges, self.rows)
-
 
 def _unchecked_symbol(charges: tuple[int, ...], rows: tuple[Partition, ...]) -> Symbol:
     """A Symbol built without validation, for rows derived from a valid symbol.
@@ -124,10 +130,7 @@ def _unchecked_symbol(charges: tuple[int, ...], rows: tuple[Partition, ...]) -> 
     Moving a bead to a free neighbouring value keeps every row a partition and
     leaves the charges alone, so the bead moves below skip re-checking them.
     """
-    sym = object.__new__(Symbol)
-    object.__setattr__(sym, "charges", charges)
-    object.__setattr__(sym, "rows", rows)
-    return sym
+    return tuple.__new__(Symbol, (charges, rows))
 
 
 def highest_weight_symbol(charges: tuple[int, ...]) -> Symbol:
@@ -240,39 +243,61 @@ class FockVector:
         return f"FockVector({body})"
 
 
+def _trimmed_vector(terms: dict[Symbol, LaurentPoly]) -> FockVector:
+    """A FockVector holding terms as given: every coefficient is nonzero."""
+    vec = object.__new__(FockVector)
+    vec.terms = terms
+    return vec
+
+
 def _lower(m: int, k: int, vec: FockVector) -> FockVector:
     """F_m^(k) vec, summed over the k-subsets S of the rows lowerable at m.
 
     See `divided_power_f` for the exponent e of each subset.  The `below` of a
     row j is the K_m-weight of all rows after j, and the rows of S after j
-    weigh +1 each, so e is the sum of `below` over S minus C(k, 2).
-    Coefficients are summed as exponent -> integer dicts, one per target
-    symbol, and made polynomials once at the end.
+    weigh +1 each, so e is the sum of `below` over S minus C(k, 2).  Each
+    distinct row (charge, parts) of vec gets its K_m-weight and its lowered
+    row once per call.  Coefficients are summed as exponent -> integer dicts,
+    one per target symbol, and each is trimmed of zeros once at the end.
     """
+    seen: dict[tuple[int, Partition], tuple[int, Partition | None]] = {}
     out: dict[Symbol, dict[int, int]] = {}
     pairs = k * (k - 1) // 2
     for sym, coeff in vec.terms.items():
-        eps = _weights(sym, m)
-        below = sum(eps)
+        charges, rows = sym
+        weights = []
+        for row in zip(charges, rows):
+            if (w := seen.get(row)) is None:
+                e = _row_eps(*row, m)
+                seen[row] = w = (e, _row_move(*row, m, 1) if e == 1 else None)
+            weights.append(w)
+        below = sum(e for e, _ in weights)
         lowerable = []  # (row, its below, its row with the bead moved)
-        for j, e in enumerate(eps):
+        for j, (e, moved) in enumerate(weights):
             below -= e
             if e == 1:
-                lowerable.append((j, below, _row_move(sym.charges[j], sym.rows[j], m, 1)))
+                lowerable.append((j, below, moved))
         for subset in combinations(lowerable, k):
-            rows = list(sym.rows)
+            new = list(rows)
             shift = -pairs
             for j, b, parts in subset:
-                rows[j] = parts
+                new[j] = parts
                 shift += b
-            target = _unchecked_symbol(sym.charges, tuple(rows))
+            target = _unchecked_symbol(charges, tuple(new))
             acc = out.get(target)
             if acc is None:
-                out[target] = acc = {}
+                out[target] = {e + shift: c for e, c in coeff.coeffs.items()}
+                continue
             for e, c in coeff.coeffs.items():
                 e += shift
                 acc[e] = acc.get(e, 0) + c
-    return FockVector({sym: LaurentPoly(acc) for sym, acc in out.items()})
+    terms = {}
+    for target, acc in out.items():
+        if not all(acc.values()):
+            acc = {e: c for e, c in acc.items() if c}
+        if acc:
+            terms[target] = _trimmed_poly(acc)
+    return _trimmed_vector(terms)
 
 
 def f_action(m: int, vec: FockVector) -> FockVector:
@@ -488,7 +513,7 @@ def canonical_basis(
         while violators := [
             position[s]
             for s, c in cur.terms.items()
-            if s != sym and s in position and not c.in_q_zq()
+            if min(c.coeffs) < 1 and s != sym and s in position
         ]:
             i = max(violators)
             if i >= last:
@@ -505,16 +530,22 @@ def canonical_basis(
 
 
 def _check_lattice(sym: Symbol, vec: FockVector) -> None:
+    """Raise LatticeViolation at the first coefficient off the standard lattice,
+    else warn PositivityWarning once if any coefficient is negative."""
+    negative = False
     for s, c in vec.terms.items():
+        coeffs = c.coeffs
+        # at sym: constant term 1 and the rest in qZ[q]; elsewhere: in qZ[q]
         if s == sym:
-            ok = c.constant_term() == 1 and (c - one()).in_q_zq()
+            ok = coeffs.get(0) == 1 and min(coeffs) >= 0
         else:
-            ok = c.in_q_zq()
+            ok = min(coeffs) >= 1
         if not ok:
             raise LatticeViolation(
                 f"coefficient {c.text()} at {s!r} in the vector for {sym!r}"
             )
-    if any(v < 0 for c in vec.terms.values() for v in c.coeffs.values()):
+        negative = negative or min(coeffs.values()) < 0
+    if negative:
         warnings.warn(
             f"canonical basis vector for {sym!r} has a negative coefficient",
             PositivityWarning,

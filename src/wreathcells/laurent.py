@@ -133,6 +133,13 @@ class LaurentPoly:
         return f"LaurentPoly({self.text()})"
 
 
+def _trimmed_poly(coeffs: dict[int, int]) -> LaurentPoly:
+    """A LaurentPoly holding coeffs as given: int exponents, no zero coefficient."""
+    poly = object.__new__(LaurentPoly)
+    poly.coeffs = coeffs
+    return poly
+
+
 def _coerce(x) -> LaurentPoly:
     if isinstance(x, LaurentPoly):
         return x

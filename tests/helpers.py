@@ -15,6 +15,10 @@ oracle for `wreathcells.fock.canonical_basis`, which starts each vector from
 F_m^(k) applied to the vector of the peel parent: it starts each vector from
 its replayed monomial instead, in the same order with the same corrections.
 
+`render_basis` is the oracle for the `canonical-basis` listing, which makes
+each distinct row's text and sort key once: it renders every term on its own,
+with `FockVector.support`, `Symbol.text` and `LaurentPoly.text`.
+
 The `row_*` helpers are the oracle for the one-pass bead mechanics of
 `wreathcells.fock`: each decides bead membership directly with `row_contains`.
 
@@ -96,6 +100,7 @@ from wreathcells import (
     tableau_spectrum,
 )
 from wreathcells.combinatorics import remove_box
+from wreathcells.fock import symbol_sort_key
 from wreathcells.laurent import one
 
 
@@ -230,6 +235,21 @@ def canonical_basis_from_monomials(
             cur = cur - basis[target].scale(gamma)
         basis[sym] = cur
     return basis
+
+
+def render_basis(basis: dict[Symbol, FockVector]) -> list[dict]:
+    """The `basis` entry of `canonical-basis --format json`, term by term."""
+    ordered = sorted(basis, key=lambda s: (s.height, symbol_sort_key(s)))
+    return [
+        {
+            "symbol": sym.text(),
+            "terms": [
+                {"symbol": s.text(), "coeff": basis[sym].coefficient(s).text()}
+                for s in basis[sym].support()
+            ],
+        }
+        for sym in ordered
+    ]
 
 
 def row_contains(charge: int, parts: tuple[int, ...], value: int) -> bool:

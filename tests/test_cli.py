@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 import wreathcells.cli as cli
 from wreathcells.cli import _json_text, cli_main
 from wreathcells.conjecture import params_from_r
+from wreathcells.fock import canonical_basis
 from wreathcells.jucys_murphy import CMParams, jm_cellular_characters
 
-from helpers import jm_cells_by_tableaux
+from helpers import jm_cells_by_tableaux, render_basis
 
 # Quotes, backslashes, control characters and non-ASCII beside plain letters.
 awkward_text = st.text(
@@ -136,6 +137,24 @@ def test_cli_text_goes_to_out_as_to_stdout(argv, code, tmp_path, capsys):
     assert cli_main([*argv, "--out", str(target)]) == code
     assert capsys.readouterr().out == ""
     assert target.read_text(encoding="utf-8") == out
+
+
+@pytest.mark.parametrize(
+    "charges, n", [((1, 1, 0), 5), ((0, 0, 0), 4), ((3, 1, 0), 4), ((2,), 4)]
+)
+def test_canonical_basis_listing_matches_term_by_term_rendering(charges, n, capsys):
+    expected = render_basis(canonical_basis(charges, n))
+    argv = ["canonical-basis", f"--r={','.join(map(str, charges))}", "--n", str(n)]
+    assert cli_main(argv) == 0
+    assert capsys.readouterr().out == "".join(
+        f"{vec['symbol']} : "
+        + " + ".join(f"({t['coeff']})[{t['symbol']}]" for t in vec["terms"])
+        + "\n"
+        for vec in expected
+    )
+    assert cli_main([*argv, "--format", "json"]) == 0
+    obj = {"charges": list(charges), "max_height": n, "basis": expected}
+    assert capsys.readouterr().out == json.dumps(obj, indent=2) + "\n"
 
 
 def test_text_lines_are_written_as_they_are_made(monkeypatch):

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import os
 import pickle
 import re
@@ -43,6 +42,7 @@ from wreathcells.fock import (
     LatticeViolation,
     LeadingTermMismatch,
     NonTerminating,
+    PositivityWarning,
     Symbol,
     canonical_basis,
     crystal_f,
@@ -146,6 +146,7 @@ def test_symbol_value_semantics_with_slots():
     assert not hasattr(s, "__dict__")
     assert s == fast and hash(s) == hash(fast)
     assert {s: 1}[fast] == 1
+    assert hash(s) == hash((s.charges, s.rows))
     for back in (
         pickle.loads(pickle.dumps(s)),
         pickle.loads(pickle.dumps(fast)),
@@ -154,11 +155,13 @@ def test_symbol_value_semantics_with_slots():
     ):
         assert back == s and hash(back) == hash(s) and type(back) is Symbol
     assert pickle.dumps(s) == pickle.dumps(fast)
-    assert [f.name for f in dataclasses.fields(s)] == ["charges", "rows"]
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    assert Symbol._fields == ("charges", "rows")
+    with pytest.raises(AttributeError):
         s.rows = ((), ())
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         s.other = 1
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        Symbol((0, 1), ((), ()))
     assert repr(s) == "Symbol(r=1,0; 2.1|∅)"
 
 
@@ -271,6 +274,33 @@ def lowering_cases(draw):
 def test_divided_power_matches_oracle(case):
     m, k, v = case
     assert divided_power_f(m, k, v) == divided_power_oracle(m, k, v)
+
+
+# Vectors whose rows repeat: equal partitions under different charges are
+# different rows, and equal rows under equal charges share their bead move.
+ROW_SHARING_VECTORS = [
+    FockVector({sym((2, 0), (1,), (1,)): one()}),
+    FockVector(
+        {sym((3, 1, 0), (1,), (1,), (1,)): one(), sym((3, 1, 0), (), (1,), (1,)): q()}
+    ),
+    FockVector(
+        {
+            sym((0, 0, 0), (1,), (1,), ()): one(),
+            sym((0, 0, 0), (1,), (), (1,)): q(),
+            sym((0, 0, 0), (2,), (1,), (1,)): q(2),
+            sym((0, 0, 0), (1,), (1,), (1,)): q(-1),
+        }
+    ),
+]
+
+
+@pytest.mark.parametrize("v", ROW_SHARING_VECTORS, ids=["r=2,0", "r=3,1,0", "r=0,0,0"])
+def test_divided_power_on_shared_rows_matches_oracle(v):
+    nodes = sorted({m for s in v.terms for m in candidate_nodes(s)})
+    d = len(next(iter(v.terms)).charges)
+    for m in nodes:
+        for k in range(1, d + 1):
+            assert divided_power_f(m, k, v) == divided_power_oracle(m, k, v), (m, k)
 
 
 # Defining relations of the quantum group, verified on the module.  These
@@ -671,6 +701,28 @@ def test_lattice_violation_is_raised():
         fock._check_lattice(s, FockVector({s: one(), t: one()}))
     with pytest.raises(LatticeViolation):
         fock._check_lattice(s, FockVector({s: q()}))
+
+
+def test_positivity_warning_fires_once_on_a_negative_coefficient():
+    s = sym((1, 0), (1,), ())
+    t = sym((1, 0), (), (1,))
+    minus_q = LaurentPoly({1: -1})
+    # one warning per vector, however many of its coefficients are negative
+    for v in (
+        FockVector({s: one(), t: minus_q}),
+        FockVector({s: one() + minus_q, t: minus_q}),
+    ):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fock._check_lattice(s, v)
+        assert [w.category for w in caught] == [PositivityWarning]
+        assert f"vector for {s!r} has a negative coefficient" in str(caught[0].message)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fock._check_lattice(s, FockVector({s: one(), t: q()}))
+        # a coefficient off the lattice raises before anything is warned
+        with pytest.raises(LatticeViolation):
+            fock._check_lattice(s, FockVector({s: one(), t: LaurentPoly({0: -1})}))
 
 
 def test_lattice_violation_survives_optimize():
