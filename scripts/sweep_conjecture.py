@@ -61,7 +61,7 @@ def check_battery(points, jobs: int = 1):
     with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
         mapped = (pool.map if pool else map)(check_conjecture_sizes, params, sizes)
         return [
-            (v.charges, v.n, v.mode, v.equal, len(v.cm_counts), len(v.lm_counts))
+            (v.charges, v.n, v.mode, v.equal, len(v.cm_ids), len(v.lm_ids))
             for verdicts in mapped
             for v in verdicts
         ]

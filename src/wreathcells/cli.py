@@ -2,11 +2,12 @@
 
 Exit codes: 0 on success, 1 when `check` finds unequal character sets or
 `gaudin-verify` finds a nonzero residual, 2 on usage errors, 3 on an internal
-error (any other exception; its traceback goes to stderr).  All output is
-deterministic.  Text is written line by line as it is made; `--format json`
-mirrors the text tables and is exactly `json.dumps(obj, indent=2)`, non-ASCII
-escaped, from a private encoder that accepts only dicts with str keys, lists,
-str, int, bool and None (anything else is an internal error).
+error (any other exception, `NegativeMultiplicity` among them; its traceback
+goes to stderr).  All output is deterministic.  Text is written line by line
+as it is made; `--format json` mirrors the text tables and is exactly
+`json.dumps(obj, indent=2)`, non-ASCII escaped, from a private encoder that
+accepts only dicts with str keys, lists, str, int, bool and None (anything
+else is an internal error).
 
 Subcommands taking reflection parameters read them from exactly one source:
 `--c0` with `--k`, or `--c0` with the charges `--r`; `tableaux` reads its
@@ -37,6 +38,7 @@ from .combinatorics import (
 )
 from .conjecture import check_conjecture, params_from_r
 from .fock import (
+    NegativeMultiplicity,
     canonical_basis,
     enumerate_standard_symbols,
     lm_constructible,
@@ -483,13 +485,20 @@ def cli_main(argv=None) -> int:
             raise UsageError(f"cannot write --out {out}: no such directory")
         return args.func(args)
     except ValueError as exc:
+        if isinstance(exc, NegativeMultiplicity):
+            # a basis vector that is not a character is a bug, not bad input
+            return _internal_error(exc)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
         # exit 1 means "sets unequal", so a crash must not exit 1
-        traceback.print_exc()
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        return _internal_error(exc)
+
+
+def _internal_error(exc: Exception) -> int:
+    traceback.print_exc()
+    print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return 3
 
 
 def entry() -> None:

@@ -247,6 +247,13 @@ def tableau_count(shape: DPartition) -> int:
     return math.factorial(shape.size) // hooks
 
 
+# A character of size n as its (index in enumerate_dpartitions(d, n),
+# multiplicity) pairs, sorted by index, multiplicities positive.  Indices
+# follow dpartition_sort_key, so these tuples sort as CharacterSum.sort_key
+# does, and they hash in C.
+IdCounts = tuple[tuple[int, int], ...]
+
+
 @dataclass(frozen=True)
 class CharacterSum:
     """A formal nonnegative-integer combination of irreducible characters.
@@ -279,6 +286,15 @@ class CharacterSum:
         items = [(dp, m) for dp, m in counts.items() if m]
         items.sort(key=lambda it: dpartition_sort_key(it[0]))
         return cls(tuple(items))
+
+    @classmethod
+    def from_ids(cls, shapes, ids: IdCounts) -> "CharacterSum":
+        """The character sum of (index in ``shapes``, multiplicity) pairs.
+
+        ``shapes`` lists d-partitions in ``enumerate_dpartitions`` order and
+        ``ids`` is sorted by index, so nothing is sorted here.
+        """
+        return cls(tuple((shapes[i], m) for i, m in ids))
 
     def counts(self) -> dict[DPartition, int]:
         return dict(self.entries)

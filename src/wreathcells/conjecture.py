@@ -9,17 +9,24 @@ sizes, every size read off one JM graph and one canonical basis.  Both sides
 are unchanged by a common integer shift of the charges.  At n = 2 the
 Calogero-Moser side is computed from the exact closed forms; for larger n it
 is replaced by the JM cells, which are exact when the parameters are generic
-and an upper bound (cells may merge) otherwise.  Each side is its distinct
-characters in canonical order with their multiplicities; they are compared
-as sets, and the expanded multisets are reported alongside.
+and an upper bound (cells may merge) otherwise.
+
+Each side is its distinct characters in canonical order with their
+multiplicities, a character of size n carried as ``IdCounts``: its
+(index in ``enumerate_dpartitions(d, n)``, multiplicity) pairs, sorted by
+index.  Both layers produce these int tuples, and the verdict compares them
+as sets.  The `CharacterSum` views, and the expanded multisets reported
+alongside, are rendered on first use, each distinct character once.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .combinatorics import CharacterSum, character_counts
+from .combinatorics import CharacterSum, IdCounts, enumerate_dpartitions
 from .fock import lm_constructible_by_height
 
 # cm_cells_n2 and lm_constructible are not called here, but
@@ -70,33 +77,69 @@ def r_from_params(params: CMParams) -> tuple[int, ...]:
 
 @dataclass(frozen=True, repr=False)
 class ConjectureVerdict:
-    """Each side's distinct characters in canonical order, with multiplicities."""
+    """Each side's distinct characters in canonical order, with multiplicities.
+
+    ``cm_ids`` and ``lm_ids`` map each side's ``IdCounts`` to their
+    multiplicities; d is the number of charges.  The `CharacterSum` views
+    render each distinct character once, on first use.
+    """
 
     mode: str  # "exact-n2" | "generic" | "jm-upper-bound"
     n: int
     charges: tuple[int, ...]
-    cm_counts: dict[CharacterSum, int]
-    lm_counts: dict[CharacterSum, int]
+    cm_ids: dict[IdCounts, int]
+    lm_ids: dict[IdCounts, int]
+
+    @property
+    def d(self) -> int:
+        return len(self.charges)
 
     @property
     def equal(self) -> bool:
-        return self.cm_counts.keys() == self.lm_counts.keys()
+        return self.cm_ids.keys() == self.lm_ids.keys()
+
+    @property
+    def cm_only_ids(self) -> tuple[IdCounts, ...]:
+        return tuple(ids for ids in self.cm_ids if ids not in self.lm_ids)
+
+    @property
+    def lm_only_ids(self) -> tuple[IdCounts, ...]:
+        return tuple(ids for ids in self.lm_ids if ids not in self.cm_ids)
+
+    @cached_property
+    def _rendered(self) -> dict[IdCounts, CharacterSum]:
+        shapes = enumerate_dpartitions(self.d, self.n)
+        return {
+            ids: CharacterSum.from_ids(shapes, ids)
+            for ids in self.cm_ids.keys() | self.lm_ids.keys()
+        }
+
+    def _render(self, ids) -> tuple[CharacterSum, ...]:
+        return tuple(map(self._rendered.__getitem__, ids))
+
+    @property
+    def cm_counts(self) -> dict[CharacterSum, int]:
+        return dict(zip(self._render(self.cm_ids), self.cm_ids.values()))
+
+    @property
+    def lm_counts(self) -> dict[CharacterSum, int]:
+        return dict(zip(self._render(self.lm_ids), self.lm_ids.values()))
 
     @property
     def cm_only(self) -> tuple[CharacterSum, ...]:
-        return tuple(cs for cs in self.cm_counts if cs not in self.lm_counts)
+        return self._render(self.cm_only_ids)
 
     @property
     def lm_only(self) -> tuple[CharacterSum, ...]:
-        return tuple(cs for cs in self.lm_counts if cs not in self.cm_counts)
+        return self._render(self.lm_only_ids)
 
     @property
     def cm_multiset(self) -> tuple[CharacterSum, ...]:
-        return _expand(self.cm_counts)
+        return self._render(_expand(self.cm_ids))
 
     @property
     def lm_multiset(self) -> tuple[CharacterSum, ...]:
-        return _expand(self.lm_counts)
+        return self._render(_expand(self.lm_ids))
 
     @property
     def note(self) -> str:
@@ -111,30 +154,35 @@ class ConjectureVerdict:
 
     def to_json_obj(self):
         # each distinct character is rendered once; the lists share the dicts
-        rendered = {cs: cs.to_json_obj() for cs in self.cm_counts | self.lm_counts}
+        rendered = {ids: cs.to_json_obj() for ids, cs in self._rendered.items()}
 
-        def charlist(chars):
-            return [rendered[cs] for cs in chars]
+        def charlist(ids):
+            return [rendered[i] for i in ids]
 
         return {
             "mode": self.mode,
             "n": self.n,
             "charges": list(self.charges),
             "equal": self.equal,
-            "cm_set": charlist(self.cm_counts),
-            "lm_set": charlist(self.lm_counts),
+            "cm_set": charlist(self.cm_ids),
+            "lm_set": charlist(self.lm_ids),
             "diff": {
-                "cm_only": charlist(self.cm_only),
-                "lm_only": charlist(self.lm_only),
+                "cm_only": charlist(self.cm_only_ids),
+                "lm_only": charlist(self.lm_only_ids),
             },
-            "cm_multiset": charlist(self.cm_multiset),
-            "lm_multiset": charlist(self.lm_multiset),
+            "cm_multiset": charlist(_expand(self.cm_ids)),
+            "lm_multiset": charlist(_expand(self.lm_ids)),
             "note": self.note,
         }
 
 
-def _expand(counts: dict[CharacterSum, int]) -> tuple[CharacterSum, ...]:
-    return tuple(cs for cs, m in counts.items() for _ in range(m))
+def _expand(counts: dict[IdCounts, int]) -> tuple[IdCounts, ...]:
+    return tuple(ids for ids, m in counts.items() for _ in range(m))
+
+
+def _counted(chars) -> dict[IdCounts, int]:
+    """The distinct characters in canonical order, each with its count."""
+    return dict(sorted(Counter(chars).items()))
 
 
 def check_conjecture(params: CMParams, n: int) -> ConjectureVerdict:
@@ -163,12 +211,16 @@ def check_conjecture_sizes(params: CMParams, sizes) -> tuple[ConjectureVerdict, 
         jm = jm_cellular_characters(params, max(sizes))
     verdicts = []
     for n in sizes:
-        lm_counts = character_counts(lm[n].values())
+        lm_ids = _counted(lm[n].values())
         if n == 2:
             mode = "exact-n2"
-            cm_counts = character_counts(cs for _, cs in cm_cells_n2_family(params))
+            index = {dp: i for i, dp in enumerate(enumerate_dpartitions(params.d, 2))}
+            cm_ids = _counted(
+                tuple((index[dp], m) for dp, m in cs.entries)
+                for _, cs in cm_cells_n2_family(params)
+            )
         else:
             mode = "generic" if is_generic(params, n).generic else "jm-upper-bound"
-            cm_counts = jm.character_counts(n)
-        verdicts.append(ConjectureVerdict(mode, n, charges, cm_counts, lm_counts))
+            cm_ids = jm.character_counts(n)
+        verdicts.append(ConjectureVerdict(mode, n, charges, cm_ids, lm_ids))
     return tuple(verdicts)

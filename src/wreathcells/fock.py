@@ -42,6 +42,7 @@ from typing import NamedTuple
 
 from .combinatorics import (
     CharacterSum,
+    IdCounts,
     Partition,
     components_sort_key,
     components_text,
@@ -76,6 +77,11 @@ class LatticeViolation(ArithmeticError):
 
 class PositivityWarning(UserWarning):
     """A canonical-basis coefficient fell outside N[q]."""
+
+
+class NegativeMultiplicity(ValueError):
+    """A canonical-basis coefficient is negative at q = 1, so the vector is
+    not a character."""
 
 
 class _SymbolFields(NamedTuple):
@@ -558,35 +564,54 @@ def lm_constructible(charges: tuple[int, ...], n: int) -> dict[Symbol, Character
 
     Evaluates every canonical basis vector of height n at q = 1 and reads the
     result as a character sum through the symbol / d-partition bijection,
-    keyed by the standard symbol of height n.
+    keyed by the standard symbol of height n.  Each distinct character is
+    rendered once from its ``IdCounts``.
     """
-    return lm_constructible_by_height(charges, (n,))[n]
+    charges = tuple(charges)
+    by_symbol = lm_constructible_by_height(charges, (n,))[n]
+    shapes = enumerate_dpartitions(len(charges), n)
+    rendered = {
+        ids: CharacterSum.from_ids(shapes, ids) for ids in set(by_symbol.values())
+    }
+    return {sym: rendered[ids] for sym, ids in by_symbol.items()}
 
 
 def lm_constructible_by_height(
     charges: tuple[int, ...], heights
-) -> dict[int, dict[Symbol, CharacterSum]]:
-    """``lm_constructible`` at each of the heights, all read off one canonical
-    basis built to the largest.
+) -> dict[int, dict[Symbol, IdCounts]]:
+    """The constructible characters of each height, as ``IdCounts`` keyed by
+    standard symbol, all read off one canonical basis built to the largest.
 
     ``canonical_basis(charges, n)`` holds ``canonical_basis(charges, k)`` for
     every k <= n, since each vector is built from vectors of its own height
     and of its peel parent's.  Each term's rows are looked up among the
-    d-partitions of its height, so every shape and its sort key are made once.
+    d-partitions of its height for their index, and its coefficient is read
+    at q = 1: a zero is dropped, and a negative one raises
+    `NegativeMultiplicity`.
     """
     charges = tuple(charges)
     heights = sorted(set(heights))
     if not heights:
         raise ValueError("need at least one height")
     basis = canonical_basis(charges, max(heights))
-    shapes = {
-        n: {dp.components: dp for dp in enumerate_dpartitions(len(charges), n)}
+    d = len(charges)
+    index = {
+        n: {dp.components: i for i, dp in enumerate(enumerate_dpartitions(d, n))}
         for n in heights
     }
-    out: dict[int, dict[Symbol, CharacterSum]] = {n: {} for n in heights}
+    out: dict[int, dict[Symbol, IdCounts]] = {n: {} for n in heights}
     for sym, vec in basis.items():
         if (n := sym.height) in out:
-            out[n][sym] = CharacterSum.from_counts(
-                {shapes[n][s.rows]: c.eval_at_one() for s, c in vec.terms.items()}
-            )
+            ids = []
+            for s, c in vec.terms.items():
+                m = c.eval_at_one()
+                if m > 0:
+                    ids.append((index[n][s.rows], m))
+                elif m < 0:
+                    raise NegativeMultiplicity(
+                        f"coefficient {c.text()} at {s!r} in the vector for {sym!r}"
+                        " is negative at q = 1"
+                    )
+            ids.sort()
+            out[n][sym] = tuple(ids)
     return out

@@ -15,20 +15,25 @@ Spectrum prefixes that reach the same shapes equally often grow alike, so the
 cells are computed on a graph of these merged states, without listing the
 tableaux one by one.  A cell's character is read off its final state, and
 its multiplicity off the number of paths into that state (see
-``jm_cellular_characters``).
+``jm_cellular_characters``).  A final state is already the character as
+(shape id, multiplicity) pairs sorted by id, so characters are compared as
+int tuples and a `CharacterSum` is built only to render one.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import attrgetter
 
 from .combinatorics import (
     BoxCoord,
     CharacterSum,
     DPartition,
+    IdCounts,
     Partition,
     addable_boxes,
     content,
@@ -126,23 +131,25 @@ class CellDecomposition:
     ``values`` lists the build's distinct eigenvalues in increasing order, and
     ``children`` maps each state below size n to its moves, (rank, child
     state) in increasing rank order, the rank indexing ``values``; ranks
-    follow value order, so this is also eigenvalue order.  ``finals`` maps
-    each state of size n to its character and the number of spectra that
-    reach it.  ``paths`` maps the states of each size k = 0..n to that number,
-    and ``shapes`` lists the d-partitions of size at most n by the ids that
-    states use.
+    follow value order, so this is also eigenvalue order.  ``paths`` maps the
+    states of each size k = 0..n to the number of spectrum prefixes that
+    reach them, so a state of size n is the character of that many cells.
+    ``shapes`` lists the d-partitions of size at most n by the ids that states
+    use, size first, each size in ``enumerate_dpartitions`` order.  So a state
+    of size k, less the number of shapes smaller than k from each id, is its
+    character as ``IdCounts`` (``character_counts``); a `CharacterSum` is
+    built only when a cell is rendered (``walk``, ``cells``).
     """
 
     values: tuple[Fraction, ...]
     children: dict[State, tuple[tuple[int, State], ...]]
-    finals: dict[State, tuple[CharacterSum, int]]
     report: GenericityReport
     paths: tuple[dict[State, int], ...]
     shapes: tuple[DPartition, ...]
 
-    def character_counts(self, k: int | None = None) -> dict[CharacterSum, int]:
-        """The distinct cell characters of size k (n by default) in canonical
-        order, with multiplicities.
+    def character_counts(self, k: int | None = None) -> dict[IdCounts, int]:
+        """The distinct cell characters of size k (n by default) as
+        ``IdCounts``, in canonical order, with multiplicities.
 
         Distinct states reach distinct shape counts, so their characters are
         distinct, and no cell is listed.  Shapes are numbered by size first,
@@ -150,16 +157,17 @@ class CellDecomposition:
         for k: this equals ``jm_cellular_characters(params, k).character_counts()``.
         """
         n = len(self.paths) - 1
-        if k is None or k == n:
-            pairs = self.finals.values()
-        elif 0 <= k < n:
-            pairs = [
-                (_character(self.shapes, state), count)
-                for state, count in self.paths[k].items()
-            ]
-        else:
+        if k is None:
+            k = n
+        elif not 0 <= k <= n:
             raise ValueError(f"size {k} is not in 0..{n}")
-        return dict(sorted(pairs, key=lambda it: it[0].sort_key()))
+        offset = bisect_left(self.shapes, k, key=attrgetter("size"))
+        return dict(
+            sorted(
+                (tuple((shape - offset, m) for shape, m in state), count)
+                for state, count in self.paths[k].items()
+            )
+        )
 
     @cached_property
     def cells(self) -> tuple[tuple[tuple[Fraction, ...], CharacterSum], ...]:
@@ -177,7 +185,10 @@ class CellDecomposition:
         every level stays sorted.  The last level is yielded cell by cell.
         """
         labels = [label(v) for v in self.values]
-        leaves = {state: render(cs) for state, (cs, _) in self.finals.items()}
+        leaves = {
+            state: render(CharacterSum.from_ids(self.shapes, state))
+            for state in self.paths[-1]
+        }
         linked = {state: [] for state in self.children}
         for state, moves in self.children.items():
             linked[state].extend(
@@ -279,17 +290,9 @@ def jm_cellular_characters(params: CMParams, n: int) -> CellDecomposition:
                 next_paths[child] = next_paths.get(child, 0) + count
         paths = next_paths
         levels.append(paths)
-    finals = {
-        state: (_character(shapes, state), count) for state, count in paths.items()
-    }
     return CellDecomposition(
-        values, children, finals, is_generic(params, n), tuple(levels), tuple(shapes)
+        values, children, is_generic(params, n), tuple(levels), tuple(shapes)
     )
-
-
-def _character(shapes, state: State) -> CharacterSum:
-    """The character of a state: its shapes, each as often as it is reached."""
-    return CharacterSum.from_counts({shapes[s]: m for s, m in state})
 
 
 def _grown(components: tuple[Partition, ...], box: BoxCoord) -> tuple[Partition, ...]:

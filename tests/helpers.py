@@ -36,6 +36,12 @@ for `wreathcells.standard_tableaux` (an iterative peel) and
 `wreathcells.tableau_count` (the hook length formula): both recurse on the
 branching rule, removing the last box in every possible way.
 
+`check_by_character_sums` is the oracle for the id-tuple verdict of
+`wreathcells.check_conjecture_sizes`: it carries every character as a
+validated `CharacterSum`, built per JM state and per basis vector with
+`CharacterSum.from_counts`, and sorts each side by `CharacterSum.sort_key`;
+its `CharacterSumVerdict` stores those sums and derives every field from them.
+
 `jm_cells_by_tableaux` and `jm_cells_by_trie` are the oracles for the graph
 of merged states behind `wreathcells.jm_cellular_characters`.  The first
 walks every standard tableau of every shape and groups the tableaux by their
@@ -99,9 +105,96 @@ from wreathcells import (
     standard_tableaux,
     tableau_spectrum,
 )
-from wreathcells.combinatorics import remove_box
-from wreathcells.fock import symbol_sort_key
+from wreathcells.combinatorics import character_counts, remove_box
+from wreathcells.conjecture import r_from_params
+from wreathcells.fock import canonical_basis, symbol_sort_key
+from wreathcells.gd12 import cm_cells_n2_family
+from wreathcells.jucys_murphy import jm_cellular_characters
 from wreathcells.laurent import one
+
+
+class CharacterSumVerdict(NamedTuple):
+    """A verdict whose two sides are `CharacterSum`s, with their counts."""
+
+    mode: str
+    n: int
+    charges: tuple[int, ...]
+    cm_counts: dict[CharacterSum, int]
+    lm_counts: dict[CharacterSum, int]
+
+    @property
+    def equal(self) -> bool:
+        return self.cm_counts.keys() == self.lm_counts.keys()
+
+    @property
+    def cm_only(self) -> tuple[CharacterSum, ...]:
+        return tuple(cs for cs in self.cm_counts if cs not in self.lm_counts)
+
+    @property
+    def lm_only(self) -> tuple[CharacterSum, ...]:
+        return tuple(cs for cs in self.lm_counts if cs not in self.cm_counts)
+
+    @property
+    def cm_multiset(self) -> tuple[CharacterSum, ...]:
+        return tuple(cs for cs, m in self.cm_counts.items() for _ in range(m))
+
+    @property
+    def lm_multiset(self) -> tuple[CharacterSum, ...]:
+        return tuple(cs for cs, m in self.lm_counts.items() for _ in range(m))
+
+    @property
+    def note(self) -> str:
+        if self.mode == "jm-upper-bound" and not self.equal:
+            return "inconclusive (JM cells may merge CM cells)"
+        return ""
+
+    def to_json_obj(self):
+        def charlist(chars):
+            return [cs.to_json_obj() for cs in chars]
+
+        return {
+            "mode": self.mode,
+            "n": self.n,
+            "charges": list(self.charges),
+            "equal": self.equal,
+            "cm_set": charlist(self.cm_counts),
+            "lm_set": charlist(self.lm_counts),
+            "diff": {
+                "cm_only": charlist(self.cm_only),
+                "lm_only": charlist(self.lm_only),
+            },
+            "cm_multiset": charlist(self.cm_multiset),
+            "lm_multiset": charlist(self.lm_multiset),
+            "note": self.note,
+        }
+
+
+def check_by_character_sums(params: CMParams, sizes) -> tuple[CharacterSumVerdict, ...]:
+    """`check_conjecture_sizes` with every character a `CharacterSum`."""
+    charges = r_from_params(params)
+    basis = canonical_basis(charges, max(sizes))
+    jm = jm_cellular_characters(params, max(sizes))
+    verdicts = []
+    for n in sizes:
+        lm_counts = character_counts(
+            CharacterSum.from_counts(
+                {DPartition(s.rows): c.eval_at_one() for s, c in vec.terms.items()}
+            )
+            for sym, vec in basis.items()
+            if sym.height == n
+        )
+        if n == 2:
+            mode = "exact-n2"
+            cm_counts = character_counts(cs for _, cs in cm_cells_n2_family(params))
+        else:
+            mode = "generic" if is_generic(params, n).generic else "jm-upper-bound"
+            pairs = [
+                (CharacterSum.from_counts({jm.shapes[s]: m for s, m in state}), count)
+                for state, count in jm.paths[n].items()
+            ]
+            cm_counts = dict(sorted(pairs, key=lambda it: it[0].sort_key()))
+        verdicts.append(CharacterSumVerdict(mode, n, charges, cm_counts, lm_counts))
+    return tuple(verdicts)
 
 
 def direct_spectrum(params: CMParams, tab: StandardTableau) -> tuple[Fraction, ...]:

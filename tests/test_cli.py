@@ -219,7 +219,7 @@ def test_walk_renders_each_value_and_character_once():
 
     cells = list(dec.walk(label, render))
     assert labelled == list(dec.values)
-    assert len(rendered) == len(dec.finals)
+    assert len(rendered) == len(dec.paths[-1])
     assert cells == [
         (tuple(str(x) for x in spec), cs.text()) for spec, cs in dec.cells
     ]

@@ -178,3 +178,21 @@ def test_filled_sort_key_keeps_value_semantics():
     assert back == new and hash(back) == hash(new)
     assert "_sort_key" not in vars(back) and "size" not in vars(back)
     assert CharacterSum.from_counts({filled: 1}) == CharacterSum.from_counts({new: 1})
+
+
+# IdCounts compare characters by their indices in enumerate_dpartitions, which
+# is sound only while that order is the canonical one.
+@pytest.mark.parametrize("d, max_n", [(1, 8), (2, 8), (3, 8), (4, 7), (5, 7)])
+def test_sort_key_strictly_increases_along_enumeration(d, max_n):
+    for n in range(max_n + 1):
+        keys = [dpartition_sort_key(dp) for dp in enumerate_dpartitions(d, n)]
+        assert all(a < b for a, b in zip(keys, keys[1:])), (d, n)
+
+
+def test_from_ids_reads_shapes_by_index():
+    shapes = enumerate_dpartitions(2, 2)
+    ids = ((0, 2), (3, 1))
+    built = CharacterSum.from_ids(shapes, ids)
+    assert built == CharacterSum.from_counts({shapes[3]: 1, shapes[0]: 2})
+    with pytest.raises(ValueError, match="strictly sorted"):
+        CharacterSum.from_ids(shapes, ids[::-1])

@@ -840,11 +840,16 @@ def _assert_heights_match_builds(charges, n, heights):
         assert [(s, v) for s, v in basis.items() if s.height <= k] == list(expected.items())
         if k in by_height:
             chars = _characters_at(expected, k)
-            assert list(by_height[k].items()) == list(chars.items())
-            assert list(lm_constructible(charges, k).items()) == list(chars.items())
-            shapes = {id(dp) for dp in enumerate_dpartitions(len(charges), k)}
+            shapes = enumerate_dpartitions(len(charges), k)
+            assert list(by_height[k]) == list(chars)
+            for sym, ids in by_height[k].items():
+                assert ids == tuple(sorted(ids)) and all(m > 0 for _, m in ids)
+                assert CharacterSum.from_ids(shapes, ids) == chars[sym]
+            rendered = lm_constructible(charges, k)
+            assert list(rendered.items()) == list(chars.items())
+            made = {id(dp) for dp in shapes}
             assert all(
-                id(dp) in shapes for cs in by_height[k].values() for dp, _ in cs.entries
+                id(dp) in made for cs in rendered.values() for dp, _ in cs.entries
             )
 
 

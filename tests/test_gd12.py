@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wreathcells.cli import cli_main
-from wreathcells.combinatorics import CharacterSum, DPartition
+from wreathcells.combinatorics import CharacterSum, DPartition, enumerate_dpartitions
 from wreathcells.gd12 import (
     Cyclo,
     DiscriminantMismatch,
@@ -185,7 +185,9 @@ def test_jm_cells_are_sums_of_cm_cells(params):
 )
 def test_c0_zero_jm_equals_cm(params):
     jm = jm_cellular_characters(params, 2)
-    assert frozenset(jm.character_counts()) == cm_cells_n2(params)
+    shapes = enumerate_dpartitions(params.d, 2)
+    characters = {CharacterSum.from_ids(shapes, ids) for ids in jm.character_counts()}
+    assert characters == cm_cells_n2(params)
 
 
 @pytest.mark.parametrize(

@@ -316,9 +316,10 @@ def test_trie_cells_match_per_tableau_oracle(point):
     dec = jm_cellular_characters(params, n)
     counts = dec.character_counts()
     assert "cells" not in vars(dec)
-    characters = [cs for cs, _ in dec.finals.values()]
-    assert len(set(characters)) == len(characters) == len(counts)
-    assert sum(paths for _, paths in dec.finals.values()) == len(dec.cells)
+    # one distinct character per final state, as many cells as paths into it
+    characters = {cs for _, cs in dec.cells}
+    assert len(characters) == len(counts) == len(dec.paths[-1])
+    assert sum(counts.values()) == len(dec.cells)
     for oracle in (jm_cells_by_tableaux, jm_cells_by_trie):
         expected = oracle(params, n)
         assert dec.cells == expected.cells
@@ -409,18 +410,20 @@ def test_moves_follow_value_order_random(point):
 
 def test_equal_characters_share_one_object(monkeypatch):
     built = []
-    from_counts = CharacterSum.from_counts.__func__
+    post_init = CharacterSum.__post_init__
 
-    def counting(cls, counts):
-        built.append(counts)
-        return from_counts(cls, counts)
+    def counting(self):
+        built.append(self)
+        post_init(self)
 
-    monkeypatch.setattr(CharacterSum, "from_counts", classmethod(counting))
+    monkeypatch.setattr(CharacterSum, "__post_init__", counting)
     dec = jm_cellular_characters(P_GAP1, 6)
-    assert len(built) == len(dec.finals)
-    objects = {id(cs) for _, cs in dec.cells}
-    assert len(built) == len(objects) == len({cs for _, cs in dec.cells})
-    assert len(objects) < len(dec.cells)
+    assert built == []
+    cells = dec.cells
+    assert len(built) == len(dec.paths[-1])
+    objects = {id(cs) for _, cs in cells}
+    assert len(built) == len(objects) == len({cs for _, cs in cells})
+    assert len(objects) < len(cells)
 
 
 @st.composite
@@ -437,8 +440,10 @@ def test_character_counts_match_per_tableau_oracle(point):
     params, n = point
     expected = Counter(cs for _, cs in jm_cells_by_tableaux(params, n).cells)
     counts = jm_cellular_characters(params, n).character_counts()
-    assert counts == expected
-    assert list(counts) == sorted(expected, key=CharacterSum.sort_key)
+    shapes = enumerate_dpartitions(params.d, n)
+    rendered = {CharacterSum.from_ids(shapes, ids): m for ids, m in counts.items()}
+    assert rendered == expected
+    assert list(rendered) == sorted(expected, key=CharacterSum.sort_key)
 
 
 # One build for n serves every size k <= n: level k of its graph is the graph

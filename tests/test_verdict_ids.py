@@ -1,0 +1,203 @@
+"""Characters as IdCounts from both layers to the verdict.
+
+`helpers.check_by_character_sums`, the verdict with every character a
+validated `CharacterSum`, is the oracle for every field of
+`check_conjecture_sizes`, in order, and for its JSON object.
+"""
+
+import itertools
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import wreathcells.fock as fock
+from helpers import check_by_character_sums
+from wreathcells import (
+    CharacterSum,
+    FockVector,
+    NegativeMultiplicity,
+    check_conjecture,
+    check_conjecture_sizes,
+    cm_cells_n2_family,
+    enumerate_dpartitions,
+    params_from_r,
+    q,
+)
+from wreathcells.cli import cli_main
+from wreathcells.fock import lm_constructible_by_height
+
+FIELDS = (
+    "mode n charges equal cm_counts lm_counts cm_only lm_only "
+    "cm_multiset lm_multiset note"
+).split()
+
+
+def _battery(max_d, max_n, max_charge):
+    """The sweep's built-in battery, one (charges, c0, sizes) per charge vector."""
+    return [
+        (combo + (0,), 1, tuple(range(2, max_n + 1)))
+        for d in range(1, max_d + 1)
+        for combo in itertools.combinations_with_replacement(
+            range(max_charge, -1, -1), d - 1
+        )
+    ]
+
+
+HALF = Fraction(-1, 2)
+POINTS = _battery(3, 6, 3) + [
+    ((1, 0), 1, (0, 1, 4)),
+    ((1, 1, 0), 1, (0, 1, 2)),
+    ((0, 0, 0, 0), 1, (0, 1)),
+    ((3,), 1, (0, 1, 2, 3, 4, 5, 6, 7)),
+    ((2,), HALF, (2, 3, 4, 5)),
+    ((2, 0), HALF, (2, 3, 4, 5, 6)),
+    ((1, 1, 0), HALF, (2, 3, 4, 5)),
+    ((14, 7, 0), 1, (2, 3, 4)),
+]
+
+
+def _assert_matches_oracle(params, sizes):
+    got = check_conjecture_sizes(params, sizes)
+    want = check_by_character_sums(params, sizes)
+    assert len(got) == len(want)
+    for verdict, expected in zip(got, want):
+        for name in FIELDS:
+            value, oracle = getattr(verdict, name), getattr(expected, name)
+            if isinstance(oracle, dict):
+                assert list(value.items()) == list(oracle.items()), name
+            else:
+                assert value == oracle, name
+        # the sweep's row reads the id counts
+        assert len(verdict.cm_ids) == len(expected.cm_counts)
+        assert len(verdict.lm_ids) == len(expected.lm_counts)
+        obj = verdict.to_json_obj()
+        assert json.dumps(obj) == json.dumps(expected.to_json_obj())
+
+
+@pytest.mark.parametrize(
+    "charges, c0, sizes", POINTS, ids=[f"{r}-c0={c0}" for r, c0, _ in POINTS]
+)
+def test_verdict_matches_character_sum_oracle(charges, c0, sizes):
+    _assert_matches_oracle(params_from_r(charges, c0), sizes)
+
+
+def test_check_path_builds_no_character_sum(monkeypatch):
+    built = []
+    post_init = CharacterSum.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(CharacterSum, "__post_init__", counting)
+    rows = []
+    for charges, c0, sizes in [
+        ((1, 1, 0), 1, (0, 1, 3, 4, 5)),
+        ((2, 0), HALF, (3, 4, 5, 6)),
+        ((0, 0, 0), 1, (3, 4)),
+        ((3,), 1, (1, 3, 5)),
+    ]:
+        for v in check_conjecture_sizes(params_from_r(charges, c0), sizes):
+            # the sweep's row and the diffs
+            rows.append((v.mode, v.equal, len(v.cm_ids), len(v.lm_ids)))
+            rows.append((v.cm_only_ids, v.lm_only_ids))
+    assert len(rows) == 2 * 14
+    assert built == []
+    # n = 2 reads gd12's closed forms, which build their own sums, one each
+    params = params_from_r((1, 1, 0), 1)
+    (verdict,) = check_conjecture_sizes(params, (2,))
+    assert verdict.equal
+    in_check = len(built)
+    built.clear()
+    family = cm_cells_n2_family(params)
+    assert in_check == len(built) == len(family) > 0
+
+
+def _patch_one_coefficient(monkeypatch, coeff, height=4):
+    """Replace one non-leading coefficient of a basis vector of this height.
+
+    Returns the patched vector's symbol and the term whose coefficient changed.
+    """
+    original = fock.canonical_basis
+    chosen = {}
+
+    def patched(charges, n, **kwargs):
+        basis = dict(original(charges, n, **kwargs))
+        sym = next(
+            s for s, v in basis.items() if s.height == height and len(v.terms) > 1
+        )
+        terms = dict(basis[sym].terms)
+        term = next(s for s in terms if s != sym)
+        terms[term] = coeff
+        basis[sym] = FockVector(terms)
+        chosen.update(sym=sym, term=term)
+        return basis
+
+    monkeypatch.setattr(fock, "canonical_basis", patched)
+    return chosen
+
+
+def test_negative_multiplicity_raises_on_the_check_path(monkeypatch, capsys):
+    _patch_one_coefficient(monkeypatch, -q(1))
+    params = params_from_r((1, 1, 0), 1)
+    with pytest.raises(NegativeMultiplicity, match="negative at q = 1"):
+        check_conjecture(params, 4)
+    with pytest.raises(NegativeMultiplicity):
+        check_conjecture_sizes(params, (2, 3, 4))
+    assert issubclass(NegativeMultiplicity, ValueError)
+    # a basis vector that is not a character is a bug, so not a usage error
+    assert cli_main(["check", "--r=1,1,0", "--c0", "1", "--n", "4"]) == 3
+    assert "internal error: NegativeMultiplicity" in capsys.readouterr().err
+
+
+def test_zero_multiplicity_at_one_is_dropped(monkeypatch):
+    charges = (1, 1, 0)
+    before = lm_constructible_by_height(charges, (4,))[4]
+    chosen = _patch_one_coefficient(monkeypatch, q(1) - q(2))
+    after = lm_constructible_by_height(charges, (4,))[4]
+    index = {dp.components: i for i, dp in enumerate(enumerate_dpartitions(3, 4))}
+    dropped = index[chosen["term"].rows]
+    sym = chosen["sym"]
+    assert dropped in dict(before[sym])
+    assert after[sym] == tuple((i, m) for i, m in before[sym] if i != dropped)
+    assert {s: ids for s, ids in after.items() if s != sym} == {
+        s: ids for s, ids in before.items() if s != sym
+    }
+    check_conjecture(params_from_r(charges, 1), 4)
+
+
+def test_negative_multiplicity_survives_optimize():
+    # `python -O` strips asserts, so the check must not be one
+    script = textwrap.dedent(
+        """
+        import wreathcells.fock as fock
+        from wreathcells import FockVector, NegativeMultiplicity, q
+        original = fock.canonical_basis
+
+        def patched(charges, n):
+            basis = dict(original(charges, n))
+            sym = next(s for s, v in basis.items() if s.height == n and len(v.terms) > 1)
+            terms = dict(basis[sym].terms)
+            terms[next(s for s in terms if s != sym)] = -q(1)
+            basis[sym] = FockVector(terms)
+            return basis
+
+        fock.canonical_basis = patched
+        try:
+            fock.lm_constructible_by_height((1, 1, 0), (4,))
+        except NegativeMultiplicity:
+            raise SystemExit(0)
+        raise SystemExit(1)
+        """
+    )
+    src = str(Path(fock.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], env={**os.environ, "PYTHONPATH": src}
+    )
+    assert result.returncode == 0
