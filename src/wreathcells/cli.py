@@ -2,12 +2,15 @@
 
 Exit codes: 0 on success, 1 when `check` finds unequal character sets or
 `gaudin-verify` finds a nonzero residual, 2 on usage errors, 3 on an internal
-error (any other exception, `NegativeMultiplicity` among them; its traceback
-goes to stderr).  All output is deterministic.  Text is written line by line
-as it is made; `--format json` mirrors the text tables and is exactly
-`json.dumps(obj, indent=2)`, non-ASCII escaped, from a private encoder that
-accepts only dicts with str keys, lists, str, int, bool and None (anything
-else is an internal error).
+error (any other exception, `NegativeMultiplicity` and `MalformedCharacter`
+among them; its traceback goes to stderr).  All output is deterministic.
+Text is written line by line as it is made.  `--format json` mirrors the text
+tables and is exactly `json.dumps(obj, indent=2)`, non-ASCII escaped, from a
+private encoder that accepts only dicts with str keys, lists, str, int, bool
+and None (anything else is an internal error).  The long lists (JM cells,
+basis vectors, the verdict's characters) are lazy arrays, written element by
+element as they are made, each element from fragments encoded once per
+distinct value; so a crash part-way leaves a truncated document, with exit 3.
 
 Subcommands taking reflection parameters read them from exactly one source:
 `--c0` with `--k`, or `--c0` with the charges `--r`; `tableaux` reads its
@@ -23,12 +26,14 @@ import argparse
 import os
 import sys
 import traceback
+from collections.abc import Iterator
 from contextlib import contextmanager
-from itertools import combinations
+from itertools import combinations, repeat
 from json.encoder import encode_basestring_ascii as _quote
 
 from .combinatorics import (
     CharacterSum,
+    MalformedCharacter,
     character_counts,
     enumerate_dpartitions,
     parse_dpartition,
@@ -87,56 +92,30 @@ def _params_from_args(args) -> CMParams:
     return params_from_r(values, c0)
 
 
-def _json_text(obj) -> str:
-    """``json.dumps(obj, indent=2)`` for the values the CLI emits.
+class _LazyArray(TypeError):
+    """An iterator met where a value is encoded whole."""
+
+
+def _json_text(obj, depth: int = 0) -> str:
+    """``json.dumps(obj, indent=2)`` for the values the CLI emits, laid out
+    as if it stood at ``depth``.
 
     Those are dicts with str keys, lists, str, int, bool and None; anything
-    else raises TypeError.  Strings go through the stdlib's C escaper, a list
-    of strings is one join, and a dict holding only scalars is encoded once
-    per depth: the listings repeat a few such dicts thousands of times.
+    else raises TypeError, an iterator `_LazyArray`.  Strings go through the
+    stdlib's C escaper, and a list of strings is one join.
     """
-    flat: dict[tuple[int, int], str] = {}
-
-    def scalar(value) -> str:
-        if isinstance(value, str):
-            return _quote(value)
-        if value is None:
-            return "null"
-        if value is True:
-            return "true"
-        if value is False:
-            return "false"
-        if isinstance(value, int):
-            return int.__repr__(value)
-        raise TypeError(f"cannot encode {type(value).__name__} as JSON")
-
-    def encode(value, depth: int) -> str:
-        if isinstance(value, dict):
-            return encode_dict(value, depth)
-        if isinstance(value, list):
-            return encode_list(value, depth)
-        return scalar(value)
-
-    def encode_dict(obj: dict, depth: int) -> str:
+    if isinstance(obj, str):
+        return _quote(obj)
+    if type(obj) is int:  # the common leaf; bools, also ints, come below
+        return int.__repr__(obj)
+    if isinstance(obj, dict):
         if not obj:
             return "{}"
-        text = flat.get((id(obj), depth))
-        if text is not None:
-            return text
-        items, scalars_only = [], True
-        for key, value in obj.items():
-            if not isinstance(key, str):
-                raise TypeError(f"cannot encode {type(key).__name__} key as JSON")
-            if isinstance(value, (dict, list)):
-                scalars_only = False
-            items.append(f"{_quote(key)}: {encode(value, depth + 1)}")
-        text = _bracket("{", items, "}", depth)
-        if scalars_only:
-            # ``obj`` is alive until the encoding ends, so its id is not reused
-            flat[id(obj), depth] = text
-        return text
-
-    def encode_list(obj: list, depth: int) -> str:
+        items = [
+            f"{_key(key)}: {_json_text(value, depth + 1)}" for key, value in obj.items()
+        ]
+        return _bracket("{", items, "}", depth)
+    if isinstance(obj, list):
         if not obj:
             return "[]"
         if isinstance(obj[0], str):
@@ -144,9 +123,25 @@ def _json_text(obj) -> str:
                 return _bracket("[", map(_quote, obj), "]", depth)
             except TypeError:  # a later item is not a str
                 pass
-        return _bracket("[", [encode(value, depth + 1) for value in obj], "]", depth)
+        items = [_json_text(value, depth + 1) for value in obj]
+        return _bracket("[", items, "]", depth)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, Iterator):
+        raise _LazyArray("cannot encode a lazy array whole")
+    raise TypeError(f"cannot encode {type(obj).__name__} as JSON")
 
-    return encode(obj, 0)
+
+def _key(key) -> str:
+    if not isinstance(key, str):
+        raise TypeError(f"cannot encode {type(key).__name__} key as JSON")
+    return _quote(key)
 
 
 def _bracket(open_: str, items, close: str, depth: int) -> str:
@@ -154,9 +149,58 @@ def _bracket(open_: str, items, close: str, depth: int) -> str:
     return f"{open_}{inner}{(',' + inner).join(items)}\n{'  ' * depth}{close}"
 
 
+class _Encoded(str):
+    """JSON text already laid out at its depth, as an element of a lazy
+    array; it is written as is."""
+
+
+def _write_lazy(value, depth: int, write) -> None:
+    """Write a lazy array, or a dict or list holding one, at ``depth``
+    through ``write``, member by member, as ``json.dumps(indent=2)`` lays
+    it out.
+
+    A lazy array is an iterator: each element is pulled only after the one
+    before it is written, and an empty one is ``[]``.  A member holding a
+    lazy array is written in the same way; every other member is encoded
+    whole (`_json_text`) before any of it is written.  An `_Encoded` member
+    is written as is, and a member that is the same object as the one before
+    it reuses its text, so a run of copies of one value is encoded once.
+    """
+    if isinstance(value, dict):
+        members = ((f"{_key(key)}: ", item) for key, item in value.items())
+        open_, close = "{", "}"
+    else:
+        members = zip(repeat(""), value)
+        open_, close = "[", "]"
+    inner = "\n" + "  " * (depth + 1)
+    sep = open_ + inner
+    last = text = None
+    for head, item in members:
+        if text is None or item is not last:
+            last = item
+            if isinstance(item, _Encoded):
+                text = item
+            else:
+                try:
+                    text = _json_text(item, depth + 1)
+                except _LazyArray:
+                    text = None
+        if text is None:
+            write(sep + head)
+            _write_lazy(item, depth + 1, write)
+        else:
+            write(sep + head + text)
+        sep = "," + inner
+    write(f"\n{'  ' * depth}{close}" if sep[0] == "," else open_ + close)
+
+
 @contextmanager
 def _destination(args):
-    """--out opened for writing, or stdout; failing to write --out is a usage error."""
+    """--out opened for writing, or stdout; failing to write --out is a usage error.
+
+    Listings are written through it as they are made, so a crash part-way
+    leaves what was written so far.
+    """
     if not args.out:
         yield sys.stdout
         return
@@ -168,10 +212,21 @@ def _destination(args):
 
 
 def _emit_json(args, obj) -> None:
-    """Write `obj` as JSON to --out or stdout, encoded before either is opened."""
-    text = _json_text(obj)
+    """Write `obj` as JSON, then a newline, to --out or stdout.
+
+    A value without lazy arrays is encoded whole before either is opened.
+    Otherwise the document is written as it is made (``_write_lazy``), so a
+    crash inside a lazy array leaves it truncated.
+    """
+    try:
+        text = _json_text(obj)
+    except _LazyArray:
+        text = None
     with _destination(args) as handle:
-        handle.write(text)
+        if text is None:
+            _write_lazy(obj, 0, handle.write)
+        else:
+            handle.write(text)
         handle.write("\n")
 
 
@@ -229,7 +284,13 @@ def _cmd_jm_cells(args) -> int:
     params = _params_from_args(args)
     decomposition = jm_cellular_characters(params, args.n)
     if args.format == "json":
-        _emit_json(args, decomposition.to_json_obj())
+        report = decomposition.report
+        obj = {
+            "cells": _json_cells(decomposition),
+            "generic": report.generic,
+            "witness": list(report.witness) if report.witness else None,
+        }
+        _emit_json(args, obj)
     else:
 
         def lines():
@@ -249,6 +310,27 @@ def _cmd_jm_cells(args) -> int:
     return 0
 
 
+def _json_cells(decomposition) -> Iterator[_Encoded]:
+    """The cells of ``jm-cells --format json``, each a dict at depth 2.
+
+    Each distinct eigenvalue is quoted once and each final state's character
+    encoded once, so a cell is one join of shared fragments.
+    """
+    if len(decomposition.paths) > 1:
+        open_ = '{\n      "spectrum": [\n        '
+        character = '\n      ],\n      "character": '
+    else:  # n = 0: every spectrum is empty
+        open_, character = '{\n      "spectrum": [', '],\n      "character": '
+    cells = decomposition.walk(
+        lambda value: _quote(str(value)),
+        lambda cs: _json_text(cs.to_json_obj(), 3),
+    )
+    for spectrum, text in cells:
+        yield _Encoded(
+            "".join((open_, ",\n        ".join(spectrum), character, text, "\n    }"))
+        )
+
+
 def _cmd_standard_symbols(args) -> int:
     charges = _charges_from_args(args)
     component = enumerate_standard_symbols(charges, args.n)
@@ -263,8 +345,8 @@ def _cmd_standard_symbols(args) -> int:
     return 0
 
 
-class _PerRow(dict):
-    """fn of each distinct row partition, made on first use."""
+class _PerValue(dict):
+    """fn of each distinct value, made on first use."""
 
     __slots__ = ("fn",)
 
@@ -282,7 +364,7 @@ def _cmd_canonical_basis(args) -> int:
     basis = canonical_basis(charges, args.n)
     # A listing repeats few distinct rows, so each row's text and sort key is
     # made once, and a symbol's are assembled from its rows'.
-    row_text, row_key = _PerRow(partition_text), _PerRow(partition_sort_key)
+    row_text, row_key = _PerValue(partition_text), _PerValue(partition_sort_key)
 
     def text(sym):
         return "|".join(map(row_text.__getitem__, sym.rows))
@@ -290,33 +372,35 @@ def _cmd_canonical_basis(args) -> int:
     def key(sym):
         return tuple(map(row_key.__getitem__, sym.rows))
 
-    def listing():
-        """(symbol text, [(term text, coefficient text)]) per basis vector,
-        in the order of `symbol_sort_key` and `FockVector.support`."""
+    def listing(name):
+        """(name of symbol, [(name of term, coefficient text)]) per basis
+        vector, in the order of `symbol_sort_key` and `FockVector.support`."""
         for sym in sorted(basis, key=lambda s: (s.height, key(s))):
             coeffs = basis[sym].terms
-            terms = [(text(s), coeffs[s].text()) for s in sorted(coeffs, key=key)]
-            yield text(sym), terms
+            terms = [(name(s), coeffs[s].text()) for s in sorted(coeffs, key=key)]
+            yield name(sym), terms
 
     if args.format == "json":
-        obj = {
-            "charges": list(charges),
-            "max_height": args.n,
-            "basis": [
-                {
-                    "symbol": sym,
-                    "terms": [{"symbol": s, "coeff": c} for s, c in terms],
-                }
-                for sym, terms in listing()
-            ],
-        }
+        # each distinct symbol is quoted once; a basis vector is a dict at
+        # depth 2 and each of its terms a dict at depth 4
+        quoted = _PerValue(lambda sym: _quote(text(sym)))
+        vector = '{\n      "symbol": %s,\n      "terms": [\n        %s\n      ]\n    }'
+        term = '{\n          "symbol": %s,\n          "coeff": %s\n        }'
+        rows = (
+            _Encoded(
+                vector
+                % (sym, ",\n        ".join([term % (s, _quote(c)) for s, c in terms]))
+            )
+            for sym, terms in listing(quoted.__getitem__)
+        )
+        obj = {"charges": list(charges), "max_height": args.n, "basis": rows}
         _emit_json(args, obj)
     else:
         _emit_lines(
             args,
             (
                 f"{sym} : " + " + ".join(f"({c})[{s}]" for s, c in terms)
-                for sym, terms in listing()
+                for sym, terms in listing(text)
             ),
         )
     return 0
@@ -485,8 +569,8 @@ def cli_main(argv=None) -> int:
             raise UsageError(f"cannot write --out {out}: no such directory")
         return args.func(args)
     except ValueError as exc:
-        if isinstance(exc, NegativeMultiplicity):
-            # a basis vector that is not a character is a bug, not bad input
+        if isinstance(exc, (NegativeMultiplicity, MalformedCharacter)):
+            # a character that breaks its invariants is a bug, not bad input
             return _internal_error(exc)
         print(f"error: {exc}", file=sys.stderr)
         return 2

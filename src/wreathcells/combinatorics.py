@@ -254,6 +254,11 @@ def tableau_count(shape: DPartition) -> int:
 IdCounts = tuple[tuple[int, int], ...]
 
 
+class MalformedCharacter(ValueError):
+    """A `CharacterSum` whose entries break its invariants: a multiplicity
+    that is not positive, mixed (d, n), or entries not strictly sorted."""
+
+
 @dataclass(frozen=True)
 class CharacterSum:
     """A formal nonnegative-integer combination of irreducible characters.
@@ -270,15 +275,15 @@ class CharacterSum:
         prev_key = None
         for dp, mult in self.entries:
             if mult <= 0:
-                raise ValueError("multiplicities must be positive")
+                raise MalformedCharacter("multiplicities must be positive")
             dn = (dp.d, dp.size)
             if seen_dn is None:
                 seen_dn = dn
             elif dn != seen_dn:
-                raise ValueError("mixed (d, n) in one character sum")
+                raise MalformedCharacter("mixed (d, n) in one character sum")
             key = dpartition_sort_key(dp)
             if prev_key is not None and key <= prev_key:
-                raise ValueError("entries must be strictly sorted")
+                raise MalformedCharacter("entries must be strictly sorted")
             prev_key = key
 
     @classmethod

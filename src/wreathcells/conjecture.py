@@ -22,6 +22,7 @@ alongside, are rendered on first use, each distinct character once.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -153,11 +154,16 @@ class ConjectureVerdict:
         return f"ConjectureVerdict({body})"
 
     def to_json_obj(self):
-        # each distinct character is rendered once; the lists share the dicts
+        """The object that ``check --format json`` writes.
+
+        Its character lists are lazy, one-shot iterators, so the CLI writes
+        them as they are pulled.  Each distinct character is rendered once,
+        and its copies share the dict.
+        """
         rendered = {ids: cs.to_json_obj() for ids, cs in self._rendered.items()}
 
         def charlist(ids):
-            return [rendered[i] for i in ids]
+            return map(rendered.__getitem__, ids)
 
         return {
             "mode": self.mode,
@@ -176,8 +182,8 @@ class ConjectureVerdict:
         }
 
 
-def _expand(counts: dict[IdCounts, int]) -> tuple[IdCounts, ...]:
-    return tuple(ids for ids, m in counts.items() for _ in range(m))
+def _expand(counts: dict[IdCounts, int]) -> Iterator[IdCounts]:
+    return (ids for ids, m in counts.items() for _ in range(m))
 
 
 def _counted(chars) -> dict[IdCounts, int]:

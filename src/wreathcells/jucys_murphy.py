@@ -208,18 +208,6 @@ class CellDecomposition:
             )
         return level
 
-    def to_json_obj(self):
-        # each distinct eigenvalue and each character is rendered once;
-        # the cells share the strings and dicts
-        return {
-            "cells": [
-                {"spectrum": list(spec), "character": character}
-                for spec, character in self.walk(str, CharacterSum.to_json_obj)
-            ],
-            "generic": self.report.generic,
-            "witness": list(self.report.witness) if self.report.witness else None,
-        }
-
 
 def _same(value):
     return value

@@ -19,6 +19,12 @@ its replayed monomial instead, in the same order with the same corrections.
 each distinct row's text and sort key once: it renders every term on its own,
 with `FockVector.support`, `Symbol.text` and `LaurentPoly.text`.
 
+`jm_cells_json_obj` is the oracle for the `jm-cells --format json` listing,
+which writes each cell as one join of fragments encoded once per distinct
+eigenvalue and character: it builds the whole tree, a dict per cell.
+`materialised` reads every lazy array of an object, such as those of
+`ConjectureVerdict.to_json_obj`, into a list, so `json.dumps` can encode it.
+
 The `row_*` helpers are the oracle for the one-pass bead mechanics of
 `wreathcells.fock`: each decides bead membership directly with `row_contains`.
 
@@ -75,12 +81,14 @@ The remaining oracles are small routines that the package itself never runs:
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
 from wreathcells import (
     BoxCoord,
+    CellDecomposition,
     CharacterSum,
     CMParams,
     DPartition,
@@ -251,6 +259,27 @@ def jm_cells_by_trie(params: CMParams, n: int) -> JMCells:
         (prefix, CharacterSum.from_counts(counts)) for prefix, counts in level
     )
     return JMCells(cells, is_generic(params, n))
+
+
+def jm_cells_json_obj(dec: CellDecomposition) -> dict:
+    """The object that `jm-cells --format json` writes, a dict per cell."""
+    return {
+        "cells": [
+            {"spectrum": list(spec), "character": character}
+            for spec, character in dec.walk(str, CharacterSum.to_json_obj)
+        ],
+        "generic": dec.report.generic,
+        "witness": list(dec.report.witness) if dec.report.witness else None,
+    }
+
+
+def materialised(obj):
+    """``obj`` with every lazy array (an iterator), at any depth, read into a list."""
+    if isinstance(obj, dict):
+        return {key: materialised(value) for key, value in obj.items()}
+    if isinstance(obj, (list, Iterator)):
+        return [materialised(value) for value in obj]
+    return obj
 
 
 def grown(shape: DPartition, box: BoxCoord) -> DPartition:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import scaled
+from helpers import materialised, scaled
 import wreathcells.cli as cli
 import wreathcells.conjecture as conjecture
 from wreathcells.cli import cli_main
@@ -146,7 +146,7 @@ def test_check_invariant_under_charge_shift(shift):
 
 def test_verdict_json_round_trip():
     verdict = check_conjecture(params_from_r((1, 0), 1), 2)
-    obj = json.loads(json.dumps(verdict.to_json_obj()))
+    obj = json.loads(json.dumps(materialised(verdict.to_json_obj())))
     assert obj["equal"] is True
     assert obj["mode"] == "exact-n2"
     assert obj["cm_set"] == [cs.to_json_obj() for cs in verdict.cm_counts]

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import pickle
 from collections import Counter
 from fractions import Fraction
@@ -26,6 +27,7 @@ from wreathcells.jucys_murphy import (
     jm_eigenvalue,
     tableau_spectrum,
 )
+from wreathcells.cli import cli_main
 
 from helpers import (
     direct_spectrum,
@@ -261,8 +263,10 @@ def test_scaling_covariance(factor):
     assert base_specs == {spec for spec, _ in other.cells}
 
 
-def test_json_shape():
-    obj = jm_cellular_characters(P_GAP1, 2).to_json_obj()
+def test_json_shape(capsys):
+    argv = ["jm-cells", "--c0", "1", "--k=-1,0", "--n", "2", "--format", "json"]
+    assert cli_main(argv) == 0
+    obj = json.loads(capsys.readouterr().out)
     assert obj["generic"] is False
     assert len(obj["cells"]) == 4
     assert all(

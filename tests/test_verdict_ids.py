@@ -16,11 +16,13 @@ from pathlib import Path
 
 import pytest
 
+import wreathcells.conjecture as conjecture
 import wreathcells.fock as fock
-from helpers import check_by_character_sums
+from helpers import check_by_character_sums, materialised
 from wreathcells import (
     CharacterSum,
     FockVector,
+    MalformedCharacter,
     NegativeMultiplicity,
     check_conjecture,
     check_conjecture_sizes,
@@ -77,7 +79,7 @@ def _assert_matches_oracle(params, sizes):
         assert len(verdict.cm_ids) == len(expected.cm_counts)
         assert len(verdict.lm_ids) == len(expected.lm_counts)
         obj = verdict.to_json_obj()
-        assert json.dumps(obj) == json.dumps(expected.to_json_obj())
+        assert json.dumps(materialised(obj)) == json.dumps(expected.to_json_obj())
 
 
 @pytest.mark.parametrize(
@@ -154,6 +156,27 @@ def test_negative_multiplicity_raises_on_the_check_path(monkeypatch, capsys):
     # a basis vector that is not a character is a bug, so not a usage error
     assert cli_main(["check", "--r=1,1,0", "--c0", "1", "--n", "4"]) == 3
     assert "internal error: NegativeMultiplicity" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_malformed_character_is_an_internal_error(monkeypatch, capsys, fmt):
+    # LM tuples left unsorted break the `CharacterSum` invariant when rendered
+    original = conjecture.lm_constructible_by_height
+
+    def unsorted(charges, sizes):
+        return {
+            n: {sym: ids[::-1] for sym, ids in chars.items()}
+            for n, chars in original(charges, sizes).items()
+        }
+
+    monkeypatch.setattr(conjecture, "lm_constructible_by_height", unsorted)
+    assert issubclass(MalformedCharacter, ValueError)
+    argv = ["check", "--r=1,1,0", "--c0", "1", "--n", "4", "--format", fmt]
+    assert cli_main(argv) == 3
+    assert (
+        "internal error: MalformedCharacter: entries must be strictly sorted"
+        in capsys.readouterr().err
+    )
 
 
 def test_zero_multiplicity_at_one_is_dropped(monkeypatch):
