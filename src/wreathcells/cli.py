@@ -438,31 +438,26 @@ def _cmd_gaudin_verify(args) -> int:
     d = params.d
     if d < 2:
         raise UsageError("gaudin-verify needs at least two components")
-    reports = []
+    reports, lines = [], []
     all_ok = True
     for i, j in combinations(range(1, d + 1), 2):
         try:
             report = verify_gaudin_eigensystem(d, i, j, params)
-            reports.append(report.to_json_obj())
-            all_ok = all_ok and report.ok
         except RegimeMismatch as exc:
             reports.append(
                 {"d": d, "pair": [i, j], "regimes": [], "irreducible": str(exc)}
             )
+            lines.append(f"pair {(i, j)}: {exc.reason}")
+            continue
+        all_ok = all_ok and report.ok
+        reports.append(report.to_json_obj())
+        verdicts = ", ".join(
+            f"{r.name}: {'ok' if r.residuals_zero else 'FAIL'}" for r in report.regimes
+        )
+        lines.append(f"pair {(i, j)}: {verdicts} (ok={report.ok})")
     if args.format == "json":
         _emit_json(args, reports)
     else:
-        lines = []
-        for rep in reports:
-            pair = tuple(rep["pair"])
-            if rep.get("regimes"):
-                verdicts = ", ".join(
-                    f"{r['name']}: {'ok' if r['residuals_zero'] else 'FAIL'}"
-                    for r in rep["regimes"]
-                )
-                lines.append(f"pair {pair}: {verdicts} (ok={rep['ok']})")
-            else:
-                lines.append(f"pair {pair}: {rep['irreducible']}")
         _emit_lines(args, lines)
     return 0 if all_ok else 1
 

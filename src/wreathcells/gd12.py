@@ -14,6 +14,11 @@ entry, eigenvector and eigenvalue is built from ksharp, c0 and +-1, so its
 coefficients are rational.  Only the partial-fraction identity needs zeta; it
 runs over Q(zeta_d), with arithmetic done exactly modulo the d-th cyclotomic
 polynomial.
+
+Integral coefficients, here and in Q(zeta_d), are Python ints; a ``Fraction``
+appears only where a value has a real denominator.  Ints and integral
+Fractions compare, hash and print alike, so reports do not depend on which
+one a coefficient is.
 """
 
 from __future__ import annotations
@@ -30,7 +35,18 @@ from .laurent import exact_quotient
 
 
 class RegimeMismatch(ValueError):
-    """Parameters fit no displayed degenerate regime of the 2x2 Gaudin action."""
+    """Parameters fit no displayed degenerate regime of the 2x2 Gaudin action.
+
+    Raised as ``RegimeMismatch((i, j), reason)``; the message leads with the pair.
+    """
+
+    @property
+    def reason(self) -> str:
+        return self.args[1]
+
+    def __str__(self) -> str:
+        (i, j), reason = self.args
+        return f"pair ({i},{j}): {reason}"
 
 
 class DiscriminantMismatch(AssertionError):
@@ -38,6 +54,11 @@ class DiscriminantMismatch(AssertionError):
 
     An internal invariant, not a usage error, so it is not a ValueError.
     """
+
+
+def _int_if_integral(value):
+    """``value.numerator`` if the rational ``value`` is an integer, else ``value``."""
+    return value.numerator if value.denominator == 1 else value
 
 
 # Exact cyclotomic arithmetic.
@@ -57,36 +78,39 @@ def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Cyclo:
-    """Element of Q(zeta_d), coefficients reduced modulo the cyclotomic polynomial."""
+    """Element of Q(zeta_d), coefficients reduced modulo the cyclotomic polynomial.
+
+    The coefficients stay in their own ring: ints while they are integral,
+    Fractions only where a rational input brings a denominator.
+    """
 
     d: int
-    co: tuple[Fraction, ...]
+    co: tuple[int | Fraction, ...]
 
     @classmethod
     def _reduce(cls, d: int, coeffs) -> "Cyclo":
         phi = cyclotomic_polynomial(d)
         deg = len(phi) - 1
-        work = [Fraction(c) for c in coeffs]
+        work = list(coeffs)
         for k in range(len(work) - 1, deg - 1, -1):
             top = work[k]
             if top:
                 for i, c in enumerate(phi):
-                    work[k - deg + i] -= top * c
-        work = work[:deg]
-        while len(work) < deg:
-            work.append(Fraction(0))
+                    if c:
+                        work[k - deg + i] -= top * c
+        del work[deg:]
+        work += [0] * (deg - len(work))
         return cls(d, tuple(work))
 
     @classmethod
     def from_rational(cls, d: int, value) -> "Cyclo":
-        return cls._reduce(d, [Fraction(value)])
+        return cls._reduce(d, [_int_if_integral(Fraction(value))])
 
     @classmethod
     def zeta_power(cls, d: int, power: int) -> "Cyclo":
         if d < 1:
             raise ValueError("d must be positive")
-        coeffs = [Fraction(0)] * (power % d) + [Fraction(1)]
-        return cls._reduce(d, coeffs)
+        return cls._reduce(d, [0] * (power % d) + [1])
 
     def __bool__(self) -> bool:
         return any(self.co)
@@ -113,7 +137,7 @@ class Cyclo:
 
     def __mul__(self, other: "Cyclo") -> "Cyclo":
         self._same_field(other)
-        out = [Fraction(0)] * (2 * len(self.co))
+        out = [0] * (2 * len(self.co))
         for i, a in enumerate(self.co):
             if a:
                 for j, b in enumerate(other.co):
@@ -142,8 +166,9 @@ class XYPoly:
     """Bivariate Laurent polynomial, a ``{(ex, ey): coeff}`` map with no zero entry.
 
     Coefficients come from one ring with ``+``, ``-``, ``*`` and a falsy zero:
-    ``Fraction`` (or ``int``) for the Gaudin matrices, ``Cyclo`` for the
-    partial-fraction identity.
+    the rationals for the Gaudin matrices, ``Cyclo`` for the partial-fraction
+    identity.  A rational coefficient is an ``int`` while it is integral and a
+    ``Fraction`` only where it has a denominator; the two mix freely.
 
     >>> x, y = XYPoly.monomial(1, 0), XYPoly.monomial(0, 1, Fraction(1, 2))
     >>> ((x + y) * (x - y)).text()
@@ -172,13 +197,16 @@ class XYPoly:
         out = dict(self.terms)
         for key, c in other.terms.items():
             out[key] = out[key] + c if key in out else c
-        return XYPoly(out)
+        return _xypoly(out)
 
     def __sub__(self, other: "XYPoly") -> "XYPoly":
-        return self + (-other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            out[key] = out[key] - c if key in out else -c
+        return _xypoly(out)
 
     def __neg__(self) -> "XYPoly":
-        return XYPoly({k: -c for k, c in self.terms.items()})
+        return _xypoly({k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other: "XYPoly") -> "XYPoly":
         out = {}
@@ -187,10 +215,10 @@ class XYPoly:
                 key = (x1 + x2, y1 + y2)
                 prod = c1 * c2
                 out[key] = out[key] + prod if key in out else prod
-        return XYPoly(out)
+        return _xypoly(out)
 
     def scale(self, value) -> "XYPoly":
-        return XYPoly({k: c * value for k, c in self.terms.items()})
+        return _xypoly({k: c * value for k, c in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, XYPoly):
@@ -206,6 +234,13 @@ class XYPoly:
 
     def __repr__(self):
         return f"XYPoly({self.text()})"
+
+
+def _xypoly(terms: dict) -> XYPoly:
+    """An XYPoly holding terms as given, less their zero entries if there are any."""
+    poly = object.__new__(XYPoly)
+    poly.terms = terms if all(terms.values()) else {k: c for k, c in terms.items() if c}
+    return poly
 
 
 def verify_frac_identity(d: int, l: int) -> bool:
@@ -303,7 +338,8 @@ def gaudin_matrices(d: int, i: int, j: int, params: CMParams):
         raise ValueError(f"d = {d} disagrees with params.d = {params.d}")
     if not 1 <= i < j <= d:
         raise ValueError("need 1 <= i < j <= d")
-    ki, kj, c0 = params.ksharp(i), params.ksharp(j), params.c0
+    ki, kj = _int_if_integral(params.ksharp(i)), _int_if_integral(params.ksharp(j))
+    c0 = _int_if_integral(params.c0)
     w = j - i
     xd_yd = XYPoly.monomial(d, 0) - XYPoly.monomial(0, d)
     off_hi = XYPoly.monomial(d - w, w, c0)
@@ -415,7 +451,8 @@ def verify_gaudin_eigensystem(d: int, i: int, j: int, params: CMParams) -> Gaudi
     """
     if params.c0 == 0:
         raise ValueError("the eigen-system oracle assumes c0 != 0")
-    ki, kj, c0 = params.ksharp(i), params.ksharp(j), params.c0
+    ki, kj = _int_if_integral(params.ksharp(i)), _int_if_integral(params.ksharp(j))
+    c0 = _int_if_integral(params.c0)
     w = j - i
     mx, my = gaudin_matrices(d, i, j, params)
 
@@ -437,7 +474,7 @@ def verify_gaudin_eigensystem(d: int, i: int, j: int, params: CMParams) -> Gaudi
     )
     discriminant_ok = disc == disc_expected
 
-    def poly_kk(a: Fraction, b: Fraction) -> XYPoly:
+    def poly_kk(a, b) -> XYPoly:
         return XYPoly.monomial(d, 0, a) + XYPoly.monomial(0, d, b)
 
     regimes = []
@@ -479,9 +516,10 @@ def verify_gaudin_eigensystem(d: int, i: int, j: int, params: CMParams) -> Gaudi
                 "discriminant matched a square pattern outside every regime"
             )
         raise RegimeMismatch(
-            f"pair ({i},{j}): ksharp difference {delta} is neither 0 (d even) "
-            f"nor +-c0; certified irreducible, discriminant is none of the "
-            f"monomial square patterns"
+            (i, j),
+            f"ksharp difference {delta} is neither 0 (d even) nor +-c0; "
+            f"certified irreducible, discriminant is none of the monomial "
+            f"square patterns",
         )
 
     return GaudinReport(d, i, j, trace_ok, det_ok, discriminant_ok, tuple(regimes))

@@ -180,6 +180,7 @@ COMMANDS = [
     (["lm-cells", "--r=1,0", "--n", "4"], 0),
     (["cm-cells-n2", "--c0", "1", "--r=1,0"], 0),
     (["gaudin-verify", "--c0", "1", "--k", "0,0,-1,-1"], 0),
+    (["gaudin-verify", "--c0=2/3", "--k=1/3,1/3,-2/3,0"], 0),
     (["check", "--r=1,0", "--c0", "1", "--n", "2"], 0),  # exact-n2
     (["check", "--r=14,7,0", "--c0", "1", "--n", "3"], 0),  # generic
     (["check", "--r=1,0", "--c0", "1", "--n", "4"], 1),  # jm-upper-bound
@@ -309,6 +310,23 @@ def test_gaudin_verify_needs_two_components(fmt, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: gaudin-verify needs at least two components\n"
+
+
+def test_gaudin_verify_text_names_an_irreducible_pair_once(capsys):
+    argv = ["gaudin-verify", "--c0=2/3", "--k=1/3,1/3,-2/3,0"]
+    reason = (
+        "ksharp difference 1/3 is neither 0 (d even) nor +-c0; certified "
+        "irreducible, discriminant is none of the monomial square patterns"
+    )
+    assert cli_main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"pair (1, 2): {reason}"
+    assert lines[3] == "pair (2, 3): gap+c0: ok, gap+c0: ok (ok=True)"
+    assert len(lines) == 6 and all(line.count("pair") == 1 for line in lines)
+    # JSON keeps the whole RegimeMismatch message, which leads with the pair
+    assert cli_main([*argv, "--format", "json"]) == 0
+    reports = json.loads(capsys.readouterr().out)
+    assert reports[0]["irreducible"] == f"pair (1,2): {reason}"
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,12 @@
 import operator
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wreathcells.gd12 as gd12
 from wreathcells.cli import cli_main
 from wreathcells.combinatorics import CharacterSum, DPartition, enumerate_dpartitions
 from wreathcells.gd12 import (
@@ -377,7 +379,10 @@ def test_gaudin_report_json():
 
 # The Cyclo ring as the oracle for rational XYPoly arithmetic
 
-small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+# ints, Fractions (integral ones included) and polynomials mixing the two
+small_rationals = st.integers(-3, 3) | st.fractions(
+    min_value=-3, max_value=3, max_denominator=4
+)
 rational_polys = st.dictionaries(
     st.tuples(st.integers(-3, 3), st.integers(-3, 3)), small_rationals, max_size=5
 ).map(XYPoly)
@@ -394,6 +399,7 @@ def test_rational_xypoly_agrees_with_cyclo_lift(d, a, b, s):
     results = [
         (a + b, la + lb),
         (a - b, la - lb),
+        (-b, -lb),
         (a * b, la * lb),
         (a.scale(s), la.scale(Cyclo.from_rational(d, s))),
         (a - a, la - la),
@@ -404,6 +410,9 @@ def test_rational_xypoly_agrees_with_cyclo_lift(d, a, b, s):
         assert rational.text() == cyclo.text()
     assert (a == b) == (la == lb)
     assert a == XYPoly(dict(a.terms)) and la == _lift(d, a)
+    # both rings share XYPoly.__sub__, so also check it against + and scale
+    assert (a - b) + b == a and a - b == a + b.scale(-1)
+    assert (la - lb) + lb == la
 
 
 def test_gaudin_trace_and_determinant_agree_over_both_rings():
@@ -420,3 +429,77 @@ def test_gaudin_trace_and_determinant_agree_over_both_rings():
                     assert _lift(d, det) == (
                         lifted[0][0] * lifted[1][1] - lifted[0][1] * lifted[1][0]
                     )
+
+
+# Ints at integral points, with the all-Fraction arithmetic as the oracle
+
+
+def _coefficients(mats):
+    return [c for mat in mats for row in mat for entry in row for c in entry.terms.values()]
+
+
+def _outcome(d, i, j, params):
+    try:
+        return verify_gaudin_eigensystem(d, i, j, params).to_json_obj()
+    except (RegimeMismatch, DiscriminantMismatch) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _acceptance_battery(scale):
+    """Acceptance criterion 6's points, with c0 and every ksharp times scale."""
+    for d in range(2, 6):
+        for i, j in combinations(range(1, d + 1), 2):
+            if d % 2 == 0:
+                yield d, i, j, CMParams.from_ksharp(d, scale, [0] * d)
+            for sign in (1, -1):
+                ks = [10 * (t + 1) * scale for t in range(d)]
+                ks[i - 1], ks[j - 1] = sign * scale, 0
+                yield d, i, j, CMParams.from_ksharp(d, scale, ks)
+
+
+def _non_integral_points():
+    """ksharp in halves and thirds, pair (i, j) at gap +-c0, equal or neither."""
+    for c0 in (Fraction(2, 3), Fraction(-1, 2), Fraction(-7, 5)):
+        for d in range(2, 5):
+            for i, j in combinations(range(1, d + 1), 2):
+                for delta in (c0, -c0, 0, Fraction(1, 2), Fraction(1, 3)):
+                    ks = [Fraction(t + 1, 2 + t % 2) for t in range(d)]
+                    ks[j - 1] = Fraction(-1, 3)
+                    ks[i - 1] = ks[j - 1] + delta
+                    yield d, i, j, CMParams.from_ksharp(d, c0, ks)
+
+
+def test_int_coefficients_agree_with_the_fraction_oracle(monkeypatch):
+    points = [p for scale in (1, -1, 2, -2) for p in _acceptance_battery(scale)]
+    points += _non_integral_points()
+    identities = [(d, l) for d in range(1, 7) for l in range(1, d + 1)]
+    fast = [_outcome(*point) for point in points]
+    fast_identities = [verify_frac_identity(d, l) for d, l in identities]
+    names = {r["name"] for out in fast if isinstance(out, dict) for r in out["regimes"]}
+    assert names == {"equal-ksharp", "gap+c0", "gap-c0"}
+    assert any(out[0] == "RegimeMismatch" for out in fast if isinstance(out, tuple))
+
+    # The oracle reads every rational input as a Fraction, so its arithmetic
+    # runs on Fractions throughout.
+    monkeypatch.setattr(gd12, "_int_if_integral", Fraction)
+    assert all(type(c) is Fraction for c in _coefficients(gaudin_matrices(*points[0])))
+    assert [_outcome(*point) for point in points] == fast
+    assert [verify_frac_identity(d, l) for d, l in identities] == fast_identities
+
+
+def test_integral_points_keep_int_coefficients():
+    params = CMParams.from_ksharp(4, -2, (-20, -2, 0, -40))
+    for i, j in combinations(range(1, 5), 2):
+        coefficients = _coefficients(gaudin_matrices(4, i, j, params))
+        assert coefficients and all(type(c) is int for c in coefficients)
+    for d in range(1, 9):
+        for k in range(d):
+            z = Cyclo.zeta_power(d, k)
+            assert all(type(c) is int for c in z.co + (z * z).co)
+    assert all(type(c) is int for c in Cyclo.from_rational(6, Fraction(4, 2)).co)
+
+    # at c0 = 1/2, with ksharp in halves, every coefficient keeps its denominator
+    half = CMParams.from_ksharp(2, Fraction(1, 2), (Fraction(-1, 2), Fraction(3, 2)))
+    coefficients = _coefficients(gaudin_matrices(2, 1, 2, half))
+    assert coefficients and all(c.denominator == 2 for c in coefficients)
+    assert Cyclo.from_rational(3, Fraction(-1, 2)).co == (Fraction(-1, 2), 0)
