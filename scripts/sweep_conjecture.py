@@ -11,12 +11,15 @@ always follows input order.
 Usage:
     python scripts/sweep_conjecture.py                 # built-in battery
     python scripts/sweep_conjecture.py --max-d 3 --max-n 3 --jobs 4
+
+Exits 1 on hard failures, 2 on usage errors or a stdout that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -83,22 +86,35 @@ def main(argv=None) -> int:
         if value < least:
             parser.error(f"{flag} must be at least {least}, got {value}")
 
+    header = f"{'charges':>16}  {'n':>2}  {'mode':>14}  {'equal':>5}  {'#cm':>4}  {'#lm':>4}"
+    try:
+        # sent before the battery is checked, so `| head -n 1` has gone by the rows
+        print(header, "-" * len(header), sep="\n", flush=True)
+    except OSError as exc:
+        return stdout_failed(exc)
     points = built_in_battery(args.max_d, args.max_n, args.max_charge)
     results = check_battery(points, args.jobs)
-
-    header = f"{'charges':>16}  {'n':>2}  {'mode':>14}  {'equal':>5}  {'#cm':>4}  {'#lm':>4}"
-    print(header)
-    print("-" * len(header))
     failures = 0
-    for r, n, mode, equal, ncm, nlm in results:
-        print(
-            f"{','.join(map(str, r)):>16}  {n:>2}  {mode:>14}  "
-            f"{str(equal):>5}  {ncm:>4}  {nlm:>4}"
-        )
-        if not equal and mode != "jm-upper-bound":
-            failures += 1
-    print(f"\n{len(results)} points, {failures} hard failures")
+    try:
+        for r, n, mode, equal, ncm, nlm in results:
+            print(
+                f"{','.join(map(str, r)):>16}  {n:>2}  {mode:>14}  "
+                f"{str(equal):>5}  {ncm:>4}  {nlm:>4}"
+            )
+            failures += not equal and mode != "jm-upper-bound"
+        print(f"\n{len(results)} points, {failures} hard failures", flush=True)
+    except OSError as exc:
+        return stdout_failed(exc)
     return 1 if failures else 0
+
+
+def stdout_failed(exc: OSError) -> int:
+    """Exit 2 for a stdout that cannot be written (its reader has gone); it
+    is pointed at os.devnull, so the interpreter's last flush passes."""
+    with open(os.devnull, "w") as devnull:
+        os.dup2(devnull.fileno(), sys.stdout.fileno())
+    print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

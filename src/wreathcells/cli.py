@@ -1,16 +1,18 @@
 """Command-line surface.
 
 Exit codes: 0 on success, 1 when `check` finds unequal character sets or
-`gaudin-verify` finds a nonzero residual, 2 on usage errors, 3 on an internal
+`gaudin-verify` finds a nonzero residual, 2 on usage errors and when --out or
+stdout cannot be written (its reader has gone, say), 3 on an internal
 error (any other exception, `NegativeMultiplicity` and `MalformedCharacter`
 among them; its traceback goes to stderr).  All output is deterministic.
 Text is written line by line as it is made.  `--format json` mirrors the text
 tables and is exactly `json.dumps(obj, indent=2)`, non-ASCII escaped, from a
 private encoder that accepts only dicts with str keys, lists, str, int, bool
 and None (anything else is an internal error).  The long lists (JM cells,
-basis vectors, the verdict's characters) are lazy arrays, written element by
-element as they are made, each element from fragments encoded once per
-distinct value; so a crash part-way leaves a truncated document, with exit 3.
+basis vectors, the verdict's characters) are lazy arrays: iterators of their
+elements' JSON text, each element joined here from fragments encoded once
+per distinct value and written as it is made; so a crash part-way leaves a
+truncated document, with exit 3.
 
 Subcommands taking reflection parameters read them from exactly one source:
 `--c0` with `--k`, or `--c0` with the charges `--r`; `tableaux` reads its
@@ -149,22 +151,15 @@ def _bracket(open_: str, items, close: str, depth: int) -> str:
     return f"{open_}{inner}{(',' + inner).join(items)}\n{'  ' * depth}{close}"
 
 
-class _Encoded(str):
-    """JSON text already laid out at its depth, as an element of a lazy
-    array; it is written as is."""
-
-
 def _write_lazy(value, depth: int, write) -> None:
-    """Write a lazy array, or a dict or list holding one, at ``depth``
-    through ``write``, member by member, as ``json.dumps(indent=2)`` lays
-    it out.
+    """Write a lazy array, or a dict holding one, at ``depth`` through
+    ``write``, member by member, as ``json.dumps(indent=2)`` lays it out.
 
-    A lazy array is an iterator: each element is pulled only after the one
-    before it is written, and an empty one is ``[]``.  A member holding a
-    lazy array is written in the same way; every other member is encoded
-    whole (`_json_text`) before any of it is written.  An `_Encoded` member
-    is written as is, and a member that is the same object as the one before
-    it reuses its text, so a run of copies of one value is encoded once.
+    A lazy array is an iterator of its elements' JSON text, each already laid
+    out at ``depth + 1``: each element is pulled only after the one before it
+    is written, and an empty one is ``[]``.  A dict member holding a lazy
+    array is written in the same way; every other member is encoded whole
+    (`_json_text`) before any of it is written.
     """
     if isinstance(value, dict):
         members = ((f"{_key(key)}: ", item) for key, item in value.items())
@@ -174,35 +169,32 @@ def _write_lazy(value, depth: int, write) -> None:
         open_, close = "[", "]"
     inner = "\n" + "  " * (depth + 1)
     sep = open_ + inner
-    last = text = None
     for head, item in members:
-        if text is None or item is not last:
-            last = item
-            if isinstance(item, _Encoded):
-                text = item
-            else:
-                try:
-                    text = _json_text(item, depth + 1)
-                except _LazyArray:
-                    text = None
-        if text is None:
+        try:
+            write(sep + head + (_json_text(item, depth + 1) if head else item))
+        except _LazyArray:
             write(sep + head)
             _write_lazy(item, depth + 1, write)
-        else:
-            write(sep + head + text)
         sep = "," + inner
     write(f"\n{'  ' * depth}{close}" if sep[0] == "," else open_ + close)
 
 
 @contextmanager
 def _destination(args):
-    """--out opened for writing, or stdout; failing to write --out is a usage error.
+    """--out opened for writing, or stdout; failing to write either is a usage error.
 
     Listings are written through it as they are made, so a crash part-way
-    leaves what was written so far.
+    leaves what was written so far.  A stdout that fails (its reader has
+    gone) is pointed at os.devnull, so the interpreter's last flush passes.
     """
     if not args.out:
-        yield sys.stdout
+        try:
+            yield sys.stdout
+            sys.stdout.flush()
+        except OSError as exc:
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+            raise UsageError(f"cannot write stdout: {exc.strerror}") from exc
         return
     try:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -215,8 +207,8 @@ def _emit_json(args, obj) -> None:
     """Write `obj` as JSON, then a newline, to --out or stdout.
 
     A value without lazy arrays is encoded whole before either is opened.
-    Otherwise the document is written as it is made (``_write_lazy``), so a
-    crash inside a lazy array leaves it truncated.
+    Otherwise it is written as it is made (``_write_lazy``, a lazy array as
+    its elements' JSON text), so a crash inside a lazy array truncates it.
     """
     try:
         text = _json_text(obj)
@@ -310,7 +302,7 @@ def _cmd_jm_cells(args) -> int:
     return 0
 
 
-def _json_cells(decomposition) -> Iterator[_Encoded]:
+def _json_cells(decomposition) -> Iterator[str]:
     """The cells of ``jm-cells --format json``, each a dict at depth 2.
 
     Each distinct eigenvalue is quoted once and each final state's character
@@ -326,9 +318,7 @@ def _json_cells(decomposition) -> Iterator[_Encoded]:
         lambda cs: _json_text(cs.to_json_obj(), 3),
     )
     for spectrum, text in cells:
-        yield _Encoded(
-            "".join((open_, ",\n        ".join(spectrum), character, text, "\n    }"))
-        )
+        yield "".join((open_, ",\n        ".join(spectrum), character, text, "\n    }"))
 
 
 def _cmd_standard_symbols(args) -> int:
@@ -387,10 +377,8 @@ def _cmd_canonical_basis(args) -> int:
         vector = '{\n      "symbol": %s,\n      "terms": [\n        %s\n      ]\n    }'
         term = '{\n          "symbol": %s,\n          "coeff": %s\n        }'
         rows = (
-            _Encoded(
-                vector
-                % (sym, ",\n        ".join([term % (s, _quote(c)) for s, c in terms]))
-            )
+            vector
+            % (sym, ",\n        ".join([term % (s, _quote(c)) for s, c in terms]))
             for sym, terms in listing(quoted.__getitem__)
         )
         obj = {"charges": list(charges), "max_height": args.n, "basis": rows}
@@ -465,7 +453,7 @@ def _cmd_gaudin_verify(args) -> int:
 def _cmd_check(args) -> int:
     verdict = check_conjecture(_params_from_args(args), args.n)
     if args.format == "json":
-        _emit_json(args, verdict.to_json_obj())
+        _emit_json(args, _check_document(verdict))
     else:
         lines = [
             f"mode: {verdict.mode}",
@@ -480,6 +468,39 @@ def _cmd_check(args) -> int:
             lines.append("lm only: " + "; ".join(cs.text() for cs in verdict.lm_only))
         _emit_lines(args, lines)
     return 0 if verdict.equal else 1
+
+
+def _check_document(verdict) -> dict:
+    """The document of ``check --format json``, its character lists lazy.
+
+    Each distinct character is encoded once per depth, on first use: at
+    depth 2 for the sets and the multisets, and at depth 3 for ``diff``.
+    """
+    characters = verdict.characters
+
+    def encoded(depth):
+        return _PerValue(lambda ids: _json_text(characters[ids].to_json_obj(), depth))
+
+    listed, in_diff = encoded(2), encoded(3)
+
+    def copies(counts):
+        return (text for ids, m in counts.items() for text in repeat(listed[ids], m))
+
+    return {
+        "mode": verdict.mode,
+        "n": verdict.n,
+        "charges": list(verdict.charges),
+        "equal": verdict.equal,
+        "cm_set": map(listed.__getitem__, verdict.cm_ids),
+        "lm_set": map(listed.__getitem__, verdict.lm_ids),
+        "diff": {
+            "cm_only": map(in_diff.__getitem__, verdict.cm_only_ids),
+            "lm_only": map(in_diff.__getitem__, verdict.lm_only_ids),
+        },
+        "cm_multiset": copies(verdict.cm_ids),
+        "lm_multiset": copies(verdict.lm_ids),
+        "note": verdict.note,
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -15,26 +15,26 @@ Each side is its distinct characters in canonical order with their
 multiplicities, a character of size n carried as ``IdCounts``: its
 (index in ``enumerate_dpartitions(d, n)``, multiplicity) pairs, sorted by
 index.  Both layers produce these int tuples, and the verdict compares them
-as sets.  The `CharacterSum` views, and the expanded multisets reported
-alongside, are rendered on first use, each distinct character once.
+as sets.  The verdict is data: its `CharacterSum` views are rendered on first
+use, each distinct character once, and the CLI lays them out as text or JSON.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .combinatorics import CharacterSum, IdCounts, enumerate_dpartitions
 from .fock import lm_constructible_by_height
+from .gd12 import cm_cells_n2_family
+from .jucys_murphy import CMParams, is_generic, jm_cellular_characters
 
 # cm_cells_n2 and lm_constructible are not called here, but
 # perfbench/tracing.py wraps the names in this module, so they stay imported.
 from .fock import lm_constructible  # noqa: F401
-from .gd12 import cm_cells_n2, cm_cells_n2_family  # noqa: F401
-from .jucys_murphy import CMParams, is_generic, jm_cellular_characters
+from .gd12 import cm_cells_n2  # noqa: F401
 
 
 class InvalidParam(ValueError):
@@ -81,8 +81,10 @@ class ConjectureVerdict:
     """Each side's distinct characters in canonical order, with multiplicities.
 
     ``cm_ids`` and ``lm_ids`` map each side's ``IdCounts`` to their
-    multiplicities; d is the number of charges.  The `CharacterSum` views
-    render each distinct character once, on first use.
+    multiplicities; d is the number of charges.  ``characters`` renders each
+    distinct character of either side once, on first use, and the
+    `CharacterSum` views read it.  The CLI renders the verdict as text or as
+    JSON (``cli._check_document``).
     """
 
     mode: str  # "exact-n2" | "generic" | "jm-upper-bound"
@@ -108,7 +110,7 @@ class ConjectureVerdict:
         return tuple(ids for ids in self.lm_ids if ids not in self.cm_ids)
 
     @cached_property
-    def _rendered(self) -> dict[IdCounts, CharacterSum]:
+    def characters(self) -> dict[IdCounts, CharacterSum]:
         shapes = enumerate_dpartitions(self.d, self.n)
         return {
             ids: CharacterSum.from_ids(shapes, ids)
@@ -116,7 +118,7 @@ class ConjectureVerdict:
         }
 
     def _render(self, ids) -> tuple[CharacterSum, ...]:
-        return tuple(map(self._rendered.__getitem__, ids))
+        return tuple(map(self.characters.__getitem__, ids))
 
     @property
     def cm_counts(self) -> dict[CharacterSum, int]:
@@ -135,14 +137,6 @@ class ConjectureVerdict:
         return self._render(self.lm_only_ids)
 
     @property
-    def cm_multiset(self) -> tuple[CharacterSum, ...]:
-        return self._render(_expand(self.cm_ids))
-
-    @property
-    def lm_multiset(self) -> tuple[CharacterSum, ...]:
-        return self._render(_expand(self.lm_ids))
-
-    @property
     def note(self) -> str:
         if self.mode == "jm-upper-bound" and not self.equal:
             return "inconclusive (JM cells may merge CM cells)"
@@ -152,38 +146,6 @@ class ConjectureVerdict:
         names = "mode n charges equal cm_counts lm_counts cm_only lm_only note"
         body = ", ".join(f"{name}={getattr(self, name)!r}" for name in names.split())
         return f"ConjectureVerdict({body})"
-
-    def to_json_obj(self):
-        """The object that ``check --format json`` writes.
-
-        Its character lists are lazy, one-shot iterators, so the CLI writes
-        them as they are pulled.  Each distinct character is rendered once,
-        and its copies share the dict.
-        """
-        rendered = {ids: cs.to_json_obj() for ids, cs in self._rendered.items()}
-
-        def charlist(ids):
-            return map(rendered.__getitem__, ids)
-
-        return {
-            "mode": self.mode,
-            "n": self.n,
-            "charges": list(self.charges),
-            "equal": self.equal,
-            "cm_set": charlist(self.cm_ids),
-            "lm_set": charlist(self.lm_ids),
-            "diff": {
-                "cm_only": charlist(self.cm_only_ids),
-                "lm_only": charlist(self.lm_only_ids),
-            },
-            "cm_multiset": charlist(_expand(self.cm_ids)),
-            "lm_multiset": charlist(_expand(self.lm_ids)),
-            "note": self.note,
-        }
-
-
-def _expand(counts: dict[IdCounts, int]) -> Iterator[IdCounts]:
-    return (ids for ids, m in counts.items() for _ in range(m))
 
 
 def _counted(chars) -> dict[IdCounts, int]:

@@ -22,8 +22,9 @@ with `FockVector.support`, `Symbol.text` and `LaurentPoly.text`.
 `jm_cells_json_obj` is the oracle for the `jm-cells --format json` listing,
 which writes each cell as one join of fragments encoded once per distinct
 eigenvalue and character: it builds the whole tree, a dict per cell.
-`materialised` reads every lazy array of an object, such as those of
-`ConjectureVerdict.to_json_obj`, into a list, so `json.dumps` can encode it.
+`CharacterSumVerdict.to_json_obj` is, in the same way, the oracle for the
+`check --format json` document, whose lists reuse the text of each distinct
+character: it builds the whole tree, multisets copy by copy.
 
 The `row_*` helpers are the oracle for the one-pass bead mechanics of
 `wreathcells.fock`: each decides bead membership directly with `row_contains`.
@@ -81,7 +82,6 @@ The remaining oracles are small routines that the package itself never runs:
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -271,15 +271,6 @@ def jm_cells_json_obj(dec: CellDecomposition) -> dict:
         "generic": dec.report.generic,
         "witness": list(dec.report.witness) if dec.report.witness else None,
     }
-
-
-def materialised(obj):
-    """``obj`` with every lazy array (an iterator), at any depth, read into a list."""
-    if isinstance(obj, dict):
-        return {key: materialised(value) for key, value in obj.items()}
-    if isinstance(obj, (list, Iterator)):
-        return [materialised(value) for value in obj]
-    return obj
 
 
 def grown(shape: DPartition, box: BoxCoord) -> DPartition:

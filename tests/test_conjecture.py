@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import materialised, scaled
+from helpers import check_by_character_sums, scaled
 import wreathcells.cli as cli
 import wreathcells.conjecture as conjecture
 from wreathcells.cli import cli_main
@@ -22,6 +22,11 @@ from wreathcells.combinatorics import CharacterSum
 from wreathcells.fock import LatticeViolation, lm_constructible
 from wreathcells.gd12 import cm_cells_n2_family
 from wreathcells.jucys_murphy import CMParams, jm_cellular_characters
+
+
+def _multiset(counts):
+    """Each character of ``counts`` as often as its count, in their order."""
+    return tuple(cs for cs, m in counts.items() for _ in range(m))
 
 
 def test_params_from_r_example():
@@ -120,7 +125,7 @@ def test_check_lists_no_jm_cell(monkeypatch):
     verdict = check_conjecture(params_from_r((1, 1, 0), 1), 5)
     (decomposition,) = built
     assert "cells" not in vars(decomposition)
-    assert verdict.cm_multiset == tuple(
+    assert _multiset(verdict.cm_counts) == tuple(
         sorted((cs for _, cs in decomposition.cells), key=CharacterSum.sort_key)
     )
 
@@ -144,11 +149,15 @@ def test_check_invariant_under_charge_shift(shift):
         assert dataclasses.replace(shifted, charges=base.charges) == base
 
 
-def test_verdict_json_round_trip():
-    verdict = check_conjecture(params_from_r((1, 0), 1), 2)
-    obj = json.loads(json.dumps(materialised(verdict.to_json_obj())))
+def test_verdict_json_round_trip(capsys):
+    argv = ["check", "--r=1,0", "--c0", "1", "--n", "2", "--format", "json"]
+    assert cli_main(argv) == 0
+    obj = json.loads(capsys.readouterr().out)
+    (oracle,) = check_by_character_sums(params_from_r((1, 0), 1), (2,))
+    assert obj == oracle.to_json_obj()
     assert obj["equal"] is True
     assert obj["mode"] == "exact-n2"
+    verdict = check_conjecture(params_from_r((1, 0), 1), 2)
     assert obj["cm_set"] == [cs.to_json_obj() for cs in verdict.cm_counts]
 
 
@@ -173,9 +182,9 @@ def test_verdict_derives_sets_and_differences(r, n, mode, equal):
     else:
         cells = [cs for _, cs in jm_cellular_characters(params, n).cells]
     key = CharacterSum.sort_key
-    assert verdict.cm_multiset == tuple(sorted(cells, key=key))
+    assert _multiset(verdict.cm_counts) == tuple(sorted(cells, key=key))
     lm_cells = lm_constructible(verdict.charges, n).values()
-    assert verdict.lm_multiset == tuple(sorted(lm_cells, key=key))
+    assert _multiset(verdict.lm_counts) == tuple(sorted(lm_cells, key=key))
     cm, lm = set(verdict.cm_counts), set(verdict.lm_counts)
     assert verdict.equal == (cm == lm)
     assert verdict.cm_only == tuple(sorted(cm - lm, key=key))
@@ -184,8 +193,13 @@ def test_verdict_derives_sets_and_differences(r, n, mode, equal):
 
 
 @pytest.mark.parametrize("r, n, mode, equal", VERDICT_POINTS)
-def test_verdict_json_key_order(r, n, mode, equal):
-    obj = check_conjecture(params_from_r(r, 1), n).to_json_obj()
+def test_verdict_json_key_order(r, n, mode, equal, capsys):
+    argv = ["check", f"--r={','.join(map(str, r))}", "--c0", "1", "--n", str(n)]
+    assert cli_main([*argv, "--format", "json"]) == (0 if equal else 1)
+    out = capsys.readouterr().out
+    (oracle,) = check_by_character_sums(params_from_r(r, 1), (n,))
+    assert out == json.dumps(oracle.to_json_obj(), indent=2) + "\n"
+    obj = json.loads(out)
     assert list(obj) == [
         "mode",
         "n",

@@ -1,9 +1,13 @@
 import importlib.util
 import itertools
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import wreathcells
 from wreathcells import check_conjecture, check_conjecture_sizes, params_from_r
 
 SWEEP = Path(__file__).resolve().parents[1] / "scripts" / "sweep_conjecture.py"
@@ -75,3 +79,22 @@ def test_a_pool_of_two_prints_what_one_worker_prints(capsys):
         outputs.append(captured.out)
     assert outputs[0] == outputs[1]
     assert outputs[0].endswith("\n15 points, 0 hard failures\n")
+
+
+def test_a_closed_stdout_is_reported_in_one_line():
+    # the header goes out before the battery is checked, so the reader is
+    # gone by the time the rows are written
+    src = Path(wreathcells.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop("PYTHONUNBUFFERED", None)
+    argv = [sys.executable, str(SWEEP), "--max-d", "3", "--max-n", "5"]
+    with subprocess.Popen(
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    ) as proc:
+        assert proc.stdout.readline().split() == [
+            b"charges", b"n", b"mode", b"equal", b"#cm", b"#lm"
+        ]
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+    assert proc.returncode == 2
+    assert err == "error: cannot write stdout: Broken pipe\n"

@@ -2,9 +2,13 @@
 
 `helpers.check_by_character_sums`, the verdict with every character a
 validated `CharacterSum`, is the oracle for every field of
-`check_conjecture_sizes`, in order, and for its JSON object.
+`check_conjecture_sizes`, in order, and for the `check --format json`
+document that `cli._check_document` makes of each verdict, multisets
+included.
 """
 
+import contextlib
+import io
 import itertools
 import json
 import os
@@ -13,12 +17,14 @@ import sys
 import textwrap
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import wreathcells.cli as cli
 import wreathcells.conjecture as conjecture
 import wreathcells.fock as fock
-from helpers import check_by_character_sums, materialised
+from helpers import check_by_character_sums
 from wreathcells import (
     CharacterSum,
     FockVector,
@@ -34,10 +40,7 @@ from wreathcells import (
 from wreathcells.cli import cli_main
 from wreathcells.fock import lm_constructible_by_height
 
-FIELDS = (
-    "mode n charges equal cm_counts lm_counts cm_only lm_only "
-    "cm_multiset lm_multiset note"
-).split()
+FIELDS = "mode n charges equal cm_counts lm_counts cm_only lm_only note".split()
 
 
 def _battery(max_d, max_n, max_charge):
@@ -78,8 +81,10 @@ def _assert_matches_oracle(params, sizes):
         # the sweep's row reads the id counts
         assert len(verdict.cm_ids) == len(expected.cm_counts)
         assert len(verdict.lm_ids) == len(expected.lm_counts)
-        obj = verdict.to_json_obj()
-        assert json.dumps(materialised(obj)) == json.dumps(expected.to_json_obj())
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._emit_json(SimpleNamespace(out=None), cli._check_document(verdict))
+        assert out.getvalue() == json.dumps(expected.to_json_obj(), indent=2) + "\n"
 
 
 @pytest.mark.parametrize(
