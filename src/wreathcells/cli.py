@@ -12,7 +12,9 @@ and None (anything else is an internal error).  The long lists (JM cells,
 basis vectors, the verdict's characters) are lazy arrays: iterators of their
 elements' JSON text, each element joined here from fragments encoded once
 per distinct value and written as it is made; so a crash part-way leaves a
-truncated document, with exit 3.
+truncated document, with exit 3.  Both `check` listings are rendered here
+from the verdict's ids: each distinct character is built once, its text
+made once and its JSON encoded once per depth.
 
 Subcommands taking reflection parameters read them from exactly one source:
 `--c0` with `--k`, or `--c0` with the charges `--r`; `tableaux` reads its
@@ -455,19 +457,28 @@ def _cmd_check(args) -> int:
     if args.format == "json":
         _emit_json(args, _check_document(verdict))
     else:
+        characters = _characters(verdict)
+        text = _PerValue(lambda ids: characters[ids].text())
         lines = [
             f"mode: {verdict.mode}",
             f"equal: {verdict.equal}" + (f"  ({verdict.note})" if verdict.note else ""),
             "cm cells:",
         ]
-        lines.extend(f"  {cs.text()}" for cs in verdict.cm_counts)
+        lines.extend(f"  {text[ids]}" for ids in verdict.cm_ids)
         lines.append("lm cells:")
-        lines.extend(f"  {cs.text()}" for cs in verdict.lm_counts)
+        lines.extend(f"  {text[ids]}" for ids in verdict.lm_ids)
         if not verdict.equal:
-            lines.append("cm only: " + "; ".join(cs.text() for cs in verdict.cm_only))
-            lines.append("lm only: " + "; ".join(cs.text() for cs in verdict.lm_only))
+            for side, only in ("cm", verdict.cm_only_ids), ("lm", verdict.lm_only_ids):
+                lines.append(f"{side} only: " + "; ".join(map(text.__getitem__, only)))
         _emit_lines(args, lines)
     return 0 if verdict.equal else 1
+
+
+def _characters(verdict) -> _PerValue:
+    """The `CharacterSum` of each distinct ``IdCounts`` of the verdict, made
+    on first use."""
+    shapes = enumerate_dpartitions(verdict.d, verdict.n)
+    return _PerValue(lambda ids: CharacterSum.from_ids(shapes, ids))
 
 
 def _check_document(verdict) -> dict:
@@ -476,7 +487,7 @@ def _check_document(verdict) -> dict:
     Each distinct character is encoded once per depth, on first use: at
     depth 2 for the sets and the multisets, and at depth 3 for ``diff``.
     """
-    characters = verdict.characters
+    characters = _characters(verdict)
 
     def encoded(depth):
         return _PerValue(lambda ids: _json_text(characters[ids].to_json_obj(), depth))

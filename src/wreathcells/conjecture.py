@@ -15,8 +15,8 @@ Each side is its distinct characters in canonical order with their
 multiplicities, a character of size n carried as ``IdCounts``: its
 (index in ``enumerate_dpartitions(d, n)``, multiplicity) pairs, sorted by
 index.  Both layers produce these int tuples, and the verdict compares them
-as sets.  The verdict is data: its `CharacterSum` views are rendered on first
-use, each distinct character once, and the CLI lays them out as text or JSON.
+as sets.  The verdict is data and holds no `CharacterSum`: the CLI renders
+each distinct character once and lays the verdict out as text or JSON.
 """
 
 from __future__ import annotations
@@ -24,9 +24,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
-from .combinatorics import CharacterSum, IdCounts, enumerate_dpartitions
+from .combinatorics import IdCounts, enumerate_dpartitions
 from .fock import lm_constructible_by_height
 from .gd12 import cm_cells_n2_family
 from .jucys_murphy import CMParams, is_generic, jm_cellular_characters
@@ -76,15 +75,13 @@ def r_from_params(params: CMParams) -> tuple[int, ...]:
     return tuple(int(x) for x in ratios)
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class ConjectureVerdict:
     """Each side's distinct characters in canonical order, with multiplicities.
 
     ``cm_ids`` and ``lm_ids`` map each side's ``IdCounts`` to their
-    multiplicities; d is the number of charges.  ``characters`` renders each
-    distinct character of either side once, on first use, and the
-    `CharacterSum` views read it.  The CLI renders the verdict as text or as
-    JSON (``cli._check_document``).
+    multiplicities; d is the number of charges.  The verdict is data: the
+    CLI renders its ids as text or as JSON.
     """
 
     mode: str  # "exact-n2" | "generic" | "jm-upper-bound"
@@ -109,43 +106,11 @@ class ConjectureVerdict:
     def lm_only_ids(self) -> tuple[IdCounts, ...]:
         return tuple(ids for ids in self.lm_ids if ids not in self.cm_ids)
 
-    @cached_property
-    def characters(self) -> dict[IdCounts, CharacterSum]:
-        shapes = enumerate_dpartitions(self.d, self.n)
-        return {
-            ids: CharacterSum.from_ids(shapes, ids)
-            for ids in self.cm_ids.keys() | self.lm_ids.keys()
-        }
-
-    def _render(self, ids) -> tuple[CharacterSum, ...]:
-        return tuple(map(self.characters.__getitem__, ids))
-
-    @property
-    def cm_counts(self) -> dict[CharacterSum, int]:
-        return dict(zip(self._render(self.cm_ids), self.cm_ids.values()))
-
-    @property
-    def lm_counts(self) -> dict[CharacterSum, int]:
-        return dict(zip(self._render(self.lm_ids), self.lm_ids.values()))
-
-    @property
-    def cm_only(self) -> tuple[CharacterSum, ...]:
-        return self._render(self.cm_only_ids)
-
-    @property
-    def lm_only(self) -> tuple[CharacterSum, ...]:
-        return self._render(self.lm_only_ids)
-
     @property
     def note(self) -> str:
         if self.mode == "jm-upper-bound" and not self.equal:
             return "inconclusive (JM cells may merge CM cells)"
         return ""
-
-    def __repr__(self):
-        names = "mode n charges equal cm_counts lm_counts cm_only lm_only note"
-        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in names.split())
-        return f"ConjectureVerdict({body})"
 
 
 def _counted(chars) -> dict[IdCounts, int]:

@@ -75,6 +75,10 @@ class LatticeViolation(ArithmeticError):
     """
 
 
+class MissingBead(LookupError):
+    """A row has no bead at the value its caller guarantees one."""
+
+
 class PositivityWarning(UserWarning):
     """A canonical-basis coefficient fell outside N[q]."""
 
@@ -183,7 +187,7 @@ def _row_move(charge: int, parts: Partition, v: int, step: int) -> Partition:
         if charge - j + p == v:
             moved = parts[:j] + (p + step,) + parts[j + 1 :]
             return moved[:-1] if not moved[-1] else moved
-    raise ValueError(f"no bead {v} in row (charge {charge}, {parts})")
+    raise MissingBead(f"no bead {v} in row (charge {charge}, {parts})")
 
 
 def _weights(sym: Symbol, m: int) -> list[int]:

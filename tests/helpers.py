@@ -48,6 +48,10 @@ branching rule, removing the last box in every possible way.
 validated `CharacterSum`, built per JM state and per basis vector with
 `CharacterSum.from_counts`, and sorts each side by `CharacterSum.sort_key`;
 its `CharacterSumVerdict` stores those sums and derives every field from them.
+`CharacterSumVerdict.text_listing` is the oracle for text `check`, which
+renders each distinct character once: it renders every character where it is
+listed.  `rendered_verdict` renders the ids of a `ConjectureVerdict` into the
+same shape, so that tests can read its characters as `CharacterSum`s.
 
 `jm_cells_by_tableaux` and `jm_cells_by_trie` are the oracles for the graph
 of merged states behind `wreathcells.jm_cellular_characters`.  The first
@@ -84,6 +88,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from wreathcells import (
@@ -175,6 +180,42 @@ class CharacterSumVerdict(NamedTuple):
             "lm_multiset": charlist(self.lm_multiset),
             "note": self.note,
         }
+
+    def text_listing(self) -> str:
+        """The output of text `check`, each character rendered where it stands."""
+        lines = [
+            f"mode: {self.mode}",
+            f"equal: {self.equal}" + (f"  ({self.note})" if self.note else ""),
+            "cm cells:",
+            *(f"  {cs.text()}" for cs in self.cm_counts),
+            "lm cells:",
+            *(f"  {cs.text()}" for cs in self.lm_counts),
+        ]
+        if not self.equal:
+            lines.append("cm only: " + "; ".join(cs.text() for cs in self.cm_only))
+            lines.append("lm only: " + "; ".join(cs.text() for cs in self.lm_only))
+        return "".join(line + "\n" for line in lines)
+
+
+def rendered_verdict(verdict) -> SimpleNamespace:
+    """A `ConjectureVerdict` in the shape of a `CharacterSumVerdict`: its ids
+    rendered as `CharacterSum`s, with its own equal, differences and note."""
+    shapes = enumerate_dpartitions(verdict.d, verdict.n)
+
+    def render(ids):
+        return tuple(CharacterSum.from_ids(shapes, each) for each in ids)
+
+    return SimpleNamespace(
+        mode=verdict.mode,
+        n=verdict.n,
+        charges=verdict.charges,
+        equal=verdict.equal,
+        cm_counts=dict(zip(render(verdict.cm_ids), verdict.cm_ids.values())),
+        lm_counts=dict(zip(render(verdict.lm_ids), verdict.lm_ids.values())),
+        cm_only=render(verdict.cm_only_ids),
+        lm_only=render(verdict.lm_only_ids),
+        note=verdict.note,
+    )
 
 
 def check_by_character_sums(params: CMParams, sizes) -> tuple[CharacterSumVerdict, ...]:

@@ -11,7 +11,12 @@ import warnings
 from fractions import Fraction
 from math import factorial
 
-from helpers import euler_value, height2_characters, height2_monomials_at_one
+from helpers import (
+    euler_value,
+    height2_characters,
+    height2_monomials_at_one,
+    rendered_verdict,
+)
 from wreathcells.combinatorics import (
     CharacterSum,
     enumerate_dpartitions,
@@ -54,7 +59,7 @@ def test_criterion_1_n2_conjecture_battery():
     start = time.monotonic()
     for d, r in N2_BATTERY:
         verdict = check_conjecture(params_from_r(r, 1), 2)
-        assert verdict.equal, (d, r, [c.text() for c in verdict.cm_only + verdict.lm_only])
+        assert verdict.equal, (d, r, rendered_verdict(verdict))
         assert verdict.mode == "exact-n2"
     elapsed = time.monotonic() - start
     assert elapsed < 10.0, f"battery took {elapsed:.2f}s"
@@ -71,9 +76,10 @@ def test_criterion_2_generic_case():
             CharacterSum.from_counts({shape: 1})
             for shape in enumerate_dpartitions(d, n)
         )
-        assert verdict.cm_counts.keys() == irreducibles
-        assert verdict.lm_counts.keys() == irreducibles
-        assert len(verdict.cm_counts) == len(enumerate_dpartitions(d, n))
+        view = rendered_verdict(verdict)
+        assert view.cm_counts.keys() == irreducibles
+        assert view.lm_counts.keys() == irreducibles
+        assert len(view.cm_counts) == len(enumerate_dpartitions(d, n))
     elapsed = time.monotonic() - start
     assert elapsed < 30.0, f"generic cases took {elapsed:.2f}s"
     _report(2, f"3 generic cases in {elapsed:.2f}s")

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 import wreathcells.cli as cli
 from wreathcells.cli import _json_text, cli_main
+from wreathcells.combinatorics import CharacterSum
 from wreathcells.conjecture import params_from_r
 from wreathcells.fock import canonical_basis
 from wreathcells.jucys_murphy import CMParams, jm_cellular_characters
@@ -427,6 +428,26 @@ def test_check_encodes_each_character_once_per_depth(monkeypatch, capsys):
         [(2, json.dumps(cs.to_json_obj())) for cs in in_sets]
         + [(3, json.dumps(cs.to_json_obj())) for cs in in_diff]
     )
+
+
+@pytest.mark.parametrize(
+    "r, n, code", [("1,1,0", 4, 1), ("1,0", 2, 0)], ids=["unequal", "equal"]
+)
+def test_check_renders_each_character_once(r, n, code, monkeypatch, capsys):
+    (oracle,) = check_by_character_sums(params_from_r(r.split(","), 1), (n,))
+    expected = oracle.text_listing()
+    rendered = Counter()
+    text = CharacterSum.text
+
+    def counting(cs):
+        rendered[cs] += 1
+        return text(cs)
+
+    monkeypatch.setattr(CharacterSum, "text", counting)
+    assert cli_main(["check", f"--r={r}", "--c0", "1", "--n", str(n)]) == code
+    assert capsys.readouterr().out == expected
+    # one text per distinct character of either side, wherever it is listed
+    assert rendered == Counter(oracle.cm_counts.keys() | oracle.lm_counts.keys())
 
 
 JM_CELLS_7 = ["jm-cells", "--r=2,1,0", "--c0", "1", "--n", "7"]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import check_by_character_sums, scaled
+from helpers import check_by_character_sums, rendered_verdict, scaled
 import wreathcells.cli as cli
 import wreathcells.conjecture as conjecture
 from wreathcells.cli import cli_main
@@ -19,7 +19,8 @@ from wreathcells.conjecture import (
     r_from_params,
 )
 from wreathcells.combinatorics import CharacterSum
-from wreathcells.fock import LatticeViolation, lm_constructible
+import wreathcells.fock as fock
+from wreathcells.fock import LatticeViolation, MissingBead, lm_constructible
 from wreathcells.gd12 import cm_cells_n2_family
 from wreathcells.jucys_murphy import CMParams, jm_cellular_characters
 
@@ -79,7 +80,7 @@ def test_round_trip_dictionary(r, c0):
 def test_check_gap_one():
     verdict = check_conjecture(params_from_r((1, 0), 1), 2)
     assert verdict.equal and verdict.mode == "exact-n2"
-    texts = {cs.text() for cs in verdict.cm_counts}
+    texts = {cs.text() for cs in rendered_verdict(verdict).cm_counts}
     assert texts == {
         "2|∅",
         "1.1|∅ + 1|1",
@@ -91,14 +92,15 @@ def test_check_gap_one():
 def test_check_generic():
     verdict = check_conjecture(params_from_r((14, 7, 0), 1), 3)
     assert verdict.equal and verdict.mode == "generic"
-    assert all(len(cs.entries) == 1 for cs in verdict.cm_counts)
-    assert len(verdict.cm_counts) == 22
+    cm_counts = rendered_verdict(verdict).cm_counts
+    assert all(len(cs.entries) == 1 for cs in cm_counts)
+    assert len(cm_counts) == 22
 
 
 def test_check_equal_charges():
     verdict = check_conjecture(params_from_r((0, 0), 1), 2)
     assert verdict.equal
-    assert len(verdict.cm_counts) == 3
+    assert len(rendered_verdict(verdict).cm_counts) == 3
 
 
 def test_check_from_params():
@@ -125,7 +127,7 @@ def test_check_lists_no_jm_cell(monkeypatch):
     verdict = check_conjecture(params_from_r((1, 1, 0), 1), 5)
     (decomposition,) = built
     assert "cells" not in vars(decomposition)
-    assert _multiset(verdict.cm_counts) == tuple(
+    assert _multiset(rendered_verdict(verdict).cm_counts) == tuple(
         sorted((cs for _, cs in decomposition.cells), key=CharacterSum.sort_key)
     )
 
@@ -133,8 +135,8 @@ def test_check_lists_no_jm_cell(monkeypatch):
 @pytest.mark.parametrize("factor", [Fraction(2), Fraction(-1, 3)])
 def test_check_invariant_under_scaling(factor):
     base = CMParams.from_ksharp(2, 1, (-1, 0))
-    v1 = check_conjecture(base, 2)
-    v2 = check_conjecture(scaled(base, factor), 2)
+    v1 = rendered_verdict(check_conjecture(base, 2))
+    v2 = rendered_verdict(check_conjecture(scaled(base, factor), 2))
     assert v1.cm_counts == v2.cm_counts and v1.lm_counts == v2.lm_counts
     assert v1.equal and v2.equal
 
@@ -157,7 +159,7 @@ def test_verdict_json_round_trip(capsys):
     assert obj == oracle.to_json_obj()
     assert obj["equal"] is True
     assert obj["mode"] == "exact-n2"
-    verdict = check_conjecture(params_from_r((1, 0), 1), 2)
+    verdict = rendered_verdict(check_conjecture(params_from_r((1, 0), 1), 2))
     assert obj["cm_set"] == [cs.to_json_obj() for cs in verdict.cm_counts]
 
 
@@ -174,7 +176,7 @@ VERDICT_POINTS = [
 @pytest.mark.parametrize("r, n, mode, equal", VERDICT_POINTS)
 def test_verdict_derives_sets_and_differences(r, n, mode, equal):
     params = params_from_r(r, 1)
-    verdict = check_conjecture(params, n)
+    verdict = rendered_verdict(check_conjecture(params, n))
     assert (verdict.mode, verdict.equal) == (mode, equal)
     # the expanded multisets are every cell's character, sorted
     if n == 2:
@@ -423,6 +425,21 @@ def test_cli_lattice_violation_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(cli, "check_conjecture", violating)
     argv = ["check", "--r=1,0", "--c0", "1", "--n", "2"]
     _assert_internal_error(argv, capsys, "LatticeViolation")
+
+
+def test_cli_missing_bead_exits_3(monkeypatch, capsys):
+    # a row that claims a bead it lacks breaks the bead mechanics' own
+    # guarantee, so it is a bug, not bad input
+    original = fock._row_eps
+
+    def claiming(charge, parts, m):
+        e = original(charge, parts, m)
+        return 1 if m == 0 and e == 0 else e
+
+    monkeypatch.setattr(fock, "_row_eps", claiming)
+    assert not issubclass(MissingBead, ValueError)
+    argv = ["canonical-basis", "--r=1,0", "--n", "3"]
+    _assert_internal_error(argv, capsys, "MissingBead")
 
 
 def test_cli_shift_with_r(capsys):

@@ -52,8 +52,8 @@ def test_one_pass_verdicts_match_check_conjecture():
     for verdict, (r, n) in zip(one_pass, points):
         expected = check_conjecture(params_from_r(r, 1), n)
         assert (verdict.mode, verdict.n, verdict.charges) == (expected.mode, n, r)
-        assert list(verdict.cm_counts.items()) == list(expected.cm_counts.items())
-        assert list(verdict.lm_counts.items()) == list(expected.lm_counts.items())
+        assert list(verdict.cm_ids.items()) == list(expected.cm_ids.items())
+        assert list(verdict.lm_ids.items()) == list(expected.lm_ids.items())
 
 
 def test_one_pass_keeps_the_order_of_its_sizes():
@@ -63,10 +63,10 @@ def test_one_pass_keeps_the_order_of_its_sizes():
     assert [v.n for v in verdicts] == sizes
     for verdict in verdicts:
         expected = check_conjecture(params, verdict.n)
-        assert (verdict.mode, verdict.cm_counts, verdict.lm_counts) == (
+        assert (verdict.mode, verdict.cm_ids, verdict.lm_ids) == (
             expected.mode,
-            expected.cm_counts,
-            expected.lm_counts,
+            expected.cm_ids,
+            expected.lm_ids,
         )
 
 

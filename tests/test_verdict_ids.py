@@ -2,12 +2,13 @@
 
 `helpers.check_by_character_sums`, the verdict with every character a
 validated `CharacterSum`, is the oracle for every field of
-`check_conjecture_sizes`, in order, and for the `check --format json`
-document that `cli._check_document` makes of each verdict, multisets
-included.
+`check_conjecture_sizes`, in order, rendered by `helpers.rendered_verdict`;
+for the `check --format json` document that `cli._check_document` makes of
+each verdict, multisets included; and for the text listing of `check`.
 """
 
 import contextlib
+import functools
 import io
 import itertools
 import json
@@ -24,7 +25,7 @@ import pytest
 import wreathcells.cli as cli
 import wreathcells.conjecture as conjecture
 import wreathcells.fock as fock
-from helpers import check_by_character_sums
+from helpers import check_by_character_sums, rendered_verdict
 from wreathcells import (
     CharacterSum,
     FockVector,
@@ -65,15 +66,27 @@ POINTS = _battery(3, 6, 3) + [
     ((1, 1, 0), HALF, (2, 3, 4, 5)),
     ((14, 7, 0), 1, (2, 3, 4)),
 ]
+EACH_POINT = pytest.mark.parametrize(
+    "charges, c0, sizes", POINTS, ids=[f"{r}-c0={c0}" for r, c0, _ in POINTS]
+)
 
 
-def _assert_matches_oracle(params, sizes):
+@functools.cache
+def _verdicts(charges, c0, sizes):
+    """The verdicts of `check_conjecture_sizes` and of the oracle, in order."""
+    params = params_from_r(charges, c0)
     got = check_conjecture_sizes(params, sizes)
     want = check_by_character_sums(params, sizes)
     assert len(got) == len(want)
-    for verdict, expected in zip(got, want):
+    return got, want
+
+
+@EACH_POINT
+def test_verdict_matches_character_sum_oracle(charges, c0, sizes):
+    for verdict, expected in zip(*_verdicts(charges, c0, sizes)):
+        view = rendered_verdict(verdict)
         for name in FIELDS:
-            value, oracle = getattr(verdict, name), getattr(expected, name)
+            value, oracle = getattr(view, name), getattr(expected, name)
             if isinstance(oracle, dict):
                 assert list(value.items()) == list(oracle.items()), name
             else:
@@ -87,11 +100,24 @@ def _assert_matches_oracle(params, sizes):
         assert out.getvalue() == json.dumps(expected.to_json_obj(), indent=2) + "\n"
 
 
-@pytest.mark.parametrize(
-    "charges, c0, sizes", POINTS, ids=[f"{r}-c0={c0}" for r, c0, _ in POINTS]
-)
-def test_verdict_matches_character_sum_oracle(charges, c0, sizes):
-    _assert_matches_oracle(params_from_r(charges, c0), sizes)
+@EACH_POINT
+def test_text_check_matches_character_sum_oracle(
+    charges, c0, sizes, monkeypatch, capsys
+):
+    got, want = _verdicts(charges, c0, sizes)
+    params, by_size = params_from_r(charges, c0), {v.n: v for v in got}
+
+    def checked(asked, n):
+        assert asked == params
+        return by_size[n]
+
+    # text `check` renders the verdicts that the field-by-field test compares
+    monkeypatch.setattr(cli, "check_conjecture", checked)
+    r = ",".join(map(str, charges))
+    for expected in want:
+        argv = ["check", f"--r={r}", f"--c0={c0}", "--n", str(expected.n)]
+        assert cli_main(argv) == (0 if expected.equal else 1)
+        assert capsys.readouterr().out == expected.text_listing()
 
 
 def test_check_path_builds_no_character_sum(monkeypatch):
