@@ -15,9 +15,12 @@ Spectrum prefixes that reach the same shapes equally often grow alike, so the
 cells are computed on a graph of these merged states, without listing the
 tableaux one by one.  A cell's character is read off its final state, and
 its multiplicity off the number of paths into that state (see
-``jm_cellular_characters``).  A final state is already the character as
-(shape id, multiplicity) pairs sorted by id, so characters are compared as
-int tuples and a `CharacterSum` is built only to render one.
+``jm_cellular_characters``).  A build keeps the path counts and the small
+per-shape move table, not the graph's edges: one function (``_step``)
+expands a state into its moves, for the build to count paths and for a walk
+to list cells.  A final state is already the character as (shape id,
+multiplicity) pairs sorted by id, so characters are compared as int tuples
+and a `CharacterSum` is built only to render one.
 """
 
 from __future__ import annotations
@@ -122,6 +125,8 @@ def is_generic(params: CMParams, n: int) -> GenericityReport:
 # reaches; the empty prefix reaches the empty shape, id 0, once.
 State = tuple[tuple[int, int], ...]
 _ROOT: State = ((0, 1),)
+# Per shape id below n, the (rank, child shape id) of each of its addable boxes.
+Moves = list[list[tuple[int, int]]]
 
 
 @dataclass(frozen=True)
@@ -129,11 +134,14 @@ class CellDecomposition:
     """JM cells as a graph of merged states (see ``jm_cellular_characters``).
 
     ``values`` lists the build's distinct eigenvalues in increasing order, and
-    ``children`` maps each state below size n to its moves, (rank, child
-    state) in increasing rank order, the rank indexing ``values``; ranks
-    follow value order, so this is also eigenvalue order.  ``paths`` maps the
-    states of each size k = 0..n to the number of spectrum prefixes that
-    reach them, so a state of size n is the character of that many cells.
+    ``moves`` gives each shape id below size n the (rank, child shape id) of
+    each of its addable boxes, the rank indexing ``values``; ranks follow value
+    order.  No state's child states are kept: ``_step`` expands a state from
+    ``moves`` into its moves, (rank, child state) in increasing rank order, so
+    also in eigenvalue order.  ``paths`` maps the states of each size k = 0..n
+    to the number of spectrum prefixes that reach them, so a state of size n
+    is the character of that many cells, and the states below n are the keys
+    of ``paths[:-1]``.
     ``shapes`` lists the d-partitions of size at most n by the ids that states
     use, size first, each size in ``enumerate_dpartitions`` order.  So a state
     of size k, less the number of shapes smaller than k from each id, is its
@@ -142,7 +150,7 @@ class CellDecomposition:
     """
 
     values: tuple[Fraction, ...]
-    children: dict[State, tuple[tuple[int, State], ...]]
+    moves: Moves
     report: GenericityReport
     paths: tuple[dict[State, int], ...]
     shapes: tuple[DPartition, ...]
@@ -179,25 +187,27 @@ class CellDecomposition:
 
         ``label`` runs once per distinct eigenvalue, and ``render`` once per
         final state, on its character, so a listing renders each distinct value
-        once, not once per move or cell.  Each state's moves are linked to its
-        children's moves once per edge.  Then each level extends the prefixes
-        of the last in order, each by its state's moves in eigenvalue order, so
+        once, not once per move or cell.  Each state below n, a key of
+        ``paths[:-1]``, is expanded once per walk (``_step``), deepest level
+        first, and its moves are linked to its children's nodes once per edge,
+        in a dict local to the walk.  Then each level extends the prefixes of
+        the last in order, each by its state's moves in eigenvalue order, so
         every level stays sorted.  The last level is yielded cell by cell.
         """
         labels = [label(v) for v in self.values]
-        leaves = {
+        nodes = {
             state: render(CharacterSum.from_ids(self.shapes, state))
             for state in self.paths[-1]
         }
-        linked = {state: [] for state in self.children}
-        for state, moves in self.children.items():
-            linked[state].extend(
-                (labels[rank], linked[child] if child in linked else leaves[child])
-                for rank, child in moves
-            )
-        # every shape has an addable box, so every state below n has children
+        for level in reversed(self.paths[:-1]):
+            for state in level:
+                nodes[state] = [
+                    (labels[rank], nodes[child])
+                    for rank, child in _step(state, self.moves)
+                ]
+        # every shape has an addable box, so every state below n has moves
         depth = len(self.paths) - 1
-        level = iter([((), linked[_ROOT] if depth else leaves[_ROOT])])
+        level = iter([((), nodes[_ROOT])])
         for _ in range(depth):
             # a generator expression builds its outermost iterable at once, so
             # each level but the last is listed here
@@ -227,12 +237,14 @@ def jm_cellular_characters(params: CMParams, n: int) -> CellDecomposition:
 
     A spectrum prefix reaches some shapes, each by some number of tableaux,
     and prefixes that reach the same counts, one state, grow alike.  So the
-    states are grown level by level: each distinct state is expanded once, its
-    moves grouped by rank into child states, and the number of prefixes
-    reaching each state is counted alongside.  A state of size n is the
-    character of as many cells as prefixes reach it.  The counts of every
-    level are kept, so one build serves each size up to n
-    (``CellDecomposition.character_counts``).
+    states are grown level by level: each distinct state is expanded once
+    (``_step``), its moves grouped by rank into child states, and the number
+    of prefixes reaching each state is counted alongside.  A state of size n
+    is the character of as many cells as prefixes reach it.  The build keeps
+    the per-shape move table and the counts of every level, not the expanded
+    states' children, so one build serves each size up to n
+    (``CellDecomposition.character_counts``), and ``CellDecomposition.walk``
+    expands the states again when cells are listed.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -260,27 +272,33 @@ def jm_cellular_characters(params: CMParams, n: int) -> CellDecomposition:
     key_rank = {key: rank[v] for key, v in zip(firsts, spectrum)}
     moves = [[(key_rank[key], child) for key, child in row] for row in keyed_moves]
 
-    children: dict[State, tuple[tuple[int, State], ...]] = {}
     paths = {_ROOT: 1}
     levels = [paths]
     for _ in range(n):
         next_paths: dict[State, int] = {}
         for state, count in paths.items():
-            grouped: dict[int, dict[int, int]] = {}
-            for shape, tableaux in state:
-                for r, child in moves[shape]:
-                    reached = grouped.setdefault(r, {})
-                    reached[child] = reached.get(child, 0) + tableaux
-            children[state] = tuple(
-                (r, tuple(sorted(grouped[r].items()))) for r in sorted(grouped)
-            )
-            for _, child in children[state]:
+            for _, child in _step(state, moves):
                 next_paths[child] = next_paths.get(child, 0) + count
         paths = next_paths
         levels.append(paths)
     return CellDecomposition(
-        values, children, is_generic(params, n), tuple(levels), tuple(shapes)
+        values, moves, is_generic(params, n), tuple(levels), tuple(shapes)
     )
+
+
+def _step(state: State, moves: Moves) -> tuple[tuple[int, State], ...]:
+    """A state's moves, (rank, child state) in increasing rank order.
+
+    The child of a rank is the shapes that the state's addable boxes of that
+    rank grow into, each with the sum of the tableaux of the shapes it grows
+    from.
+    """
+    grouped: dict[int, dict[int, int]] = {}
+    for shape, tableaux in state:
+        for r, child in moves[shape]:
+            reached = grouped.setdefault(r, {})
+            reached[child] = reached.get(child, 0) + tableaux
+    return tuple((r, tuple(sorted(grouped[r].items()))) for r in sorted(grouped))
 
 
 def _grown(components: tuple[Partition, ...], box: BoxCoord) -> tuple[Partition, ...]:

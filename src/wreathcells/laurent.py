@@ -94,10 +94,6 @@ class LaurentPoly:
     def __bool__(self):
         return bool(self.coeffs)
 
-    def in_q_zq(self) -> bool:
-        """True iff every exponent is >= 1, i.e. the polynomial lies in qZ[q]."""
-        return all(e >= 1 for e in self.coeffs)
-
     def eval_at_one(self) -> int:
         return sum(self.coeffs.values())
 

@@ -79,6 +79,8 @@ The remaining oracles are small routines that the package itself never runs:
 - `q_integer` and `q_factorial` divide in `divided_power_oracle`, the oracle
   for `divided_power_f`.
 - `bar`, the involution q -> q^-1, checks `bar_symmetric_head`.
+- `in_q_zq`, whether a polynomial lies in qZ[q], checks the lattice condition
+  on canonical basis vectors and `bar_symmetric_head`.
 - `parse_laurent`, the inverse of `LaurentPoly.text`, checks that text form
   and writes expected vectors in the Fock-space tests.
 """
@@ -380,7 +382,7 @@ def canonical_basis_from_monomials(
         while violators := [
             position[s]
             for s, c in cur.terms.items()
-            if s != sym and s in position and not c.in_q_zq()
+            if s != sym and s in position and not in_q_zq(c)
         ]:
             target = order[max(violators)]
             if position[target] >= position[sym]:
@@ -681,6 +683,11 @@ def q_factorial(m: int) -> LaurentPoly:
 def bar(p: LaurentPoly) -> LaurentPoly:
     """The involution q -> q^-1 (negate every exponent)."""
     return LaurentPoly({-e: c for e, c in p.coeffs.items()})
+
+
+def in_q_zq(p: LaurentPoly) -> bool:
+    """True iff every exponent is >= 1, i.e. the polynomial lies in qZ[q]."""
+    return all(e >= 1 for e in p.coeffs)
 
 
 _TERM_RE = re.compile(r"^(\d*)(q(\^(-?\d+))?)?$")

@@ -24,6 +24,7 @@ from helpers import (
     e_action,
     height2_characters,
     height2_monomials_at_one,
+    in_q_zq,
     parse_laurent,
     replayed_monomial,
     row_eps,
@@ -633,12 +634,12 @@ def test_canonical_basis_lattice_and_positivity(charges, n):
             assert all(c >= 0 for c in coeff.coeffs.values())
             if t == s:
                 assert coeff.constant_term() == 1
-                assert (coeff - one()).in_q_zq()
+                assert in_q_zq(coeff - one())
             else:
-                assert coeff.in_q_zq()
+                assert in_q_zq(coeff)
         for t in standard:
             if t != s:
-                assert v.coefficient(t).in_q_zq()
+                assert in_q_zq(v.coefficient(t))
                 if t in v.terms:
                     assert fock._rank(t) < fock._rank(s)
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import wreathcells.conjecture as conjecture
 import wreathcells.jucys_murphy as jm
 from wreathcells.combinatorics import (
     BoxCoord,
@@ -375,7 +376,8 @@ def _assert_moves_follow_value_order(params, n):
     dec = jm_cellular_characters(params, n)
     assert all(a < b for a, b in zip(dec.values, dec.values[1:]))
     shape_id = {shape: i for i, shape in enumerate(dec.shapes)}
-    for state, moves in dec.children.items():
+    for state in itertools.chain.from_iterable(dec.paths[:-1]):
+        moves = jm._step(state, dec.moves)
         # the child of each value: the shapes grown by boxes of that value
         expected: dict = {}
         for s, tableaux in state:
@@ -410,6 +412,40 @@ def colliding_params_and_size(draw):
 @given(colliding_params_and_size())
 def test_moves_follow_value_order_random(point):
     _assert_moves_follow_value_order(*point)
+
+
+def test_check_expands_each_state_once_and_keeps_no_child_states(monkeypatch):
+    steps = []
+    step = jm._step
+
+    def counting(state, moves):
+        steps.append(state)
+        return step(state, moves)
+
+    builds = []
+    build = conjecture.jm_cellular_characters
+
+    def kept(params, n):
+        builds.append(build(params, n))
+        return builds[-1]
+
+    monkeypatch.setattr(jm, "_step", counting)
+    monkeypatch.setattr(conjecture, "jm_cellular_characters", kept)
+    params = conjecture.params_from_r((2, 1, 0), 1)
+    conjecture.check_conjecture_sizes(params, (3, 6, 5))
+    (dec,) = builds
+    below = sum(len(level) for level in dec.paths[:-1])
+    assert len(dec.paths) == 7
+    assert len(steps) == len(set(steps)) == below
+    dec.cells
+    assert len(steps) == 2 * below
+    assert [f.name for f in dataclasses.fields(jm.CellDecomposition)] == [
+        "values",
+        "moves",
+        "report",
+        "paths",
+        "shapes",
+    ]
 
 
 def test_equal_characters_share_one_object(monkeypatch):
