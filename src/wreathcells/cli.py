@@ -12,9 +12,11 @@ and None (anything else is an internal error).  The long lists (JM cells,
 basis vectors, the verdict's characters) are lazy arrays: iterators of their
 elements' JSON text, each element joined here from fragments encoded once
 per distinct value and written as it is made; so a crash part-way leaves a
-truncated document, with exit 3.  Both `check` listings are rendered here
-from the verdict's ids: each distinct character is built once, its text
-made once and its JSON encoded once per depth.
+truncated document, with exit 3.  `check` and `jm-cells` render each
+character straight from its ids (`_Characters`), with no `CharacterSum`:
+each shape's text and JSON key is made once per listing, and a character is
+checked as `CharacterSum` checks it.  In JSON each distinct character is
+encoded once per depth; text `check` renders each one where it is listed.
 
 Subcommands taking reflection parameters read them from exactly one source:
 `--c0` with `--k`, or `--c0` with the charges `--r`; `tableaux` reads its
@@ -36,7 +38,7 @@ from itertools import combinations, repeat
 from json.encoder import encode_basestring_ascii as _quote
 
 from .combinatorics import (
-    CharacterSum,
+    IdCounts,
     MalformedCharacter,
     character_counts,
     enumerate_dpartitions,
@@ -277,10 +279,11 @@ def _cmd_tableaux(args) -> int:
 def _cmd_jm_cells(args) -> int:
     params = _params_from_args(args)
     decomposition = jm_cellular_characters(params, args.n)
+    characters = _Characters(params.d, args.n)
     if args.format == "json":
         report = decomposition.report
         obj = {
-            "cells": _json_cells(decomposition),
+            "cells": _json_cells(decomposition, characters),
             "generic": report.generic,
             "witness": list(report.witness) if report.witness else None,
         }
@@ -297,18 +300,18 @@ def _cmd_jm_cells(args) -> int:
             yield f"generic: {report.generic}" + (
                 f"  witness(k-index p, q, j): {report.witness}" if report.witness else ""
             )
-            for spec, text in decomposition.walk(str, CharacterSum.text):
+            for spec, text in decomposition.walk(str, characters.text):
                 yield f"spectrum ({', '.join(spec)}): {text}"
 
         _emit_lines(args, lines())
     return 0
 
 
-def _json_cells(decomposition) -> Iterator[str]:
+def _json_cells(decomposition, characters: _Characters) -> Iterator[str]:
     """The cells of ``jm-cells --format json``, each a dict at depth 2.
 
     Each distinct eigenvalue is quoted once and each final state's character
-    encoded once, so a cell is one join of shared fragments.
+    encoded once, from its ids, so a cell is one join of shared fragments.
     """
     if len(decomposition.paths) > 1:
         open_ = '{\n      "spectrum": [\n        '
@@ -317,7 +320,7 @@ def _json_cells(decomposition) -> Iterator[str]:
         open_, character = '{\n      "spectrum": [', '],\n      "character": '
     cells = decomposition.walk(
         lambda value: _quote(str(value)),
-        lambda cs: _json_text(cs.to_json_obj(), 3),
+        lambda ids: characters.json(ids, 3),
     )
     for spectrum, text in cells:
         yield "".join((open_, ",\n        ".join(spectrum), character, text, "\n    }"))
@@ -349,6 +352,54 @@ class _PerValue(dict):
     def __missing__(self, parts):
         self[parts] = value = self.fn(parts)
         return value
+
+
+class _Characters:
+    """Text and JSON of characters of size n, given as ``IdCounts`` over the
+    listing's shapes, ``enumerate_dpartitions(d, n)``.
+
+    ``text(ids)`` is ``CharacterSum.from_ids(shapes, ids).text()`` and
+    ``json(ids, depth)`` is ``_json_text`` of its ``to_json_obj()`` at depth,
+    but no `CharacterSum` is built: each shape's text, and its quoted JSON
+    key, is made once, on first use.  Each character is first checked as
+    `CharacterSum` checks its entries, and `MalformedCharacter` is raised
+    for a multiplicity that is not positive, for indices not strictly
+    increasing and for an index out of range.
+    """
+
+    __slots__ = ("count", "texts", "keys")
+
+    def __init__(self, d: int, n: int):
+        shapes = enumerate_dpartitions(d, n)
+        self.count = len(shapes)
+        self.texts = _PerValue(lambda i: shapes[i].text())
+        self.keys = _PerValue(lambda i: _quote(self.texts[i]))
+
+    def _checked(self, ids: IdCounts) -> IdCounts:
+        last = -1
+        for i, m in ids:
+            if m <= 0:
+                raise MalformedCharacter("multiplicities must be positive")
+            if not 0 <= i < self.count:
+                raise MalformedCharacter(
+                    f"shape index {i} is not in 0..{self.count - 1}"
+                )
+            if i <= last:
+                raise MalformedCharacter("entries must be strictly sorted")
+            last = i
+        return ids
+
+    def text(self, ids: IdCounts) -> str:
+        texts = self.texts
+        terms = [
+            texts[i] if m == 1 else f"{m}*{texts[i]}" for i, m in self._checked(ids)
+        ]
+        return " + ".join(terms) if terms else "0"
+
+    def json(self, ids: IdCounts, depth: int) -> str:
+        keys = self.keys
+        items = [f"{keys[i]}: {m}" for i, m in self._checked(ids)]
+        return _bracket("{", items, "}", depth) if items else "{}"
 
 
 def _cmd_canonical_basis(args) -> int:
@@ -457,28 +508,25 @@ def _cmd_check(args) -> int:
     if args.format == "json":
         _emit_json(args, _check_document(verdict))
     else:
-        characters = _characters(verdict)
-        text = _PerValue(lambda ids: characters[ids].text())
-        lines = [
-            f"mode: {verdict.mode}",
-            f"equal: {verdict.equal}" + (f"  ({verdict.note})" if verdict.note else ""),
-            "cm cells:",
-        ]
-        lines.extend(f"  {text[ids]}" for ids in verdict.cm_ids)
-        lines.append("lm cells:")
-        lines.extend(f"  {text[ids]}" for ids in verdict.lm_ids)
-        if not verdict.equal:
-            for side, only in ("cm", verdict.cm_only_ids), ("lm", verdict.lm_only_ids):
-                lines.append(f"{side} only: " + "; ".join(map(text.__getitem__, only)))
-        _emit_lines(args, lines)
+        _emit_lines(args, _check_lines(verdict))
     return 0 if verdict.equal else 1
 
 
-def _characters(verdict) -> _PerValue:
-    """The `CharacterSum` of each distinct ``IdCounts`` of the verdict, made
-    on first use."""
-    shapes = enumerate_dpartitions(verdict.d, verdict.n)
-    return _PerValue(lambda ids: CharacterSum.from_ids(shapes, ids))
+def _check_lines(verdict) -> Iterator[str]:
+    """The lines of text ``check``, each character rendered where it is
+    listed: its shapes' texts are shared, and no line is kept."""
+    text = _Characters(verdict.d, verdict.n).text
+    yield f"mode: {verdict.mode}"
+    yield f"equal: {verdict.equal}" + (f"  ({verdict.note})" if verdict.note else "")
+    yield "cm cells:"
+    for ids in verdict.cm_ids:
+        yield f"  {text(ids)}"
+    yield "lm cells:"
+    for ids in verdict.lm_ids:
+        yield f"  {text(ids)}"
+    if not verdict.equal:
+        for side, only in ("cm", verdict.cm_only_ids), ("lm", verdict.lm_only_ids):
+            yield f"{side} only: " + "; ".join(map(text, only))
 
 
 def _check_document(verdict) -> dict:
@@ -487,10 +535,10 @@ def _check_document(verdict) -> dict:
     Each distinct character is encoded once per depth, on first use: at
     depth 2 for the sets and the multisets, and at depth 3 for ``diff``.
     """
-    characters = _characters(verdict)
+    characters = _Characters(verdict.d, verdict.n)
 
     def encoded(depth):
-        return _PerValue(lambda ids: _json_text(characters[ids].to_json_obj(), depth))
+        return _PerValue(lambda ids: characters.json(ids, depth))
 
     listed, in_diff = encoded(2), encoded(3)
 

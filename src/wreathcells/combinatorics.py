@@ -255,8 +255,9 @@ IdCounts = tuple[tuple[int, int], ...]
 
 
 class MalformedCharacter(ValueError):
-    """A `CharacterSum` whose entries break its invariants: a multiplicity
-    that is not positive, mixed (d, n), or entries not strictly sorted."""
+    """A character whose entries break the invariants of `CharacterSum`: a
+    multiplicity that is not positive, mixed (d, n), or entries not strictly
+    sorted; as ``IdCounts``, also a shape index out of range."""
 
 
 @dataclass(frozen=True)

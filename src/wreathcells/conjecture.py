@@ -16,7 +16,7 @@ multiplicities, a character of size n carried as ``IdCounts``: its
 (index in ``enumerate_dpartitions(d, n)``, multiplicity) pairs, sorted by
 index.  Both layers produce these int tuples, and the verdict compares them
 as sets.  The verdict is data and holds no `CharacterSum`: the CLI renders
-each distinct character once and lays the verdict out as text or JSON.
+its ids and lays the verdict out as text or JSON.
 """
 
 from __future__ import annotations

@@ -19,8 +19,8 @@ its multiplicity off the number of paths into that state (see
 per-shape move table, not the graph's edges: one function (``_step``)
 expands a state into its moves, for the build to count paths and for a walk
 to list cells.  A final state is already the character as (shape id,
-multiplicity) pairs sorted by id, so characters are compared as int tuples
-and a `CharacterSum` is built only to render one.
+multiplicity) pairs sorted by id, so characters are compared and rendered
+as int tuples; only ``CellDecomposition.cells`` builds `CharacterSum`s.
 """
 
 from __future__ import annotations
@@ -145,8 +145,8 @@ class CellDecomposition:
     ``shapes`` lists the d-partitions of size at most n by the ids that states
     use, size first, each size in ``enumerate_dpartitions`` order.  So a state
     of size k, less the number of shapes smaller than k from each id, is its
-    character as ``IdCounts`` (``character_counts``); a `CharacterSum` is
-    built only when a cell is rendered (``walk``, ``cells``).
+    character as ``IdCounts`` (``character_counts``).  ``walk`` hands these
+    ids to its renderer, and only ``cells`` builds a `CharacterSum` of them.
     """
 
     values: tuple[Fraction, ...]
@@ -169,7 +169,7 @@ class CellDecomposition:
             k = n
         elif not 0 <= k <= n:
             raise ValueError(f"size {k} is not in 0..{n}")
-        offset = bisect_left(self.shapes, k, key=attrgetter("size"))
+        offset = self._offset(k)
         return dict(
             sorted(
                 (tuple((shape - offset, m) for shape, m in state), count)
@@ -177,26 +177,34 @@ class CellDecomposition:
             )
         )
 
+    def _offset(self, k: int) -> int:
+        """The number of shapes smaller than k: shape id less this is the
+        index in ``enumerate_dpartitions(d, k)``."""
+        return bisect_left(self.shapes, k, key=attrgetter("size"))
+
     @cached_property
     def cells(self) -> tuple[tuple[tuple[Fraction, ...], CharacterSum], ...]:
         """Every cell as (spectrum, character), in increasing spectrum order."""
-        return tuple(self.walk(_same, _same))
+        shapes = self.shapes[self._offset(len(self.paths) - 1) :]
+        return tuple(self.walk(_same, lambda ids: CharacterSum.from_ids(shapes, ids)))
 
     def walk(self, label, render) -> Iterator[tuple[tuple, object]]:
         """Every cell as (labelled spectrum, rendered character), in order.
 
         ``label`` runs once per distinct eigenvalue, and ``render`` once per
-        final state, on its character, so a listing renders each distinct value
-        once, not once per move or cell.  Each state below n, a key of
-        ``paths[:-1]``, is expanded once per walk (``_step``), deepest level
-        first, and its moves are linked to its children's nodes once per edge,
-        in a dict local to the walk.  Then each level extends the prefixes of
+        final state, on its character as the size-n ``IdCounts`` that
+        ``character_counts()`` lists, so a listing renders each distinct value
+        and character once, not once per move or cell.  Each state below n, a
+        key of ``paths[:-1]``, is expanded once per walk (``_step``), deepest
+        level first, and its moves are linked to its children's nodes once per
+        edge, in a dict local to the walk.  Then each level extends the prefixes of
         the last in order, each by its state's moves in eigenvalue order, so
         every level stays sorted.  The last level is yielded cell by cell.
         """
         labels = [label(v) for v in self.values]
+        offset = self._offset(len(self.paths) - 1)
         nodes = {
-            state: render(CharacterSum.from_ids(self.shapes, state))
+            state: render(tuple((shape - offset, m) for shape, m in state))
             for state in self.paths[-1]
         }
         for level in reversed(self.paths[:-1]):

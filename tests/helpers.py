@@ -21,7 +21,8 @@ with `FockVector.support`, `Symbol.text` and `LaurentPoly.text`.
 
 `jm_cells_json_obj` is the oracle for the `jm-cells --format json` listing,
 which writes each cell as one join of fragments encoded once per distinct
-eigenvalue and character: it builds the whole tree, a dict per cell.
+eigenvalue and character, from its ids: it builds the whole tree, a dict per
+cell of `CellDecomposition.cells`, each character a `CharacterSum`.
 `CharacterSumVerdict.to_json_obj` is, in the same way, the oracle for the
 `check --format json` document, whose lists reuse the text of each distinct
 character: it builds the whole tree, multisets copy by copy.
@@ -49,9 +50,10 @@ validated `CharacterSum`, built per JM state and per basis vector with
 `CharacterSum.from_counts`, and sorts each side by `CharacterSum.sort_key`;
 its `CharacterSumVerdict` stores those sums and derives every field from them.
 `CharacterSumVerdict.text_listing` is the oracle for text `check`, which
-renders each distinct character once: it renders every character where it is
-listed.  `rendered_verdict` renders the ids of a `ConjectureVerdict` into the
-same shape, so that tests can read its characters as `CharacterSum`s.
+renders each character from its ids, each shape's text made once: it renders
+every character with `CharacterSum.text`.  `rendered_verdict` renders the ids
+of a `ConjectureVerdict` into the same shape, so that tests can read its
+characters as `CharacterSum`s.
 
 `jm_cells_by_tableaux` and `jm_cells_by_trie` are the oracles for the graph
 of merged states behind `wreathcells.jm_cellular_characters`.  The first
@@ -305,11 +307,12 @@ def jm_cells_by_trie(params: CMParams, n: int) -> JMCells:
 
 
 def jm_cells_json_obj(dec: CellDecomposition) -> dict:
-    """The object that `jm-cells --format json` writes, a dict per cell."""
+    """The object that `jm-cells --format json` writes, a dict per cell of
+    ``dec.cells``, each character a `CharacterSum`."""
     return {
         "cells": [
-            {"spectrum": list(spec), "character": character}
-            for spec, character in dec.walk(str, CharacterSum.to_json_obj)
+            {"spectrum": [str(x) for x in spec], "character": cs.to_json_obj()}
+            for spec, cs in dec.cells
         ],
         "generic": dec.report.generic,
         "witness": list(dec.report.witness) if dec.report.witness else None,

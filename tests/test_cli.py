@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 import wreathcells.cli as cli
 from wreathcells.cli import _json_text, cli_main
-from wreathcells.combinatorics import CharacterSum
+from wreathcells.combinatorics import CharacterSum, DPartition, enumerate_dpartitions
 from wreathcells.conjecture import params_from_r
 from wreathcells.fock import canonical_basis
 from wreathcells.jucys_murphy import CMParams, jm_cellular_characters
@@ -358,6 +358,19 @@ def test_gaudin_verify_text_names_an_irreducible_pair_once(capsys):
     assert reports[0]["irreducible"] == f"pair (1,2): {reason}"
 
 
+def _count_shape_texts(monkeypatch) -> Counter:
+    """Count `DPartition.text` calls per shape from here on."""
+    made = Counter()
+    text = DPartition.text
+
+    def counting(dp):
+        made[dp.components] += 1
+        return text(dp)
+
+    monkeypatch.setattr(DPartition, "text", counting)
+    return made
+
+
 @pytest.mark.parametrize(
     "params, n",
     [
@@ -367,38 +380,44 @@ def test_gaudin_verify_text_names_an_irreducible_pair_once(capsys):
         (CMParams.from_ksharp(3, Fraction(1, 3), (1, Fraction(-1, 2), 0)), 4),
     ],
 )
-def test_jm_cells_listings_read_each_cell(params, n, capsys):
+def test_jm_cells_listings_read_each_cell(params, n, monkeypatch, capsys):
     dec = jm_cellular_characters(params, n)
     assert dec.cells == jm_cells_by_tableaux(params, n).cells
-    k = ",".join(str(x) for x in params.k)
-    argv = ["jm-cells", f"--c0={params.c0}", f"--k={k}", "--n", str(n)]
-    assert cli_main(argv) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[2:] == [
+    expected_text = [
         f"spectrum ({', '.join(str(x) for x in spec)}): {cs.text()}"
         for spec, cs in dec.cells
     ]
-    assert jm_cells_json_obj(dec)["cells"] == [
-        {"spectrum": [str(x) for x in spec], "character": cs.to_json_obj()}
-        for spec, cs in dec.cells
-    ]
+    expected_json = json.dumps(jm_cells_json_obj(dec), indent=2) + "\n"
+    k = ",".join(str(x) for x in params.k)
+    argv = ["jm-cells", f"--c0={params.c0}", f"--k={k}", "--n", str(n)]
+    made = _count_shape_texts(monkeypatch)
+    assert cli_main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[2:] == expected_text
+    assert max(made.values(), default=0) <= 1
+    made.clear()
+    assert cli_main([*argv, "--format", "json"]) == 0
+    assert capsys.readouterr().out == expected_json
+    assert max(made.values(), default=0) <= 1
 
 
 def test_walk_renders_each_value_and_character_once():
     dec = jm_cellular_characters(CMParams.from_ksharp(2, 1, (-1, 0)), 6)
+    shapes = enumerate_dpartitions(2, 6)
     labelled, rendered = [], []
 
     def label(v):
         labelled.append(v)
         return str(v)
 
-    def render(cs):
-        rendered.append(cs)
-        return cs.text()
+    def render(ids):
+        rendered.append(ids)
+        return CharacterSum.from_ids(shapes, ids).text()
 
     cells = list(dec.walk(label, render))
     assert labelled == list(dec.values)
-    assert len(rendered) == len(dec.paths[-1])
+    # each final state once, as the ids `character_counts` lists
+    assert sorted(rendered) == list(dec.character_counts())
+    assert len(set(rendered)) == len(rendered)
     assert cells == [
         (tuple(str(x) for x in spec), cs.text()) for spec, cs in dec.cells
     ]
@@ -409,15 +428,20 @@ def test_check_encodes_each_character_once_per_depth(monkeypatch, capsys):
     (oracle,) = check_by_character_sums(params_from_r((1, 1, 0), 1), (4,))
     assert max(oracle.cm_counts.values()) > 1 and oracle.cm_only and oracle.lm_only
     expected = json.dumps(oracle.to_json_obj(), indent=2) + "\n"
+    index = {dp: i for i, dp in enumerate(enumerate_dpartitions(3, 4))}
+
+    def as_ids(cs):
+        return tuple((index[dp], m) for dp, m in cs.entries)
+
     encoded = Counter()
-    encode = cli._json_text
+    encode = cli._Characters.json
 
-    def counting(obj, depth=0):
-        if depth in (2, 3) and isinstance(obj, dict):
-            encoded[depth, json.dumps(obj)] += 1
-        return encode(obj, depth)
+    def counting(self, ids, depth):
+        encoded[depth, ids] += 1
+        return encode(self, ids, depth)
 
-    monkeypatch.setattr(cli, "_json_text", counting)
+    monkeypatch.setattr(cli._Characters, "json", counting)
+    made = _count_shape_texts(monkeypatch)
     argv = ["check", "--r=1,1,0", "--c0", "1", "--n", "4", "--format", "json"]
     assert cli_main(argv) == 1
     assert capsys.readouterr().out == expected
@@ -425,29 +449,36 @@ def test_check_encodes_each_character_once_per_depth(monkeypatch, capsys):
     in_sets = oracle.cm_counts | oracle.lm_counts
     in_diff = oracle.cm_only + oracle.lm_only
     assert encoded == Counter(
-        [(2, json.dumps(cs.to_json_obj())) for cs in in_sets]
-        + [(3, json.dumps(cs.to_json_obj())) for cs in in_diff]
+        [(2, as_ids(cs)) for cs in in_sets] + [(3, as_ids(cs)) for cs in in_diff]
     )
+    # each shape's text is made at most once for the whole document
+    assert max(made.values()) == 1
 
 
 @pytest.mark.parametrize(
     "r, n, code", [("1,1,0", 4, 1), ("1,0", 2, 0)], ids=["unequal", "equal"]
 )
-def test_check_renders_each_character_once(r, n, code, monkeypatch, capsys):
+def test_text_check_makes_each_shape_text_once(r, n, code, monkeypatch, capsys):
     (oracle,) = check_by_character_sums(params_from_r(r.split(","), 1), (n,))
     expected = oracle.text_listing()
     rendered = Counter()
-    text = CharacterSum.text
+    text = cli._Characters.text
 
-    def counting(cs):
-        rendered[cs] += 1
-        return text(cs)
+    def counting(self, ids):
+        rendered[ids] += 1
+        return text(self, ids)
 
-    monkeypatch.setattr(CharacterSum, "text", counting)
+    monkeypatch.setattr(cli._Characters, "text", counting)
+    made = _count_shape_texts(monkeypatch)
     assert cli_main(["check", f"--r={r}", "--c0", "1", "--n", str(n)]) == code
     assert capsys.readouterr().out == expected
-    # one text per distinct character of either side, wherever it is listed
-    assert rendered == Counter(oracle.cm_counts.keys() | oracle.lm_counts.keys())
+    # each character is rendered where it is listed, and no text is kept
+    # across the listing but each shape's
+    listed = len(oracle.cm_counts) + len(oracle.lm_counts)
+    if not oracle.equal:
+        listed += len(oracle.cm_only) + len(oracle.lm_only)
+    assert rendered.total() == listed
+    assert max(made.values()) == 1
 
 
 JM_CELLS_7 = ["jm-cells", "--r=2,1,0", "--c0", "1", "--n", "7"]
