@@ -12,11 +12,12 @@ and None (anything else is an internal error).  The long lists (JM cells,
 basis vectors, the verdict's characters) are lazy arrays: iterators of their
 elements' JSON text, each element joined here from fragments encoded once
 per distinct value and written as it is made; so a crash part-way leaves a
-truncated document, with exit 3.  `check` and `jm-cells` render each
-character straight from its ids (`_Characters`), with no `CharacterSum`:
-each shape's text and JSON key is made once per listing, and a character is
-checked as `CharacterSum` checks it.  In JSON each distinct character is
-encoded once per depth; text `check` renders each one where it is listed.
+truncated document, with exit 3.  `check`, `jm-cells` and `lm-cells`
+render each character straight from its ids (`_Characters`), with no
+`CharacterSum`: each shape's text and JSON key is made once per listing, and
+a character is checked as `CharacterSum` checks it.  In JSON each distinct
+character is encoded once per depth; text `check` renders each one where it
+is listed, its ``only`` lines piece by piece.
 
 Subcommands taking reflection parameters read them from exactly one source:
 `--c0` with `--k`, or `--c0` with the charges `--r`; `tableaux` reads its
@@ -56,7 +57,7 @@ from .fock import (
     symbol_sort_key,
 )
 from .gd12 import RegimeMismatch, cm_cells_n2, sim_classes, verify_gaudin_eigensystem
-from .jucys_murphy import CMParams, jm_cellular_characters
+from .jucys_murphy import CMParams, is_generic, jm_cellular_characters
 from .laurent import parse_rational
 
 
@@ -280,8 +281,8 @@ def _cmd_jm_cells(args) -> int:
     params = _params_from_args(args)
     decomposition = jm_cellular_characters(params, args.n)
     characters = _Characters(params.d, args.n)
+    report = is_generic(params, args.n)
     if args.format == "json":
-        report = decomposition.report
         obj = {
             "cells": _json_cells(decomposition, characters),
             "generic": report.generic,
@@ -291,7 +292,6 @@ def _cmd_jm_cells(args) -> int:
     else:
 
         def lines():
-            report = decomposition.report
             yield (
                 "JM cells (= CM cells: parameters generic)"
                 if report.generic
@@ -449,12 +449,18 @@ def _cmd_canonical_basis(args) -> int:
 
 def _cmd_lm_cells(args) -> int:
     charges = _charges_from_args(args)
-    chars = lm_constructible(charges, args.n)
+    chars = lm_constructible(charges, (args.n,))[args.n]
     ordered = sorted(chars, key=symbol_sort_key)
+    characters = _Characters(len(charges), args.n)
+    # each distinct character rendered once; height n always has a symbol
     if args.format == "json":
-        _emit_json(args, {sym.text(): chars[sym].to_json_obj() for sym in ordered})
+        encoded = _PerValue(lambda ids: characters.json(ids, 1))
+        members = [f"{_quote(sym.text())}: {encoded[chars[sym]]}" for sym in ordered]
+        with _destination(args) as handle:
+            handle.write(_bracket("{", members, "}", 0) + "\n")
     else:
-        _emit_lines(args, (f"{sym.text()} : {chars[sym].text()}" for sym in ordered))
+        text = _PerValue(characters.text)
+        _emit_lines(args, (f"{sym.text()} : {text[chars[sym]]}" for sym in ordered))
     return 0
 
 
@@ -508,25 +514,34 @@ def _cmd_check(args) -> int:
     if args.format == "json":
         _emit_json(args, _check_document(verdict))
     else:
-        _emit_lines(args, _check_lines(verdict))
+        with _destination(args) as handle:
+            handle.writelines(_check_text(verdict))
     return 0 if verdict.equal else 1
 
 
-def _check_lines(verdict) -> Iterator[str]:
-    """The lines of text ``check``, each character rendered where it is
-    listed: its shapes' texts are shared, and no line is kept."""
+def _check_text(verdict) -> Iterator[str]:
+    """The text of ``check`` in pieces, each character rendered where it is
+    listed: its shapes' texts are shared, and no line is kept.  An ``only``
+    line, which may hold a whole side, is never joined: each character and
+    separator is a piece."""
     text = _Characters(verdict.d, verdict.n).text
-    yield f"mode: {verdict.mode}"
-    yield f"equal: {verdict.equal}" + (f"  ({verdict.note})" if verdict.note else "")
-    yield "cm cells:"
+    yield f"mode: {verdict.mode}\n"
+    note = f"  ({verdict.note})" if verdict.note else ""
+    yield f"equal: {verdict.equal}{note}\n"
+    yield "cm cells:\n"
     for ids in verdict.cm_ids:
-        yield f"  {text(ids)}"
-    yield "lm cells:"
+        yield f"  {text(ids)}\n"
+    yield "lm cells:\n"
     for ids in verdict.lm_ids:
-        yield f"  {text(ids)}"
+        yield f"  {text(ids)}\n"
     if not verdict.equal:
         for side, only in ("cm", verdict.cm_only_ids), ("lm", verdict.lm_only_ids):
-            yield f"{side} only: " + "; ".join(map(text, only))
+            yield f"{side} only: "
+            for i, ids in enumerate(only):
+                if i:
+                    yield "; "
+                yield text(ids)
+            yield "\n"
 
 
 def _check_document(verdict) -> dict:

@@ -168,6 +168,20 @@ def dpartition_components(d: int, n: int) -> Iterator[tuple[Partition, ...]]:
                 yield (lam,) + rest
 
 
+def shape_index(d: int, n: int) -> dict[tuple[Partition, ...], int]:
+    """The components of each d-partition of n, mapped to its index in
+    `enumerate_dpartitions(d, n)`: the shape ids of ``IdCounts``.
+
+    >>> shape_index(2, 0)
+    {((), ()): 0}
+    >>> def inverse(d, n):
+    ...     return {dp.components: i for i, dp in enumerate(enumerate_dpartitions(d, n))}
+    >>> all(shape_index(d, n) == inverse(d, n) for d in range(1, 5) for n in range(7))
+    True
+    """
+    return {comps: i for i, comps in enumerate(dpartition_components(d, n))}
+
+
 def addable_boxes(dp: DPartition) -> tuple[BoxCoord, ...]:
     """Boxes whose addition yields a valid Young diagram, ordered by (comp, row)."""
     out = []
@@ -248,9 +262,9 @@ def tableau_count(shape: DPartition) -> int:
 
 
 # A character of size n as its (index in enumerate_dpartitions(d, n),
-# multiplicity) pairs, sorted by index, multiplicities positive.  Indices
-# follow dpartition_sort_key, so these tuples sort as CharacterSum.sort_key
-# does, and they hash in C.
+# multiplicity) pairs, sorted by index (`shape_index`), multiplicities
+# positive.  Indices follow dpartition_sort_key, so these tuples sort as
+# CharacterSum.sort_key does, and they hash in C.
 IdCounts = tuple[tuple[int, int], ...]
 
 

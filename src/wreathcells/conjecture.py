@@ -14,9 +14,9 @@ and an upper bound (cells may merge) otherwise.
 Each side is its distinct characters in canonical order with their
 multiplicities, a character of size n carried as ``IdCounts``: its
 (index in ``enumerate_dpartitions(d, n)``, multiplicity) pairs, sorted by
-index.  Both layers produce these int tuples, and the verdict compares them
-as sets.  The verdict is data and holds no `CharacterSum`: the CLI renders
-its ids and lays the verdict out as text or JSON.
+index, as ``shape_index`` numbers shapes for JM, LM and n = 2 alike.  The
+verdict compares them as sets.  It is data and holds no `CharacterSum`: the
+CLI renders its ids and lays the verdict out as text or JSON.
 """
 
 from __future__ import annotations
@@ -25,14 +25,13 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinatorics import IdCounts, enumerate_dpartitions
-from .fock import lm_constructible_by_height
+from .combinatorics import IdCounts, shape_index
+from .fock import lm_constructible
 from .gd12 import cm_cells_n2_family
 from .jucys_murphy import CMParams, is_generic, jm_cellular_characters
 
-# cm_cells_n2 and lm_constructible are not called here, but
-# perfbench/tracing.py wraps the names in this module, so they stay imported.
-from .fock import lm_constructible  # noqa: F401
+# cm_cells_n2 is not called here, but perfbench/tracing.py wraps the name in
+# this module, so it stays imported.
 from .gd12 import cm_cells_n2  # noqa: F401
 
 
@@ -138,7 +137,7 @@ def check_conjecture_sizes(params: CMParams, sizes) -> tuple[ConjectureVerdict, 
     """
     sizes = tuple(sizes)
     charges = r_from_params(params)
-    lm = lm_constructible_by_height(charges, sizes)
+    lm = lm_constructible(charges, sizes)
     jm = None
     if any(n != 2 for n in sizes):
         jm = jm_cellular_characters(params, max(sizes))
@@ -147,9 +146,9 @@ def check_conjecture_sizes(params: CMParams, sizes) -> tuple[ConjectureVerdict, 
         lm_ids = _counted(lm[n].values())
         if n == 2:
             mode = "exact-n2"
-            index = {dp: i for i, dp in enumerate(enumerate_dpartitions(params.d, 2))}
+            index = shape_index(params.d, 2)
             cm_ids = _counted(
-                tuple((index[dp], m) for dp, m in cs.entries)
+                tuple((index[dp.components], m) for dp, m in cs.entries)
                 for _, cs in cm_cells_n2_family(params)
             )
         else:

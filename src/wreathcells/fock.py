@@ -31,6 +31,8 @@ triangular (Lusztig, Introduction to Quantum Groups, 27.3): ranking a symbol by
 its row sizes read last row first (`_rank`), every other standard term of the
 start and of b(sym) ranks below sym.  So each height is built once, in
 increasing rank, and every correction uses a vector already built.
+The constructible characters (`lm_constructible`) are these vectors at
+q = 1, each an ``IdCounts`` whose shapes are numbered as the JM cells' are.
 """
 
 from __future__ import annotations
@@ -41,14 +43,13 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .combinatorics import (
-    CharacterSum,
     IdCounts,
     Partition,
     components_sort_key,
     components_text,
     dpartition_components,
-    enumerate_dpartitions,
     is_partition,
+    shape_index,
 )
 from .laurent import LaurentPoly, _trimmed_poly, bar_symmetric_head, one, zero
 
@@ -563,46 +564,25 @@ def _check_lattice(sym: Symbol, vec: FockVector) -> None:
         )
 
 
-def lm_constructible(charges: tuple[int, ...], n: int) -> dict[Symbol, CharacterSum]:
-    """Leclerc-Miyachi constructible characters for G(d,1,n) at these charges.
-
-    Evaluates every canonical basis vector of height n at q = 1 and reads the
-    result as a character sum through the symbol / d-partition bijection,
-    keyed by the standard symbol of height n.  Each distinct character is
-    rendered once from its ``IdCounts``.
-    """
-    charges = tuple(charges)
-    by_symbol = lm_constructible_by_height(charges, (n,))[n]
-    shapes = enumerate_dpartitions(len(charges), n)
-    rendered = {
-        ids: CharacterSum.from_ids(shapes, ids) for ids in set(by_symbol.values())
-    }
-    return {sym: rendered[ids] for sym, ids in by_symbol.items()}
-
-
-def lm_constructible_by_height(
+def lm_constructible(
     charges: tuple[int, ...], heights
 ) -> dict[int, dict[Symbol, IdCounts]]:
-    """The constructible characters of each height, as ``IdCounts`` keyed by
-    standard symbol, all read off one canonical basis built to the largest.
+    """Leclerc-Miyachi constructible characters of G(d,1,n) at these charges,
+    for each height n, as ``IdCounts`` keyed by the standard symbols of
+    height n, all read off one canonical basis built to the largest.
 
     ``canonical_basis(charges, n)`` holds ``canonical_basis(charges, k)`` for
     every k <= n, since each vector is built from vectors of its own height
-    and of its peel parent's.  Each term's rows are looked up among the
-    d-partitions of its height for their index, and its coefficient is read
-    at q = 1: a zero is dropped, and a negative one raises
-    `NegativeMultiplicity`.
+    and of its peel parent's.  Each term's rows, a d-partition, get their
+    ``shape_index`` id, and its coefficient is read at q = 1: a zero is
+    dropped, and a negative one raises `NegativeMultiplicity`.
     """
     charges = tuple(charges)
     heights = sorted(set(heights))
     if not heights:
         raise ValueError("need at least one height")
     basis = canonical_basis(charges, max(heights))
-    d = len(charges)
-    index = {
-        n: {dp.components: i for i, dp in enumerate(enumerate_dpartitions(d, n))}
-        for n in heights
-    }
+    index = {n: shape_index(len(charges), n) for n in heights}
     out: dict[int, dict[Symbol, IdCounts]] = {n: {} for n in heights}
     for sym, vec in basis.items():
         if (n := sym.height) in out:

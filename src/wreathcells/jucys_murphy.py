@@ -15,32 +15,31 @@ Spectrum prefixes that reach the same shapes equally often grow alike, so the
 cells are computed on a graph of these merged states, without listing the
 tableaux one by one.  A cell's character is read off its final state, and
 its multiplicity off the number of paths into that state (see
-``jm_cellular_characters``).  A build keeps the path counts and the small
-per-shape move table, not the graph's edges: one function (``_step``)
-expands a state into its moves, for the build to count paths and for a walk
-to list cells.  A final state is already the character as (shape id,
-multiplicity) pairs sorted by id, so characters are compared and rendered
-as int tuples; only ``CellDecomposition.cells`` builds `CharacterSum`s.
+``jm_cellular_characters``).  A build keeps the path counts and a small move
+table per size, not the graph's edges: one function (``_step``) expands a
+state into its moves, for the build to count paths and for a walk to list
+cells.  A shape's id is its index among the shapes of its size
+(``shape_index``), so a final state is already the character as ``IdCounts``,
+and characters are compared and rendered as int tuples; only
+``CellDecomposition.cells`` builds `CharacterSum`s.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import attrgetter
 
 from .combinatorics import (
     BoxCoord,
     CharacterSum,
-    DPartition,
     IdCounts,
     Partition,
     addable_boxes,
     content,
     enumerate_dpartitions,
+    shape_index,
 )
 
 # Not called here, but perfbench/tracing.py wraps the name in this module, so
@@ -121,11 +120,12 @@ def is_generic(params: CMParams, n: int) -> GenericityReport:
     return GenericityReport(generic=True)
 
 
-# A state is the sorted (shape id, tableaux) pairs that a spectrum prefix
-# reaches; the empty prefix reaches the empty shape, id 0, once.
-State = tuple[tuple[int, int], ...]
+# A state is the sorted (shape id, tableaux) pairs that a spectrum prefix of
+# length k reaches, as IdCounts of size k; the empty prefix reaches the empty
+# shape, id 0, once.
+State = IdCounts
 _ROOT: State = ((0, 1),)
-# Per shape id below n, the (rank, child shape id) of each of its addable boxes.
+# Per shape id of one size, the (rank, child shape id) of each addable box.
 Moves = list[list[tuple[int, int]]]
 
 
@@ -134,58 +134,44 @@ class CellDecomposition:
     """JM cells as a graph of merged states (see ``jm_cellular_characters``).
 
     ``values`` lists the build's distinct eigenvalues in increasing order, and
-    ``moves`` gives each shape id below size n the (rank, child shape id) of
-    each of its addable boxes, the rank indexing ``values``; ranks follow value
-    order.  No state's child states are kept: ``_step`` expands a state from
-    ``moves`` into its moves, (rank, child state) in increasing rank order, so
-    also in eigenvalue order.  ``paths`` maps the states of each size k = 0..n
-    to the number of spectrum prefixes that reach them, so a state of size n
-    is the character of that many cells, and the states below n are the keys
-    of ``paths[:-1]``.
-    ``shapes`` lists the d-partitions of size at most n by the ids that states
-    use, size first, each size in ``enumerate_dpartitions`` order.  So a state
-    of size k, less the number of shapes smaller than k from each id, is its
-    character as ``IdCounts`` (``character_counts``).  ``walk`` hands these
-    ids to its renderer, and only ``cells`` builds a `CharacterSum` of them.
+    ``moves[k]`` gives each shape id of size k < n the (rank, child shape id)
+    of each of its addable boxes, the rank indexing ``values``; ranks follow
+    value order.  No state's child states are kept: ``_step`` expands a state
+    of size k from ``moves[k]`` into its moves, (rank, child state) in
+    increasing rank order, so also in eigenvalue order.  ``paths[k]`` maps the
+    states of size k = 0..n to the number of spectrum prefixes that reach
+    them, so a state of size n is the character of that many cells.  A shape
+    id is the shape's index among the d-partitions of its own size
+    (``shape_index``), so each state is its character as ``IdCounts``
+    (``character_counts``); ``walk`` hands these to its renderer, and only
+    ``cells`` builds a `CharacterSum` of them.
     """
 
     values: tuple[Fraction, ...]
-    moves: Moves
-    report: GenericityReport
+    moves: list[Moves]
     paths: tuple[dict[State, int], ...]
-    shapes: tuple[DPartition, ...]
+    d: int
 
     def character_counts(self, k: int | None = None) -> dict[IdCounts, int]:
         """The distinct cell characters of size k (n by default) as
         ``IdCounts``, in canonical order, with multiplicities.
 
         Distinct states reach distinct shape counts, so their characters are
-        distinct, and no cell is listed.  Shapes are numbered by size first,
-        so the states of size k and their path counts are those of a build
-        for k: this equals ``jm_cellular_characters(params, k).character_counts()``.
+        distinct, and no cell is listed.  The states of size k and their path
+        counts are those of a build for k: this equals
+        ``jm_cellular_characters(params, k).character_counts()``.
         """
         n = len(self.paths) - 1
         if k is None:
             k = n
         elif not 0 <= k <= n:
             raise ValueError(f"size {k} is not in 0..{n}")
-        offset = self._offset(k)
-        return dict(
-            sorted(
-                (tuple((shape - offset, m) for shape, m in state), count)
-                for state, count in self.paths[k].items()
-            )
-        )
-
-    def _offset(self, k: int) -> int:
-        """The number of shapes smaller than k: shape id less this is the
-        index in ``enumerate_dpartitions(d, k)``."""
-        return bisect_left(self.shapes, k, key=attrgetter("size"))
+        return dict(sorted(self.paths[k].items()))
 
     @cached_property
     def cells(self) -> tuple[tuple[tuple[Fraction, ...], CharacterSum], ...]:
         """Every cell as (spectrum, character), in increasing spectrum order."""
-        shapes = self.shapes[self._offset(len(self.paths) - 1) :]
+        shapes = enumerate_dpartitions(self.d, len(self.paths) - 1)
         return tuple(self.walk(_same, lambda ids: CharacterSum.from_ids(shapes, ids)))
 
     def walk(self, label, render) -> Iterator[tuple[tuple, object]]:
@@ -196,27 +182,23 @@ class CellDecomposition:
         ``character_counts()`` lists, so a listing renders each distinct value
         and character once, not once per move or cell.  Each state below n, a
         key of ``paths[:-1]``, is expanded once per walk (``_step``), deepest
-        level first, and its moves are linked to its children's nodes once per
-        edge, in a dict local to the walk.  Then each level extends the prefixes of
+        level first, and its moves are linked to the next level's nodes once
+        per edge, one dict per level.  Then each level extends the prefixes of
         the last in order, each by its state's moves in eigenvalue order, so
         every level stays sorted.  The last level is yielded cell by cell.
         """
         labels = [label(v) for v in self.values]
-        offset = self._offset(len(self.paths) - 1)
-        nodes = {
-            state: render(tuple((shape - offset, m) for shape, m in state))
-            for state in self.paths[-1]
-        }
-        for level in reversed(self.paths[:-1]):
-            for state in level:
-                nodes[state] = [
-                    (labels[rank], nodes[child])
-                    for rank, child in _step(state, self.moves)
+        nodes = {state: render(state) for state in self.paths[-1]}
+        for level, moves in zip(reversed(self.paths[:-1]), reversed(self.moves)):
+            nodes = {
+                state: [
+                    (labels[rank], nodes[child]) for rank, child in _step(state, moves)
                 ]
+                for state in level
+            }
         # every shape has an addable box, so every state below n has moves
-        depth = len(self.paths) - 1
         level = iter([((), nodes[_ROOT])])
-        for _ in range(depth):
+        for _ in self.moves:
             # a generator expression builds its outermost iterable at once, so
             # each level but the last is listed here
             level = (
@@ -249,53 +231,53 @@ def jm_cellular_characters(params: CMParams, n: int) -> CellDecomposition:
     (``_step``), its moves grouped by rank into child states, and the number
     of prefixes reaching each state is counted alongside.  A state of size n
     is the character of as many cells as prefixes reach it.  The build keeps
-    the per-shape move table and the counts of every level, not the expanded
-    states' children, so one build serves each size up to n
+    the move tables and the counts of every level, not the expanded states'
+    children, so one build serves each size up to n
     (``CellDecomposition.character_counts``), and ``CellDecomposition.walk``
     expands the states again when cells are listed.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    shapes = [
-        dp for size in range(n + 1) for dp in enumerate_dpartitions(params.d, size)
-    ]
-    shape_id = {dp.components: i for i, dp in enumerate(shapes)}
-    # (key, child shape id) per addable box of each shape below n, keyed by
-    # the box's (component, content), on which alone its eigenvalue depends;
-    # the first box of each key stands for it
+    # per size below n, (key, child shape id) per addable box of each shape,
+    # keyed by the box's (component, content), on which alone its eigenvalue
+    # depends; the first box of each key stands for it
     firsts: dict[tuple[int, int], BoxCoord] = {}
     keyed_moves = []
-    for dp in shapes:
-        if dp.size < n:
+    for size in range(n):
+        child_id = shape_index(params.d, size + 1)
+        rows = []
+        for dp in enumerate_dpartitions(params.d, size):
             row = []
             for box in addable_boxes(dp):
                 key = (box.comp, content(box))
                 firsts.setdefault(key, box)
-                row.append((key, shape_id[_grown(dp.components, box)]))
-            keyed_moves.append(row)
+                row.append((key, child_id[_grown(dp.components, box)]))
+            rows.append(row)
+        keyed_moves.append(rows)
     # each distinct eigenvalue once, moves on its rank among them
     spectrum = tableau_spectrum(params, tuple(firsts.values()))
     values = tuple(sorted(set(spectrum)))
     rank = {v: i for i, v in enumerate(values)}
     key_rank = {key: rank[v] for key, v in zip(firsts, spectrum)}
-    moves = [[(key_rank[key], child) for key, child in row] for row in keyed_moves]
+    moves = [
+        [[(key_rank[key], child) for key, child in row] for row in rows]
+        for rows in keyed_moves
+    ]
 
     paths = {_ROOT: 1}
     levels = [paths]
-    for _ in range(n):
+    for size_moves in moves:
         next_paths: dict[State, int] = {}
         for state, count in paths.items():
-            for _, child in _step(state, moves):
+            for _, child in _step(state, size_moves):
                 next_paths[child] = next_paths.get(child, 0) + count
         paths = next_paths
         levels.append(paths)
-    return CellDecomposition(
-        values, moves, is_generic(params, n), tuple(levels), tuple(shapes)
-    )
+    return CellDecomposition(values, moves, tuple(levels), params.d)
 
 
 def _step(state: State, moves: Moves) -> tuple[tuple[int, State], ...]:
-    """A state's moves, (rank, child state) in increasing rank order.
+    """A state's moves from its size's table, (rank, child state) by rank.
 
     The child of a rank is the shapes that the state's addable boxes of that
     rank grow into, each with the sum of the tableaux of the shapes it grows

@@ -124,7 +124,7 @@ from wreathcells import (
 )
 from wreathcells.combinatorics import character_counts, remove_box
 from wreathcells.conjecture import r_from_params
-from wreathcells.fock import canonical_basis, symbol_sort_key
+from wreathcells.fock import canonical_basis, lm_constructible, symbol_sort_key
 from wreathcells.gd12 import cm_cells_n2_family
 from wreathcells.jucys_murphy import jm_cellular_characters
 from wreathcells.laurent import one
@@ -222,6 +222,15 @@ def rendered_verdict(verdict) -> SimpleNamespace:
     )
 
 
+def rendered_lm(charges, n: int) -> dict[Symbol, CharacterSum]:
+    """`lm_constructible` at height n, its ids rendered as `CharacterSum`s."""
+    shapes = enumerate_dpartitions(len(charges), n)
+    return {
+        sym: CharacterSum.from_ids(shapes, ids)
+        for sym, ids in lm_constructible(charges, (n,))[n].items()
+    }
+
+
 def check_by_character_sums(params: CMParams, sizes) -> tuple[CharacterSumVerdict, ...]:
     """`check_conjecture_sizes` with every character a `CharacterSum`."""
     charges = r_from_params(params)
@@ -241,8 +250,9 @@ def check_by_character_sums(params: CMParams, sizes) -> tuple[CharacterSumVerdic
             cm_counts = character_counts(cs for _, cs in cm_cells_n2_family(params))
         else:
             mode = "generic" if is_generic(params, n).generic else "jm-upper-bound"
+            shapes = enumerate_dpartitions(params.d, n)
             pairs = [
-                (CharacterSum.from_counts({jm.shapes[s]: m for s, m in state}), count)
+                (CharacterSum.from_counts({shapes[s]: m for s, m in state}), count)
                 for state, count in jm.paths[n].items()
             ]
             cm_counts = dict(sorted(pairs, key=lambda it: it[0].sort_key()))
@@ -306,16 +316,17 @@ def jm_cells_by_trie(params: CMParams, n: int) -> JMCells:
     return JMCells(cells, is_generic(params, n))
 
 
-def jm_cells_json_obj(dec: CellDecomposition) -> dict:
+def jm_cells_json_obj(dec: CellDecomposition, report: GenericityReport) -> dict:
     """The object that `jm-cells --format json` writes, a dict per cell of
-    ``dec.cells``, each character a `CharacterSum`."""
+    ``dec.cells``, each character a `CharacterSum`, and the report of
+    `is_generic` at its parameters and size."""
     return {
         "cells": [
             {"spectrum": [str(x) for x in spec], "character": cs.to_json_obj()}
             for spec, cs in dec.cells
         ],
-        "generic": dec.report.generic,
-        "witness": list(dec.report.witness) if dec.report.witness else None,
+        "generic": report.generic,
+        "witness": list(report.witness) if report.witness else None,
     }
 
 

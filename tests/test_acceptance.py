@@ -16,6 +16,7 @@ from helpers import (
     height2_characters,
     height2_monomials_at_one,
     in_q_zq,
+    rendered_lm,
     rendered_verdict,
 )
 from wreathcells.combinatorics import (
@@ -30,7 +31,6 @@ from wreathcells.fock import (
     canonical_basis,
     enumerate_standard_symbols,
     intermediate_A,
-    lm_constructible,
 )
 from wreathcells.gd12 import cm_cells_n2, verify_frac_identity, verify_gaudin_eigensystem
 from wreathcells.jucys_murphy import (
@@ -115,7 +115,7 @@ def test_criterion_4_height2_closed_forms():
             # at height 2 the correction step is vacuous
             assert basis[sigma] == monomial, sigma
 
-        got = lm_constructible(charges, 2)
+        got = rendered_lm(charges, 2)
         assert got == height2_characters(charges)
     _report(4, f"term-by-term match at q=1 for {len(cases)} charge vectors")
 

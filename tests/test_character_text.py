@@ -23,7 +23,7 @@ from wreathcells import (
     params_from_r,
 )
 from wreathcells.cli import _json_text
-from wreathcells.fock import lm_constructible_by_height
+from wreathcells.fock import lm_constructible
 
 HALF = Fraction(-1, 2)
 # (charges, c0, sizes): d = 1, n = 0, c0 < 0, and an unequal point
@@ -42,7 +42,7 @@ def _sides(charges, c0, sizes):
     """Per size, the distinct ids of JM, LM and (at n = 2) the closed forms."""
     params = params_from_r(charges, c0)
     jm = jm_cellular_characters(params, max(sizes))
-    lm = lm_constructible_by_height(charges, sizes)
+    lm = lm_constructible(charges, sizes)
     by_size = {n: set(jm.character_counts(n)) | set(lm[n].values()) for n in sizes}
     if 2 in sizes:
         (exact,) = check_conjecture_sizes(params, (2,))

@@ -25,14 +25,15 @@ import wreathcells.cli as cli
 from wreathcells.cli import _json_text, cli_main
 from wreathcells.combinatorics import CharacterSum, DPartition, enumerate_dpartitions
 from wreathcells.conjecture import params_from_r
-from wreathcells.fock import canonical_basis
-from wreathcells.jucys_murphy import CMParams, jm_cellular_characters
+from wreathcells.fock import canonical_basis, lm_constructible, symbol_sort_key
+from wreathcells.jucys_murphy import CMParams, is_generic, jm_cellular_characters
 
 from helpers import (
     check_by_character_sums,
     jm_cells_by_tableaux,
     jm_cells_json_obj,
     render_basis,
+    rendered_lm,
 )
 
 # Quotes, backslashes, control characters and non-ASCII beside plain letters.
@@ -259,7 +260,8 @@ def _whole_tree(argv):
     args = cli.build_parser().parse_args(argv)
     if args.command == "jm-cells":
         params = cli._params_from_args(args)
-        return jm_cells_json_obj(jm_cellular_characters(params, args.n))
+        dec = jm_cellular_characters(params, args.n)
+        return jm_cells_json_obj(dec, is_generic(params, args.n))
     if args.command == "check":
         (verdict,) = check_by_character_sums(cli._params_from_args(args), (args.n,))
         return verdict.to_json_obj()
@@ -267,6 +269,12 @@ def _whole_tree(argv):
         charges = cli._charges_from_args(args)
         basis = render_basis(canonical_basis(charges, args.n))
         return {"charges": list(charges), "max_height": args.n, "basis": basis}
+    if args.command == "lm-cells":
+        chars = rendered_lm(cli._charges_from_args(args), args.n)
+        return {
+            sym.text(): chars[sym].to_json_obj()
+            for sym in sorted(chars, key=symbol_sort_key)
+        }
     return None
 
 
@@ -387,7 +395,9 @@ def test_jm_cells_listings_read_each_cell(params, n, monkeypatch, capsys):
         f"spectrum ({', '.join(str(x) for x in spec)}): {cs.text()}"
         for spec, cs in dec.cells
     ]
-    expected_json = json.dumps(jm_cells_json_obj(dec), indent=2) + "\n"
+    expected_json = (
+        json.dumps(jm_cells_json_obj(dec, is_generic(params, n)), indent=2) + "\n"
+    )
     k = ",".join(str(x) for x in params.k)
     argv = ["jm-cells", f"--c0={params.c0}", f"--k={k}", "--n", str(n)]
     made = _count_shape_texts(monkeypatch)
@@ -398,6 +408,35 @@ def test_jm_cells_listings_read_each_cell(params, n, monkeypatch, capsys):
     assert cli_main([*argv, "--format", "json"]) == 0
     assert capsys.readouterr().out == expected_json
     assert max(made.values(), default=0) <= 1
+
+
+@pytest.mark.parametrize("r, n", [("1,0", 0), ("1,0", 5), ("1,1,0,0", 4)])
+def test_lm_cells_listings_render_each_character_once(r, n, monkeypatch, capsys):
+    charges = tuple(int(x) for x in r.split(","))
+    chars = rendered_lm(charges, n)
+    ordered = sorted(chars, key=symbol_sort_key)
+    expected_text = "".join(f"{sym.text()} : {chars[sym].text()}\n" for sym in ordered)
+    obj = {sym.text(): chars[sym].to_json_obj() for sym in ordered}
+    expected_json = json.dumps(obj, indent=2) + "\n"
+    rendered = Counter()
+    for name in ("text", "json"):
+        method = getattr(cli._Characters, name)
+
+        def counting(self, ids, *depth, method=method):
+            rendered[ids] += 1
+            return method(self, ids, *depth)
+
+        monkeypatch.setattr(cli._Characters, name, counting)
+    made = _count_shape_texts(monkeypatch)
+    argv = ["lm-cells", f"--r={r}", "--n", str(n)]
+    for fmt, expected in ("text", expected_text), ("json", expected_json):
+        rendered.clear()
+        made.clear()
+        assert cli_main([*argv, "--format", fmt]) == 0
+        assert capsys.readouterr().out == expected
+        # each distinct character once, each shape's text at most once
+        assert rendered == Counter(set(lm_constructible(charges, (n,))[n].values()))
+        assert max(made.values()) == 1
 
 
 def test_walk_renders_each_value_and_character_once():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import check_by_character_sums, rendered_verdict, scaled
+from helpers import check_by_character_sums, rendered_lm, rendered_verdict, scaled
 import wreathcells.cli as cli
 import wreathcells.conjecture as conjecture
 from wreathcells.cli import cli_main
@@ -20,7 +20,7 @@ from wreathcells.conjecture import (
 )
 from wreathcells.combinatorics import CharacterSum
 import wreathcells.fock as fock
-from wreathcells.fock import LatticeViolation, MissingBead, lm_constructible
+from wreathcells.fock import LatticeViolation, MissingBead
 from wreathcells.gd12 import cm_cells_n2_family
 from wreathcells.jucys_murphy import CMParams, jm_cellular_characters
 
@@ -185,7 +185,7 @@ def test_verdict_derives_sets_and_differences(r, n, mode, equal):
         cells = [cs for _, cs in jm_cellular_characters(params, n).cells]
     key = CharacterSum.sort_key
     assert _multiset(verdict.cm_counts) == tuple(sorted(cells, key=key))
-    lm_cells = lm_constructible(verdict.charges, n).values()
+    lm_cells = rendered_lm(verdict.charges, n).values()
     assert _multiset(verdict.lm_counts) == tuple(sorted(lm_cells, key=key))
     cm, lm = set(verdict.cm_counts), set(verdict.lm_counts)
     assert verdict.equal == (cm == lm)

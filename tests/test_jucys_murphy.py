@@ -198,7 +198,7 @@ def test_cells_gap_one():
 def test_cells_generic_all_singletons():
     params = CMParams.from_ksharp(3, 1, (-14, -7, 0))
     dec = jm_cellular_characters(params, 3)
-    assert dec.report.generic
+    assert is_generic(params, 3).generic
     for _, cs in dec.cells:
         assert len(cs.entries) == 1 and cs.entries[0][1] == 1
     # one cell per tableau, one distinct character per shape
@@ -240,12 +240,22 @@ def test_cells_collapse_when_constant():
 
 
 @pytest.mark.parametrize("params", PARAM_BATTERY)
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 5])
 def test_partition_of_unity(params, n):
     dec = jm_cellular_characters(params, n)
     for shape in enumerate_dpartitions(params.d, n):
         total = sum(cs.multiplicity(shape) for _, cs in dec.cells)
         assert total == tableau_count(shape)
+    # every level of the one build, its ids read among the shapes of its size
+    for k in range(n + 1):
+        shapes = enumerate_dpartitions(params.d, k)
+        totals = Counter()
+        for ids, paths in dec.character_counts(k).items():
+            for i, m in ids:
+                totals[i] += paths * m
+        assert totals == Counter(
+            {i: tableau_count(shape) for i, shape in enumerate(shapes)}
+        )
 
 
 nonzero_rationals = st.fractions(
@@ -328,7 +338,7 @@ def test_trie_cells_match_per_tableau_oracle(point):
     for oracle in (jm_cells_by_tableaux, jm_cells_by_trie):
         expected = oracle(params, n)
         assert dec.cells == expected.cells
-        assert dec.report == expected.report
+        assert is_generic(params, n) == expected.report
 
 
 def test_build_evaluates_each_distinct_box_key_once_and_builds_no_tableau(
@@ -375,18 +385,24 @@ RANK_POINTS = [
 def _assert_moves_follow_value_order(params, n):
     dec = jm_cellular_characters(params, n)
     assert all(a < b for a, b in zip(dec.values, dec.values[1:]))
-    shape_id = {shape: i for i, shape in enumerate(dec.shapes)}
-    for state in itertools.chain.from_iterable(dec.paths[:-1]):
-        moves = jm._step(state, dec.moves)
-        # the child of each value: the shapes grown by boxes of that value
-        expected: dict = {}
-        for s, tableaux in state:
-            for box in addable_boxes(dec.shapes[s]):
-                reached = expected.setdefault(jm_eigenvalue(params, box), Counter())
-                reached[shape_id[grown(dec.shapes[s], box)]] += tableaux
-        assert [dec.values[r] for r, _ in moves] == sorted(expected)
-        for r, child in moves:
-            assert child == tuple(sorted(expected[dec.values[r]].items()))
+    assert len(dec.moves) == n
+    for k, level in enumerate(dec.paths[:-1]):
+        # ids of size k index the shapes of size k, and children those of k + 1
+        shapes = enumerate_dpartitions(params.d, k)
+        grown_shapes = enumerate_dpartitions(params.d, k + 1)
+        child_id = {shape: i for i, shape in enumerate(grown_shapes)}
+        assert len(dec.moves[k]) == len(shapes)
+        for state in level:
+            moves = jm._step(state, dec.moves[k])
+            # the child of each value: the shapes grown by boxes of that value
+            expected: dict = {}
+            for s, tableaux in state:
+                for box in addable_boxes(shapes[s]):
+                    reached = expected.setdefault(jm_eigenvalue(params, box), Counter())
+                    reached[child_id[grown(shapes[s], box)]] += tableaux
+            assert [dec.values[r] for r, _ in moves] == sorted(expected)
+            for r, child in moves:
+                assert child == tuple(sorted(expected[dec.values[r]].items()))
     for oracle in (jm_cells_by_trie, jm_cells_by_tableaux):
         assert dec.cells == oracle(params, n).cells
 
@@ -419,7 +435,7 @@ def test_check_expands_each_state_once_and_keeps_no_child_states(monkeypatch):
     step = jm._step
 
     def counting(state, moves):
-        steps.append(state)
+        steps.append((id(moves), state))
         return step(state, moves)
 
     builds = []
@@ -434,17 +450,22 @@ def test_check_expands_each_state_once_and_keeps_no_child_states(monkeypatch):
     params = conjecture.params_from_r((2, 1, 0), 1)
     conjecture.check_conjecture_sizes(params, (3, 6, 5))
     (dec,) = builds
-    below = sum(len(level) for level in dec.paths[:-1])
-    assert len(dec.paths) == 7
-    assert len(steps) == len(set(steps)) == below
+    # states of different sizes may be equal tuples, so a step is told by
+    # the move table of its size
+    level_of = {id(moves): k for k, moves in enumerate(dec.moves)}
+    below = [(k, state) for k, level in enumerate(dec.paths[:-1]) for state in level]
+    assert len(dec.paths) == 7 and len(level_of) == 6
+    expanded = [(level_of[table], state) for table, state in steps]
+    assert len(expanded) == len(set(expanded)) == len(below)
+    assert set(expanded) == set(below)
     dec.cells
-    assert len(steps) == 2 * below
+    expanded = [(level_of[table], state) for table, state in steps]
+    assert Counter(expanded) == Counter(below * 2)
     assert [f.name for f in dataclasses.fields(jm.CellDecomposition)] == [
         "values",
         "moves",
-        "report",
         "paths",
-        "shapes",
+        "d",
     ]
 
 

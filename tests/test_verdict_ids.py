@@ -39,7 +39,7 @@ from wreathcells import (
     q,
 )
 from wreathcells.cli import cli_main
-from wreathcells.fock import lm_constructible_by_height
+from wreathcells.fock import lm_constructible
 
 FIELDS = "mode n charges equal cm_counts lm_counts cm_only lm_only note".split()
 
@@ -192,7 +192,7 @@ def test_negative_multiplicity_raises_on_the_check_path(monkeypatch, capsys):
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_malformed_character_is_an_internal_error(monkeypatch, capsys, fmt):
     # LM tuples left unsorted break the `CharacterSum` invariant when rendered
-    original = conjecture.lm_constructible_by_height
+    original = conjecture.lm_constructible
 
     def unsorted(charges, sizes):
         return {
@@ -200,7 +200,7 @@ def test_malformed_character_is_an_internal_error(monkeypatch, capsys, fmt):
             for n, chars in original(charges, sizes).items()
         }
 
-    monkeypatch.setattr(conjecture, "lm_constructible_by_height", unsorted)
+    monkeypatch.setattr(conjecture, "lm_constructible", unsorted)
     assert issubclass(MalformedCharacter, ValueError)
     argv = ["check", "--r=1,1,0", "--c0", "1", "--n", "4", "--format", fmt]
     assert cli_main(argv) == 3
@@ -212,9 +212,9 @@ def test_malformed_character_is_an_internal_error(monkeypatch, capsys, fmt):
 
 def test_zero_multiplicity_at_one_is_dropped(monkeypatch):
     charges = (1, 1, 0)
-    before = lm_constructible_by_height(charges, (4,))[4]
+    before = lm_constructible(charges, (4,))[4]
     chosen = _patch_one_coefficient(monkeypatch, q(1) - q(2))
-    after = lm_constructible_by_height(charges, (4,))[4]
+    after = lm_constructible(charges, (4,))[4]
     index = {dp.components: i for i, dp in enumerate(enumerate_dpartitions(3, 4))}
     dropped = index[chosen["term"].rows]
     sym = chosen["sym"]
@@ -244,7 +244,7 @@ def test_negative_multiplicity_survives_optimize():
 
         fock.canonical_basis = patched
         try:
-            fock.lm_constructible_by_height((1, 1, 0), (4,))
+            fock.lm_constructible((1, 1, 0), (4,))
         except NegativeMultiplicity:
             raise SystemExit(0)
         raise SystemExit(1)
