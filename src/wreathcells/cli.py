@@ -9,15 +9,16 @@ Text is written line by line as it is made.  `--format json` mirrors the text
 tables and is exactly `json.dumps(obj, indent=2)`, non-ASCII escaped, from a
 private encoder that accepts only dicts with str keys, lists, str, int, bool
 and None (anything else is an internal error).  The long lists (JM cells,
-basis vectors, the verdict's characters) are lazy arrays: iterators of their
-elements' JSON text, each element joined here from fragments encoded once
-per distinct value and written as it is made; so a crash part-way leaves a
-truncated document, with exit 3.  `check`, `jm-cells` and `lm-cells`
-render each character straight from its ids (`_Characters`), with no
-`CharacterSum`: each shape's text and JSON key is made once per listing, and
-a character is checked as `CharacterSum` checks it.  In JSON each distinct
-character is encoded once per depth; text `check` renders each one where it
-is listed, its ``only`` lines piece by piece.
+n = 2 cells, basis vectors, the verdict's characters) are lazy arrays:
+iterators of their elements' JSON text, each element joined here from
+fragments encoded once per distinct value and written as it is made; so a
+crash part-way leaves a truncated document, with exit 3.  Every listing of
+characters (`check`, `jm-cells`, `lm-cells` and `cm-cells-n2`) renders each
+one straight from its ids (`_Characters`), with no `CharacterSum`: each
+shape's text and JSON key is made once per listing, and a character is
+checked as `CharacterSum` checks it.  In JSON each distinct character is
+encoded once per depth; text `check` renders each one where it is listed,
+its ``only`` lines piece by piece.
 
 Subcommands taking reflection parameters read them from exactly one source:
 `--c0` with `--k`, or `--c0` with the charges `--r`; `tableaux` reads its
@@ -41,7 +42,6 @@ from json.encoder import encode_basestring_ascii as _quote
 from .combinatorics import (
     IdCounts,
     MalformedCharacter,
-    character_counts,
     enumerate_dpartitions,
     parse_dpartition,
     partition_sort_key,
@@ -466,16 +466,17 @@ def _cmd_lm_cells(args) -> int:
 
 def _cmd_cm_cells_n2(args) -> int:
     params = _params_from_args(args)
-    cells = character_counts(cm_cells_n2(params))
+    cells = sorted(cm_cells_n2(params))
+    characters = _Characters(params.d, 2)
     if args.format == "json":
         obj = {
             "classes": [list(c) for c in sim_classes(params)],
-            "cells": [cs.to_json_obj() for cs in cells],
+            "cells": (characters.json(ids, 2) for ids in cells),
         }
         _emit_json(args, obj)
     else:
         lines = [f"classes: {sim_classes(params)}"]
-        lines.extend(cs.text() for cs in cells)
+        lines.extend(map(characters.text, cells))
         _emit_lines(args, lines)
     return 0
 

@@ -13,7 +13,6 @@ order on component 1, then recursively on the remaining components.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator, NamedTuple
@@ -343,15 +342,3 @@ class CharacterSum:
 
     def __repr__(self):
         return f"CharacterSum({self.text()})"
-
-
-def character_counts(chars) -> dict[CharacterSum, int]:
-    """The distinct character sums, in the one order every listing uses, each
-    with the number of times it occurs.
-
-    >>> a, b = (CharacterSum.from_counts({parse_dpartition(t): 1}) for t in ("1|1", "2|∅"))
-    >>> {cs.text(): m for cs, m in character_counts([a, b, a]).items()}
-    {'2|∅': 1, '1|1': 2}
-    """
-    counts = Counter(chars)
-    return {cs: counts[cs] for cs in sorted(counts, key=CharacterSum.sort_key)}

@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinatorics import IdCounts, shape_index
+from .combinatorics import IdCounts
 from .fock import lm_constructible
 from .gd12 import cm_cells_n2_family
 from .jucys_murphy import CMParams, is_generic, jm_cellular_characters
@@ -146,11 +146,7 @@ def check_conjecture_sizes(params: CMParams, sizes) -> tuple[ConjectureVerdict, 
         lm_ids = _counted(lm[n].values())
         if n == 2:
             mode = "exact-n2"
-            index = shape_index(params.d, 2)
-            cm_ids = _counted(
-                tuple((index[dp.components], m) for dp, m in cs.entries)
-                for _, cs in cm_cells_n2_family(params)
-            )
+            cm_ids = _counted(ids for _, ids in cm_cells_n2_family(params))
         else:
             mode = "generic" if is_generic(params, n).generic else "jm-upper-bound"
             cm_ids = jm.character_counts(n)

@@ -2,8 +2,8 @@
 
 The n = 2 classification is driven by the equivalence classes of 1..d under
 equality of ksharp values.  Cells are emitted directly from the closed forms
-(one family per simple-module class, then deduplicated), with characters keyed
-by d-partitions of 2:
+(one family per simple-module class, then deduplicated), each character
+``IdCounts`` over ``shape_index(d, 2)``, the d-partitions of 2:
 
     chi_i      <-> (2) in component i,
     chi'_i     <-> (1,1) in component i,
@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .combinatorics import CharacterSum, DPartition
+from .combinatorics import IdCounts, shape_index
 from .jucys_murphy import CMParams
 from .laurent import exact_quotient
 
@@ -275,45 +275,59 @@ def sim_classes(params: CMParams) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted((tuple(v) for v in blocks.values()), key=lambda b: b[0]))
 
 
-def _dp(d: int, parts) -> DPartition:
-    """The d-partition with ``part`` in each listed ``(component, part)``, ∅ elsewhere."""
-    comps = [()] * d
-    for comp, part in parts:
-        comps[comp - 1] = part
-    return DPartition(tuple(comps))
+def cm_cells_n2_family(params: CMParams) -> list[tuple[str, IdCounts]]:
+    """One labelled cellular character per simple-module class, no dedup.
 
+    Each character is ``IdCounts`` over ``shape_index(d, 2)``, counted from
+    the class's list of shapes, each shape given by its (component, part)
+    pairs.
 
-def cm_cells_n2_family(params: CMParams) -> list[tuple[str, CharacterSum]]:
-    """One labelled cellular character per simple-module class, no dedup."""
+    >>> from wreathcells.combinatorics import enumerate_dpartitions
+    >>> shapes = enumerate_dpartitions(2, 2)
+    >>> for label, ids in cm_cells_n2_family(CMParams.from_ksharp(2, 1, (-1, 0))):
+    ...     print(label, ids, [shapes[i].text() for i, _ in ids])
+    L((1,)) ((0, 1),) ['2|∅']
+    L((2,)) ((2, 1), (3, 1)) ['1|1', '∅|2']
+    L'((1,)) ((1, 1), (2, 1)) ['1.1|∅', '1|1']
+    L'((2,)) ((4, 1),) ['∅|1.1']
+    """
     d, c0 = params.d, params.c0
+    index = shape_index(d, 2)
     classes = sim_classes(params)
     value = {cls: params.ksharp(cls[0]) for cls in classes}
     by_value = {v: cls for cls, v in value.items()}
 
+    def shape(*parts) -> int:
+        """The id of the shape with each ``(component, part)``, ∅ elsewhere."""
+        comps = [()] * d
+        for comp, part in parts:
+            comps[comp - 1] = part
+        return index[tuple(comps)]
+
     def pairs(ijs):
-        return [_dp(d, ((i, (1,)), (j, (1,)))) for i, j in ijs]
+        return [shape((i, (1,)), (j, (1,))) for i, j in ijs]
 
     def cross(oa, ob):
         return pairs((i, j) for i in oa for j in ob)
 
-    family: list[tuple[str, list[DPartition]]] = []
+    family: list[tuple[str, list[int]]] = []
     if c0 == 0:
         for oa in classes:
             for ob in classes:
                 if oa == ob:
-                    dps = [_dp(d, ((i, part),)) for i in oa for part in ((2,), (1, 1))]
-                    dps += 2 * pairs(combinations(oa, 2))
+                    ids = [shape((i, part)) for i in oa for part in ((2,), (1, 1))]
+                    ids += 2 * pairs(combinations(oa, 2))
                 else:
-                    dps = cross(oa, ob)
-                family.append((f"L~({oa},{ob})", dps))
+                    ids = cross(oa, ob)
+                family.append((f"L~({oa},{ob})", ids))
     else:
         for name, part, step in (("L", (2,), -c0), ("L'", (1, 1), c0)):
             for cls in classes:
-                dps = [_dp(d, ((i, part),)) for i in cls]
+                ids = [shape((i, part)) for i in cls]
                 partner = by_value.get(value[cls] + step)
                 if partner is not None:
-                    dps += cross(cls, partner)
-                family.append((f"{name}({cls})", dps))
+                    ids += cross(cls, partner)
+                family.append((f"{name}({cls})", ids))
         for oa, ob in combinations(classes, 2):
             if (value[oa] - value[ob]) ** 2 != c0 ** 2:
                 family.append((f"L({oa},{ob})", cross(oa, ob)))
@@ -321,12 +335,12 @@ def cm_cells_n2_family(params: CMParams) -> list[tuple[str, CharacterSum]]:
             if len(cls) > 1:
                 for sign in ("+", "-") if d % 2 == 0 else ("",):
                     family.append((f"L{sign}({cls},{cls})", pairs(combinations(cls, 2))))
-    return [(label, CharacterSum.from_counts(Counter(dps))) for label, dps in family]
+    return [(label, tuple(sorted(Counter(ids).items()))) for label, ids in family]
 
 
-def cm_cells_n2(params: CMParams) -> frozenset[CharacterSum]:
-    """The set of Calogero-Moser cellular characters of G(d,1,2)."""
-    return frozenset(cs for _, cs in cm_cells_n2_family(params))
+def cm_cells_n2(params: CMParams) -> frozenset[IdCounts]:
+    """The set of Calogero-Moser cellular characters of G(d,1,2), as ``IdCounts``."""
+    return frozenset(ids for _, ids in cm_cells_n2_family(params))
 
 
 # Gaudin matrices at n = 2 and their eigen-systems.

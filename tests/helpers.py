@@ -53,7 +53,8 @@ its `CharacterSumVerdict` stores those sums and derives every field from them.
 renders each character from its ids, each shape's text made once: it renders
 every character with `CharacterSum.text`.  `rendered_verdict` renders the ids
 of a `ConjectureVerdict` into the same shape, so that tests can read its
-characters as `CharacterSum`s.
+characters as `CharacterSum`s; `rendered_n2_family` and `rendered_n2` render
+the ids of the n = 2 closed forms in the same way.
 
 `jm_cells_by_tableaux` and `jm_cells_by_trie` are the oracles for the graph
 of merged states behind `wreathcells.jm_cellular_characters`.  The first
@@ -90,6 +91,7 @@ The remaining oracles are small routines that the package itself never runs:
 from __future__ import annotations
 
 import re
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from types import SimpleNamespace
@@ -122,10 +124,10 @@ from wreathcells import (
     standard_tableaux,
     tableau_spectrum,
 )
-from wreathcells.combinatorics import character_counts, remove_box
+from wreathcells.combinatorics import remove_box
 from wreathcells.conjecture import r_from_params
 from wreathcells.fock import canonical_basis, lm_constructible, symbol_sort_key
-from wreathcells.gd12 import cm_cells_n2_family
+from wreathcells.gd12 import cm_cells_n2, cm_cells_n2_family
 from wreathcells.jucys_murphy import jm_cellular_characters
 from wreathcells.laurent import one
 
@@ -231,6 +233,28 @@ def rendered_lm(charges, n: int) -> dict[Symbol, CharacterSum]:
     }
 
 
+def rendered_n2_family(params: CMParams) -> list[tuple[str, CharacterSum]]:
+    """`cm_cells_n2_family`, its ids rendered as `CharacterSum`s."""
+    shapes = enumerate_dpartitions(params.d, 2)
+    return [
+        (label, CharacterSum.from_ids(shapes, ids))
+        for label, ids in cm_cells_n2_family(params)
+    ]
+
+
+def rendered_n2(params: CMParams) -> frozenset[CharacterSum]:
+    """`cm_cells_n2`, its ids rendered as `CharacterSum`s."""
+    shapes = enumerate_dpartitions(params.d, 2)
+    return frozenset(CharacterSum.from_ids(shapes, ids) for ids in cm_cells_n2(params))
+
+
+def character_counts(chars) -> dict[CharacterSum, int]:
+    """The distinct character sums, sorted by `CharacterSum.sort_key`, each
+    with the number of times it occurs."""
+    counts = Counter(chars)
+    return {cs: counts[cs] for cs in sorted(counts, key=CharacterSum.sort_key)}
+
+
 def check_by_character_sums(params: CMParams, sizes) -> tuple[CharacterSumVerdict, ...]:
     """`check_conjecture_sizes` with every character a `CharacterSum`."""
     charges = r_from_params(params)
@@ -247,7 +271,7 @@ def check_by_character_sums(params: CMParams, sizes) -> tuple[CharacterSumVerdic
         )
         if n == 2:
             mode = "exact-n2"
-            cm_counts = character_counts(cs for _, cs in cm_cells_n2_family(params))
+            cm_counts = character_counts(cs for _, cs in rendered_n2_family(params))
         else:
             mode = "generic" if is_generic(params, n).generic else "jm-upper-bound"
             shapes = enumerate_dpartitions(params.d, n)

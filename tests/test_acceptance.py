@@ -17,6 +17,7 @@ from helpers import (
     height2_monomials_at_one,
     in_q_zq,
     rendered_lm,
+    rendered_n2,
     rendered_verdict,
 )
 from wreathcells.combinatorics import (
@@ -32,7 +33,7 @@ from wreathcells.fock import (
     enumerate_standard_symbols,
     intermediate_A,
 )
-from wreathcells.gd12 import cm_cells_n2, verify_frac_identity, verify_gaudin_eigensystem
+from wreathcells.gd12 import verify_frac_identity, verify_gaudin_eigensystem
 from wreathcells.jucys_murphy import (
     CMParams,
     jm_cellular_characters,
@@ -242,7 +243,7 @@ def test_criterion_8_jm_cells_decompose_into_cm_cells():
     checked = 0
     for d, r in N2_BATTERY:
         params = params_from_r(r, 1)
-        cm = sorted(cm_cells_n2(params), key=lambda c: c.sort_key())
+        cm = sorted(rendered_n2(params), key=lambda c: c.sort_key())
         jm = jm_cellular_characters(params, 2)
         for _, cell in jm.cells:
             assert _as_combination(cell, cm), (d, r, cell.text())

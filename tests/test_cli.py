@@ -1,4 +1,4 @@
-"""The CLI's JSON layout, its text writer and the `jm-cells` listings.
+"""The CLI's JSON layout, its text writer and its listings of characters.
 
 `json.dumps(obj, indent=2)` is the oracle for the CLI's own encoder, and
 for every streamed listing, of the whole tree that the oracles in
@@ -26,6 +26,7 @@ from wreathcells.cli import _json_text, cli_main
 from wreathcells.combinatorics import CharacterSum, DPartition, enumerate_dpartitions
 from wreathcells.conjecture import params_from_r
 from wreathcells.fock import canonical_basis, lm_constructible, symbol_sort_key
+from wreathcells.gd12 import sim_classes
 from wreathcells.jucys_murphy import CMParams, is_generic, jm_cellular_characters
 
 from helpers import (
@@ -34,6 +35,7 @@ from helpers import (
     jm_cells_json_obj,
     render_basis,
     rendered_lm,
+    rendered_n2,
 )
 
 # Quotes, backslashes, control characters and non-ASCII beside plain letters.
@@ -207,6 +209,8 @@ COMMANDS = [
     (["canonical-basis", "--r=1,1,0", "--n", "3"], 0),
     (["lm-cells", "--r=1,0", "--n", "4"], 0),
     (["cm-cells-n2", "--c0", "1", "--r=1,0"], 0),
+    (["cm-cells-n2", "--k=0,0,0", "--c0", "0"], 0),  # c0 = 0, 2*1|1|∅
+    (["cm-cells-n2", "--k=1/2,0,1/3", "--c0=-1/2"], 0),  # non-integral, c0 < 0
     (["gaudin-verify", "--c0", "1", "--k", "0,0,-1,-1"], 0),
     (["gaudin-verify", "--c0=2/3", "--k=1/3,1/3,-2/3,0"], 0),
     (["check", "--r=1,0", "--c0", "1", "--n", "2"], 0),  # exact-n2
@@ -275,7 +279,18 @@ def _whole_tree(argv):
             sym.text(): chars[sym].to_json_obj()
             for sym in sorted(chars, key=symbol_sort_key)
         }
+    if args.command == "cm-cells-n2":
+        params = cli._params_from_args(args)
+        return {
+            "classes": [list(c) for c in sim_classes(params)],
+            "cells": [cs.to_json_obj() for cs in _sorted_n2_cells(params)],
+        }
     return None
+
+
+def _sorted_n2_cells(params) -> list[CharacterSum]:
+    """The closed-form cells at n = 2 as `CharacterSum`s, in listing order."""
+    return sorted(rendered_n2(params), key=CharacterSum.sort_key)
 
 
 @pytest.mark.parametrize("argv", ORACLE_ARGVS, ids=" ".join)
@@ -437,6 +452,20 @@ def test_lm_cells_listings_render_each_character_once(r, n, monkeypatch, capsys)
         # each distinct character once, each shape's text at most once
         assert rendered == Counter(set(lm_constructible(charges, (n,))[n].values()))
         assert max(made.values()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv", [argv for argv, _ in COMMANDS if argv[0] == "cm-cells-n2"], ids=" ".join
+)
+def test_cm_cells_n2_text_is_each_character_sum_text(argv, monkeypatch, capsys):
+    params = cli._params_from_args(cli.build_parser().parse_args(argv))
+    expected = [f"classes: {sim_classes(params)}"]
+    expected += [cs.text() for cs in _sorted_n2_cells(params)]
+    made = _count_shape_texts(monkeypatch)
+    assert cli_main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == expected
+    # each shape's text is made at most once for the whole listing
+    assert max(made.values()) == 1
 
 
 def test_walk_renders_each_value_and_character_once():

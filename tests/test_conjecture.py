@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import check_by_character_sums, rendered_lm, rendered_verdict, scaled
+from helpers import (
+    check_by_character_sums,
+    rendered_lm,
+    rendered_n2_family,
+    rendered_verdict,
+    scaled,
+)
 import wreathcells.cli as cli
 import wreathcells.conjecture as conjecture
 from wreathcells.cli import cli_main
@@ -21,7 +27,6 @@ from wreathcells.conjecture import (
 from wreathcells.combinatorics import CharacterSum
 import wreathcells.fock as fock
 from wreathcells.fock import LatticeViolation, MissingBead
-from wreathcells.gd12 import cm_cells_n2_family
 from wreathcells.jucys_murphy import CMParams, jm_cellular_characters
 
 
@@ -180,7 +185,7 @@ def test_verdict_derives_sets_and_differences(r, n, mode, equal):
     assert (verdict.mode, verdict.equal) == (mode, equal)
     # the expanded multisets are every cell's character, sorted
     if n == 2:
-        cells = [cs for _, cs in cm_cells_n2_family(params)]
+        cells = [cs for _, cs in rendered_n2_family(params)]
     else:
         cells = [cs for _, cs in jm_cellular_characters(params, n).cells]
     key = CharacterSum.sort_key

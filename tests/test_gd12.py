@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wreathcells.gd12 as gd12
+from helpers import rendered_n2, rendered_n2_family
 from wreathcells.cli import cli_main
 from wreathcells.combinatorics import CharacterSum, DPartition, enumerate_dpartitions
 from wreathcells.gd12 import (
@@ -14,7 +15,6 @@ from wreathcells.gd12 import (
     DiscriminantMismatch,
     RegimeMismatch,
     XYPoly,
-    cm_cells_n2,
     cm_cells_n2_family,
     cyclotomic_polynomial,
     gaudin_matrices,
@@ -65,7 +65,7 @@ def test_sim_classes():
 
 
 def test_cells_gap_one():
-    cells = cm_cells_n2(CMParams.from_ksharp(2, 1, (-1, 0)))
+    cells = rendered_n2(CMParams.from_ksharp(2, 1, (-1, 0)))
     assert cells == frozenset(
         [
             cs(chi(2, 1)),
@@ -77,7 +77,7 @@ def test_cells_gap_one():
 
 
 def test_cells_single_class():
-    cells = cm_cells_n2(CMParams.from_ksharp(2, 1, (0, 0)))
+    cells = rendered_n2(CMParams.from_ksharp(2, 1, (0, 0)))
     assert cells == frozenset(
         [
             cs(chi(2, 1), chi(2, 2)),
@@ -88,7 +88,7 @@ def test_cells_single_class():
 
 
 def test_cells_c0_zero():
-    cells = cm_cells_n2(CMParams.from_ksharp(2, 0, (0, 0)))
+    cells = rendered_n2(CMParams.from_ksharp(2, 0, (0, 0)))
     expected = CharacterSum.from_counts(
         {
             chi(2, 1): 1,
@@ -132,7 +132,7 @@ def test_family_bookkeeping(params):
     """Per irreducible, the family multiplicities total the number of
     simple-module classes containing it, counted with multiplicity."""
     d = params.d
-    family = cm_cells_n2_family(params)
+    family = rendered_n2_family(params)
 
     def family_total(dpart):
         return sum(csum.multiplicity(dpart) for _, csum in family)
@@ -176,7 +176,7 @@ def _as_combination(target, cells):
 @pytest.mark.parametrize("params", GD12_BATTERY)
 def test_jm_cells_are_sums_of_cm_cells(params):
     jm = jm_cellular_characters(params, 2)
-    cm = sorted(cm_cells_n2(params), key=lambda c: c.sort_key())
+    cm = sorted(rendered_n2(params), key=lambda c: c.sort_key())
     for _, cell in jm.cells:
         assert _as_combination(cell, cm), cell.text()
 
@@ -189,7 +189,7 @@ def test_c0_zero_jm_equals_cm(params):
     jm = jm_cellular_characters(params, 2)
     shapes = enumerate_dpartitions(params.d, 2)
     characters = {CharacterSum.from_ids(shapes, ids) for ids in jm.character_counts()}
-    assert characters == cm_cells_n2(params)
+    assert characters == rendered_n2(params)
 
 
 @pytest.mark.parametrize(
@@ -232,7 +232,7 @@ def test_family_characters_with_partners():
     # ksharp (-2, -1, 0), c0 = 1: L((2,)) takes the pairs with the class c0
     # below it, (1,); L'((2,)) those with the class c0 above it, (3,); and
     # (1,), (3,) are 2*c0 apart, so they get a cross cell of their own.
-    family = dict(cm_cells_n2_family(CMParams.from_ksharp(3, 1, (-2, -1, 0))))
+    family = dict(rendered_n2_family(CMParams.from_ksharp(3, 1, (-2, -1, 0))))
     assert family["L((2,))"] == cs(chi(3, 2), chi_pair(3, 1, 2))
     assert family["L'((2,))"] == cs(chi_prime(3, 2), chi_pair(3, 2, 3))
     assert family["L((1,),(3,))"] == cs(chi_pair(3, 1, 3))

@@ -120,7 +120,7 @@ def test_text_check_matches_character_sum_oracle(
         assert capsys.readouterr().out == expected.text_listing()
 
 
-def test_check_path_builds_no_character_sum(monkeypatch):
+def test_check_path_builds_no_character_sum(monkeypatch, capsys):
     built = []
     post_init = CharacterSum.__post_init__
 
@@ -141,15 +141,17 @@ def test_check_path_builds_no_character_sum(monkeypatch):
             rows.append((v.mode, v.equal, len(v.cm_ids), len(v.lm_ids)))
             rows.append((v.cm_only_ids, v.lm_only_ids))
     assert len(rows) == 2 * 14
-    assert built == []
-    # n = 2 reads gd12's closed forms, which build their own sums, one each
+    # n = 2 reads gd12's closed forms, which are ids as well
     params = params_from_r((1, 1, 0), 1)
     (verdict,) = check_conjecture_sizes(params, (2,))
     assert verdict.equal
-    in_check = len(built)
-    built.clear()
-    family = cm_cells_n2_family(params)
-    assert in_check == len(built) == len(family) > 0
+    assert len(cm_cells_n2_family(params)) > 0
+    # and the cm-cells-n2 listing renders them from their ids
+    for argv in (["--r=1,1,0", "--c0", "1"], ["--k=0,0,0", "--c0", "0"]):
+        for fmt in ("text", "json"):
+            assert cli_main(["cm-cells-n2", *argv, "--format", fmt]) == 0
+            assert capsys.readouterr().out
+    assert built == []
 
 
 def _patch_one_coefficient(monkeypatch, coeff, height=4):
