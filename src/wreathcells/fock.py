@@ -12,14 +12,16 @@ Each row is a level-1 Fock space, on which F_m^2 = 0, so the divided power
 F_m^(k) is a sum over the k-subsets S of rows lowerable at m: move the bead
 m -> m+1 in every row of S at once, weighted by q^e with e the sum of eps_i
 over j in S and i > j not in S, eps_i the K_m-weight of row i.  No power of
-F_m is formed and nothing is divided (`divided_power_f`).  Within one call,
-each distinct row (charge, partition) gets its K_m-weight and its moved row
-once, and each target's coefficient is trimmed of zeros once.
+F_m is formed and nothing is divided (`divided_power_f`).  Each distinct row
+(charge, partition) gets its K_m-weight and its moved row once per build of
+`canonical_basis`, and each target's coefficient is trimmed of zeros once per
+divided power.
 
-A symbol is standard when its bead columns weakly increase down the rows
-(`enumerate_standard_symbols`).  The tests check this rule against the crystal
-closure of the highest weight under `crystal_f` at every charge vector with
-entries 0..6 and r_d = 0, up to n = 9, 8, 6, 5, 4 for d = 1..5.  The canonical
+A symbol is standard when its bead columns weakly increase down the rows, and
+`enumerate_standard_symbols` generates rows under that rule.  The tests check
+this rule against the crystal closure of the highest weight under `crystal_f`
+at every charge vector with entries 0..6 and r_d = 0, up to n = 9, 8, 6, 5, 4
+for d = 1..5.  The canonical
 basis is computed by the Leclerc-Toffin correction algorithm, by induction on
 the peel: one peel step writes sym as F_m^(k) of a lower standard symbol sym',
 and b(sym) starts from F_m^(k) b(sym').  F_m^(k) commutes with the bar
@@ -47,7 +49,6 @@ from .combinatorics import (
     Partition,
     components_sort_key,
     components_text,
-    dpartition_components,
     is_partition,
     shape_index,
 )
@@ -261,33 +262,42 @@ def _trimmed_vector(terms: dict[Symbol, LaurentPoly]) -> FockVector:
     return vec
 
 
-def _lower(m: int, k: int, vec: FockVector) -> FockVector:
+def _lower(
+    m: int,
+    k: int,
+    vec: FockVector,
+    table: dict[tuple[int, Partition], tuple[int, Partition | None]],
+) -> FockVector:
     """F_m^(k) vec, summed over the k-subsets S of the rows lowerable at m.
 
     See `divided_power_f` for the exponent e of each subset.  The `below` of a
     row j is the K_m-weight of all rows after j, and the rows of S after j
     weigh +1 each, so e is the sum of `below` over S minus C(k, 2).  Each
-    distinct row (charge, parts) of vec gets its K_m-weight and its lowered
-    row once per call.  Coefficients are summed as exponent -> integer dicts,
-    one per target symbol, and each is trimmed of zeros once at the end.
+    term's rows are scanned once, last row first, `below` kept as a running
+    sum; a term with fewer than k lowerable rows is skipped.  A row's K_m-weight
+    and its lowered row are read from `table`, which maps (charge, parts) to
+    (weight, lowered parts or None) at this m and is filled on first sight:
+    `canonical_basis` keeps one per node for the whole build.  Coefficients are
+    summed as exponent -> integer dicts, one per target symbol, and each is
+    trimmed of zeros once at the end.
     """
-    seen: dict[tuple[int, Partition], tuple[int, Partition | None]] = {}
     out: dict[Symbol, dict[int, int]] = {}
     pairs = k * (k - 1) // 2
     for sym, coeff in vec.terms.items():
         charges, rows = sym
-        weights = []
-        for row in zip(charges, rows):
-            if (w := seen.get(row)) is None:
+        below = 0
+        lowerable = []  # (row, its below, its row with the bead moved), last row first
+        for j in range(len(rows) - 1, -1, -1):
+            row = (charges[j], rows[j])
+            if (w := table.get(row)) is None:
                 e = _row_eps(*row, m)
-                seen[row] = w = (e, _row_move(*row, m, 1) if e == 1 else None)
-            weights.append(w)
-        below = sum(e for e, _ in weights)
-        lowerable = []  # (row, its below, its row with the bead moved)
-        for j, (e, moved) in enumerate(weights):
-            below -= e
+                table[row] = w = (e, _row_move(*row, m, 1) if e == 1 else None)
+            e, moved = w
             if e == 1:
                 lowerable.append((j, below, moved))
+            below += e
+        if len(lowerable) < k:
+            continue
         for subset in combinations(lowerable, k):
             new = list(rows)
             shift = -pairs
@@ -317,7 +327,7 @@ def f_action(m: int, vec: FockVector) -> FockVector:
     On a symbol it moves the bead m -> m+1 in every row where that is possible,
     the row-j term weighted by q to the sum of K_m-weights of the rows below j.
     """
-    return _lower(m, 1, vec)
+    return _lower(m, 1, vec, {})
 
 
 def divided_power_f(m: int, mult: int, vec: FockVector) -> FockVector:
@@ -341,7 +351,7 @@ def divided_power_f(m: int, mult: int, vec: FockVector) -> FockVector:
     """
     if mult < 1:
         raise ValueError("divided power needs mult >= 1")
-    return _lower(m, mult, vec)
+    return _lower(m, mult, vec, {})
 
 
 # Not called here, but tests use both and perfbench/tracing.py wraps crystal_f.
@@ -391,53 +401,83 @@ class CrystalComponent:
         return frozenset().union(*self.by_height)
 
 
-def enumerate_standard_symbols(charges: tuple[int, ...], n: int) -> CrystalComponent:
-    """The standard symbols of every height h <= n, by the column rule.
+def _rows_above(low: Partition, g: int, budget: int) -> list[tuple[Partition, int]]:
+    """Every row that may sit above the row `low` at charge gap g, with its size.
 
-    Height h keeps the d-partitions of h in which consecutive rows, with gap
-    g = r_i - r_{i+1}, have parts_i[j + g] <= parts_{i+1}[j] for every j >= 0,
-    a missing part read as 0 (bead beta_i(k) <= beta_{i+1}(k) for k <= r_{i+1}).
+    These are the partitions of size at most budget whose part j + g is at most
+    low[j] for every j >= 0, a missing part of low read as 0, so at most
+    len(low) + g parts.  Each is grown one part at a time, each part at most
+    the one before it, its bound from low and what is left of the budget.
+    """
+    found = [((), 0)]
+    for parts, size in found:  # extended while read: each row is grown once
+        j = len(parts)
+        if j == len(low) + g:
+            continue
+        top = budget - size
+        if j:
+            top = min(top, parts[-1])
+        if j >= g:
+            top = min(top, low[j - g])
+        found.extend((parts + (p,), size + p) for p in range(1, top + 1))
+    return found
+
+
+def enumerate_standard_symbols(charges: tuple[int, ...], n: int) -> CrystalComponent:
+    """The standard symbols of every height h <= n, generated by the column rule.
+
+    Consecutive rows, with gap g = r_i - r_{i+1}, have parts_i[j + g] <=
+    parts_{i+1}[j] for every j >= 0, a missing part read as 0 (bead
+    beta_i(k) <= beta_{i+1}(k) for k <= r_{i+1}).  The rows are built last row
+    first, each row among the `_rows_above` the row below it within what is
+    left of n; the last row is bounded by n alone.  An empty row may sit above
+    any row, so every partial symbol grows into at least one standard symbol
+    and only standard symbols are visited.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     charges = highest_weight_symbol(charges).charges  # validates the charges
-    gaps = tuple(a - b for a, b in zip(charges, charges[1:]))
-    return CrystalComponent(charges, tuple(
-        frozenset(
-            _unchecked_symbol(charges, rows)
-            for rows in dpartition_components(len(charges), h)
-            if all(
-                len(up) <= len(low) + g and all(p <= q for p, q in zip(up[g:], low))
-                for up, low, g in zip(rows, rows[1:], gaps)
-            )
-        )
-        for h in range(n + 1)
-    ))
+    # a gap of n bounds nothing: a row of size at most n has at most n parts
+    partial: list[tuple[tuple[Partition, ...], int]] = [
+        ((parts,), size) for parts, size in _rows_above((), n, n)
+    ]
+    for g in reversed([a - b for a, b in zip(charges, charges[1:])]):
+        partial = [
+            ((parts,) + rows, size + grown)
+            for rows, size in partial
+            for parts, grown in _rows_above(rows[0], g, n - size)
+        ]
+    layers: list[set[Symbol]] = [set() for _ in range(n + 1)]
+    for rows, size in partial:
+        layers[size].add(_unchecked_symbol(charges, rows))
+    return CrystalComponent(charges, tuple(map(frozenset, layers)))
 
 
 def _peel_step(sym: Symbol) -> tuple[tuple[int, int], Symbol] | None:
     """One peel step: ((node, multiplicity), parent), or None at the highest weight.
 
     The smallest displaced bead value v can only sit at the last displaced
-    position of a row, since bead values increase along a row.  Every bead of
-    value v is lowered to v - 1 at once; their count is the divided-power
-    multiplicity at node v - 1.  The parent has strictly smaller height.
+    position of a row, since bead values increase along a row.  The rows
+    raiseable at node m = v - 1 are exactly those whose last displaced bead
+    has value v: every other bead of a row lies above v or below m.  Every
+    bead of value v is lowered to m at once, by decrementing its row's last
+    part (a zero part is dropped); their count is the divided-power
+    multiplicity at m.  The parent has strictly smaller height.
     """
-    lows = [
-        r - len(parts) + 1 + parts[-1]
-        for r, parts in zip(sym.charges, sym.rows)
-        if parts
-    ]
+    charges, rows = sym
+    # one below each row's last displaced bead, at r - len(parts) + 1 + parts[-1]
+    lows = [r - len(parts) + parts[-1] for r, parts in zip(charges, rows) if parts]
     if not lows:
         return None
-    m = min(lows) - 1
-    # A row is raiseable at m exactly when its last displaced bead has value m + 1.
-    eps = _weights(sym, m)
-    rows = tuple(
-        _row_move(r, parts, m + 1, -1) if e == -1 else parts
-        for r, parts, e in zip(sym.charges, sym.rows, eps)
-    )
-    return (m, eps.count(-1)), _unchecked_symbol(sym.charges, rows)
+    m = min(lows)
+    mult = 0
+    parent = []
+    for r, parts in zip(charges, rows):
+        if parts and r - len(parts) + parts[-1] == m:
+            mult += 1
+            parts = parts[:-1] + (parts[-1] - 1,) if parts[-1] > 1 else parts[:-1]
+        parent.append(parts)
+    return (m, mult), _unchecked_symbol(charges, tuple(parent))
 
 
 def lt_monomial(sym: Symbol) -> tuple[tuple[int, int], ...]:
@@ -496,9 +536,10 @@ def canonical_basis(
     coefficient not in qZ[q] is cleared, highest-ranked violator first, with
     the bar-symmetric correction it determines.  A vector not yet built (a
     non-standard parent, or a violator not ranking strictly below the one
-    cleared before it, the first below sym) raises NonTerminating.  Symbols of
-    equal rank are ordered by `rows`, and `reverse_ties` flips that tie-break;
-    the result must not change.
+    cleared before it, the first below sym) raises NonTerminating.  The
+    divided powers share one `_lower` row table per node for the build.
+    Symbols of equal rank are ordered by `rows`, and `reverse_ties` flips that
+    tie-break; the result must not change.
     """
     component = enumerate_standard_symbols(charges, n)
     # By height, then rank; equal ranks by rows (a stable sort keeps the tie-break).
@@ -506,6 +547,7 @@ def canonical_basis(
     order.sort(key=lambda s: (s.height, _rank(s)))
     position = {sym: i for i, sym in enumerate(order)}
 
+    tables: dict[int, dict] = {}  # node m -> the `_lower` row table at m
     basis: dict[Symbol, FockVector] = {}
     for sym in order:
         step = _peel_step(sym)
@@ -517,7 +559,7 @@ def canonical_basis(
                 raise NonTerminating(
                     f"{sym!r} peels to {parent!r}, which is not a standard symbol"
                 )
-            cur = divided_power_f(m, mult, basis[parent])
+            cur = _lower(m, mult, basis[parent], tables.setdefault(m, {}))
             _check_leading_term(sym, cur)
 
         last = position[sym]

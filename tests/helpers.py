@@ -31,9 +31,16 @@ The `row_*` helpers are the oracle for the one-pass bead mechanics of
 `wreathcells.fock`: each decides bead membership directly with `row_contains`.
 
 `crystal_closure` is the oracle for `wreathcells.fock.enumerate_standard_symbols`,
-which reads each height off the column rule: it closes the highest-weight
-symbol under the signature-rule operator `crystal_f`, breadth first, trying at
-each symbol the nodes `candidate_nodes` names.
+which generates each height's rows under the column rule: it closes the
+highest-weight symbol under the signature-rule operator `crystal_f`, breadth
+first, trying at each symbol the nodes `candidate_nodes` names.
+`filtered_standard_symbols` is a second oracle for it, which reaches heights
+the closure is too slow for: it tests the column rule on every d-partition of
+each height.
+
+`peel_step_by_weights` is the oracle for `wreathcells.fock._peel_step`, which
+reads the peel off each row's last part: it takes every row's K_m-weight with
+`fock._weights` and moves the bead of each raiseable row with `fock._row_move`.
 
 `direct_spectrum` is the oracle for
 `wreathcells.jucys_murphy.tableau_spectrum`: it evaluates
@@ -124,9 +131,15 @@ from wreathcells import (
     standard_tableaux,
     tableau_spectrum,
 )
-from wreathcells.combinatorics import remove_box
+from wreathcells.combinatorics import dpartition_components, remove_box
 from wreathcells.conjecture import r_from_params
-from wreathcells.fock import canonical_basis, lm_constructible, symbol_sort_key
+from wreathcells.fock import (
+    _row_move,
+    _weights,
+    canonical_basis,
+    lm_constructible,
+    symbol_sort_key,
+)
 from wreathcells.gd12 import cm_cells_n2, cm_cells_n2_family
 from wreathcells.jucys_murphy import jm_cellular_characters
 from wreathcells.laurent import one
@@ -529,6 +542,50 @@ def crystal_closure(charges: tuple[int, ...], n: int) -> tuple[frozenset[Symbol]
             )
         )
     return tuple(layers)
+
+
+def filtered_standard_symbols(
+    charges: tuple[int, ...], n: int
+) -> tuple[frozenset[Symbol], ...]:
+    """The standard symbols by height 0..n, filtered from all d-partitions.
+
+    Height h keeps the d-partitions of h in which consecutive rows, with gap
+    g = r_i - r_{i+1}, have parts_i[j + g] <= parts_{i+1}[j] for every j >= 0,
+    a missing part read as 0.
+    """
+    charges = highest_weight_symbol(charges).charges
+    gaps = tuple(a - b for a, b in zip(charges, charges[1:]))
+    return tuple(
+        frozenset(
+            Symbol(charges, rows)
+            for rows in dpartition_components(len(charges), h)
+            if all(
+                len(up) <= len(low) + g and all(p <= q for p, q in zip(up[g:], low))
+                for up, low, g in zip(rows, rows[1:], gaps)
+            )
+        )
+        for h in range(n + 1)
+    )
+
+
+def peel_step_by_weights(sym: Symbol):
+    """((node, multiplicity), parent) of one peel step, or None at the highest
+    weight: every row raiseable at the node below the smallest displaced bead
+    value moves that bead down."""
+    lows = [
+        r - len(parts) + 1 + parts[-1]
+        for r, parts in zip(sym.charges, sym.rows)
+        if parts
+    ]
+    if not lows:
+        return None
+    m = min(lows) - 1
+    eps = _weights(sym, m)
+    rows = tuple(
+        _row_move(r, parts, m + 1, -1) if e == -1 else parts
+        for r, parts, e in zip(sym.charges, sym.rows, eps)
+    )
+    return (m, eps.count(-1)), Symbol(sym.charges, rows)
 
 
 def blocks_of(charges: tuple[int, ...]) -> list[tuple[list[int], int]]:

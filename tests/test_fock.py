@@ -22,10 +22,12 @@ from helpers import (
     divided_power_oracle,
     dpartition_from_symbol,
     e_action,
+    filtered_standard_symbols,
     height2_characters,
     height2_monomials_at_one,
     in_q_zq,
     parse_laurent,
+    peel_step_by_weights,
     rendered_lm,
     replayed_monomial,
     row_eps,
@@ -411,6 +413,21 @@ def test_standard_symbols_match_crystal_closure():
             assert comp.by_height == crystal_closure(charges, n), charges
 
 
+@pytest.mark.parametrize(
+    "charges,n",
+    [
+        ((0,), 12),  # d = 1: every partition
+        ((5, 5, 0, 0, 0), 5),  # equal charges nest their rows
+        ((9, 0), 6),  # a gap larger than n bounds nothing
+        ((2, 1, 0), 0),  # n = 0: the highest weight alone
+        ((1, 1, 0, 0), 11),  # beyond crystal_closure's range
+    ],
+)
+def test_standard_symbols_match_filtered_dpartitions(charges, n):
+    comp = enumerate_standard_symbols(charges, n)
+    assert comp.by_height == filtered_standard_symbols(charges, n)
+
+
 @st.composite
 def gapped_symbols(draw):
     """A symbol of height <= 6 with random charge gaps and rows, d <= 3."""
@@ -625,6 +642,12 @@ BASIS_BATTERY = [
 
 
 @pytest.mark.parametrize("charges,n", BASIS_BATTERY)
+def test_peel_step_matches_weights_oracle(charges, n):
+    for s in enumerate_standard_symbols(charges, n).all_symbols():
+        assert fock._peel_step(s) == peel_step_by_weights(s), s
+
+
+@pytest.mark.parametrize("charges,n", BASIS_BATTERY)
 def test_canonical_basis_lattice_and_positivity(charges, n):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -687,14 +710,29 @@ def test_canonical_basis_matches_replayed_monomials(charges, n, reverse_ties):
 
 def test_one_divided_power_per_standard_symbol(monkeypatch):
     calls = []
+    lower = fock._lower
 
-    def counted(m, mult, v):
+    def counted(m, mult, v, table):
         calls.append(m)
-        return divided_power_f(m, mult, v)
+        return lower(m, mult, v, table)
 
-    monkeypatch.setattr(fock, "divided_power_f", counted)
+    monkeypatch.setattr(fock, "_lower", counted)
     basis = canonical_basis((1, 1, 0), 6)
     assert len(calls) == len(basis) - 1  # every symbol but the highest weight
+
+
+def test_builds_share_no_row_table():
+    # each build keeps its own row tables, so neither a later build nor a
+    # divided power outside any build sees what an earlier build filled in;
+    # the first row's charge differs between the two points
+    points = [((1, 1, 0), 4), ((2, 0, 0), 4)]
+    top = highest_weight_symbol((1, 1, 0))
+    start = divided_power_oracle(1, 2, FockVector.unit(top))  # three rows lowerable at 0
+    before = divided_power_f(0, 2, start)
+    assert len(before.terms) == 3
+    for charges, n in points:
+        assert canonical_basis(charges, n) == canonical_basis_from_monomials(charges, n)
+    assert divided_power_f(0, 2, start) == before == divided_power_oracle(0, 2, start)
 
 
 def test_lattice_violation_is_raised():
