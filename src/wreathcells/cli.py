@@ -14,11 +14,12 @@ iterators of their elements' JSON text, each element joined here from
 fragments encoded once per distinct value and written as it is made; so a
 crash part-way leaves a truncated document, with exit 3.  Every listing of
 characters (`check`, `jm-cells`, `lm-cells` and `cm-cells-n2`) renders each
-one straight from its ids (`_Characters`), with no `CharacterSum`: each
-shape's text and JSON key is made once per listing, and a character is
-checked as `CharacterSum` checks it.  In JSON each distinct character is
-encoded once per depth; text `check` renders each one where it is listed,
-its ``only`` lines piece by piece.
+one straight from its ids (`_Characters`), with no `CharacterSum` and no
+`DPartition`: each shape's text and JSON key is made from its bare
+components once per listing, and a character is checked as `CharacterSum`
+checks it.  In JSON each distinct character is encoded once per depth; text
+`check` renders each one where it is listed, its ``only`` lines piece by
+piece.
 
 Subcommands taking reflection parameters read them from exactly one source:
 `--c0` with `--k`, or `--c0` with the charges `--r`; `tableaux` reads its
@@ -42,6 +43,8 @@ from json.encoder import encode_basestring_ascii as _quote
 from .combinatorics import (
     IdCounts,
     MalformedCharacter,
+    components_text,
+    dpartition_components,
     enumerate_dpartitions,
     parse_dpartition,
     partition_sort_key,
@@ -356,23 +359,24 @@ class _PerValue(dict):
 
 class _Characters:
     """Text and JSON of characters of size n, given as ``IdCounts`` over the
-    listing's shapes, ``enumerate_dpartitions(d, n)``.
+    listing's shapes, the bare components of ``dpartition_components(d, n)``
+    (the order of ``enumerate_dpartitions(d, n)``, with no `DPartition`).
 
     ``text(ids)`` is ``CharacterSum.from_ids(shapes, ids).text()`` and
     ``json(ids, depth)`` is ``_json_text`` of its ``to_json_obj()`` at depth,
-    but no `CharacterSum` is built: each shape's text, and its quoted JSON
-    key, is made once, on first use.  Each character is first checked as
-    `CharacterSum` checks its entries, and `MalformedCharacter` is raised
-    for a multiplicity that is not positive, for indices not strictly
-    increasing and for an index out of range.
+    but no `CharacterSum` is built: each shape's text (``components_text``),
+    and its quoted JSON key, is made once, on first use.  Each character is
+    first checked as `CharacterSum` checks its entries, and
+    `MalformedCharacter` is raised for a multiplicity that is not positive,
+    for indices not strictly increasing and for an index out of range.
     """
 
     __slots__ = ("count", "texts", "keys")
 
     def __init__(self, d: int, n: int):
-        shapes = enumerate_dpartitions(d, n)
+        shapes = tuple(dpartition_components(d, n))
         self.count = len(shapes)
-        self.texts = _PerValue(lambda i: shapes[i].text())
+        self.texts = _PerValue(lambda i: components_text(shapes[i]))
         self.keys = _PerValue(lambda i: _quote(self.texts[i]))
 
     def _checked(self, ids: IdCounts) -> IdCounts:

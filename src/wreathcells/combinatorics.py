@@ -171,6 +171,10 @@ def shape_index(d: int, n: int) -> dict[tuple[Partition, ...], int]:
     """The components of each d-partition of n, mapped to its index in
     `enumerate_dpartitions(d, n)`: the shape ids of ``IdCounts``.
 
+    Nothing is validated or wrapped, and the keys come in id order, so the
+    JM move table iterates them as the shapes of size n and looks up grown
+    components in the next size's index; no `DPartition` is built.
+
     >>> shape_index(2, 0)
     {((), ()): 0}
     >>> def inverse(d, n):

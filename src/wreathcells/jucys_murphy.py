@@ -20,8 +20,10 @@ table per size, not the graph's edges: one function (``_step``) expands a
 state into its moves, for the build to count paths and for a walk to list
 cells.  A shape's id is its index among the shapes of its size
 (``shape_index``), so a final state is already the character as ``IdCounts``,
-and characters are compared and rendered as int tuples; only
-``CellDecomposition.cells`` builds `CharacterSum`s.
+and characters are compared and rendered as int tuples.  The move table is
+read off the shapes' bare component tuples, the keys of ``shape_index``: a
+build makes no `DPartition`, and only ``CellDecomposition.cells`` builds
+d-partitions and `CharacterSum`s.
 """
 
 from __future__ import annotations
@@ -35,10 +37,8 @@ from .combinatorics import (
     BoxCoord,
     CharacterSum,
     IdCounts,
-    Partition,
-    addable_boxes,
     content,
-    enumerate_dpartitions,
+    enumerate_dpartitions,  # also wrapped by perfbench/tracing.py
     shape_index,
 )
 
@@ -217,9 +217,14 @@ def jm_cellular_characters(params: CMParams, n: int) -> CellDecomposition:
     """JM cells at size n: the standard tableaux grouped by their spectra.
 
     A tableau is a path in the branching graph that adds one box per step, and
-    the edge adding a box carries its eigenvalue.  That depends only on the
-    box's (component, content), so each distinct pair among the addable boxes
-    below n is evaluated once (one ``tableau_spectrum`` call per build), and
+    the edge adding a box carries its eigenvalue.  The move table is built on
+    bare component tuples: each size's shapes are the keys of its
+    ``shape_index``, in id order, each addable box is found on the
+    components, and the grown components are looked up in the next size's
+    index for the child id; no `DPartition` is made.  An eigenvalue depends
+    only on the box's (component, content), so each distinct pair among the
+    addable boxes below n is evaluated once, a `BoxCoord` made for its first
+    box alone (one ``tableau_spectrum`` call per build), and
     each edge carries its value's rank among the build's distinct values,
     ranked in increasing value order: equal values share a rank, and sorting
     ranks sorts values, also at c0 < 0, where value order reverses content
@@ -239,21 +244,32 @@ def jm_cellular_characters(params: CMParams, n: int) -> CellDecomposition:
     if n < 0:
         raise ValueError("n must be nonnegative")
     # per size below n, (key, child shape id) per addable box of each shape,
-    # keyed by the box's (component, content), on which alone its eigenvalue
-    # depends; the first box of each key stands for it
+    # in `addable_boxes` order, keyed by the box's (component, content), on
+    # which alone its eigenvalue depends; the first box of each key stands
+    # for it.  Shapes are bare components, in the order of their ids.
     firsts: dict[tuple[int, int], BoxCoord] = {}
     keyed_moves = []
+    shapes = shape_index(params.d, 0)
     for size in range(n):
         child_id = shape_index(params.d, size + 1)
         rows = []
-        for dp in enumerate_dpartitions(params.d, size):
+        for comps in shapes:
             row = []
-            for box in addable_boxes(dp):
-                key = (box.comp, content(box))
-                firsts.setdefault(key, box)
-                row.append((key, child_id[_grown(dp.components, box)]))
+            for c, comp in enumerate(comps):
+                head, tail = comps[:c], comps[c + 1 :]
+                # row a + 1 takes a box if it is shorter than the row above;
+                # the row below the last, of length 0, always does
+                for a, length in enumerate(comp + (0,)):
+                    if a and comp[a - 1] == length:
+                        continue
+                    key = (c + 1, length - a)
+                    if key not in firsts:
+                        firsts[key] = BoxCoord(a + 1, length + 1, c + 1)
+                    grown = comp[:a] + (length + 1,) + comp[a + 1 :]
+                    row.append((key, child_id[head + (grown,) + tail]))
             rows.append(row)
         keyed_moves.append(rows)
+        shapes = child_id
     # each distinct eigenvalue once, moves on its rank among them
     spectrum = tableau_spectrum(params, tuple(firsts.values()))
     values = tuple(sorted(set(spectrum)))
@@ -289,10 +305,3 @@ def _step(state: State, moves: Moves) -> tuple[tuple[int, State], ...]:
             reached = grouped.setdefault(r, {})
             reached[child] = reached.get(child, 0) + tableaux
     return tuple((r, tuple(sorted(grouped[r].items()))) for r in sorted(grouped))
-
-
-def _grown(components: tuple[Partition, ...], box: BoxCoord) -> tuple[Partition, ...]:
-    """The components with an addable box added: its row becomes box.col long."""
-    row, comp = box.row, components[box.comp - 1]
-    grown = comp[: row - 1] + (box.col,) + comp[row:]
-    return components[: box.comp - 1] + (grown,) + components[box.comp :]

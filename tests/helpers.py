@@ -70,6 +70,12 @@ spectra, the definition of the JM cells.  The second grows one trie node per
 spectrum prefix, with the shapes its tableaux reach and how many reach each,
 and never merges two prefixes.
 
+`jm_moves_by_dpartitions` is the oracle for the move table of
+`wreathcells.jm_cellular_characters`, which finds each addable box on bare
+component tuples: it builds the table from validated d-partitions, with
+`enumerate_dpartitions`, `addable_boxes`, `grown` and `shape_index`, and
+returns the build's values, moves and path counts.
+
 The remaining oracles are small routines that the package itself never runs:
 
 - `e_action`, the raising operator E_m built on the `row_*` helpers, checks
@@ -93,6 +99,9 @@ The remaining oracles are small routines that the package itself never runs:
   on canonical basis vectors and `bar_symmetric_head`.
 - `parse_laurent`, the inverse of `LaurentPoly.text`, checks that text form
   and writes expected vectors in the Fock-space tests.
+
+`record_dpartitions` is not an oracle: it records every `DPartition` built
+from then on, for the tests that the check path and the listings build none.
 """
 
 from __future__ import annotations
@@ -104,6 +113,7 @@ from functools import lru_cache
 from types import SimpleNamespace
 from typing import NamedTuple
 
+import wreathcells.jucys_murphy as jm
 from wreathcells import (
     BoxCoord,
     CellDecomposition,
@@ -131,7 +141,7 @@ from wreathcells import (
     standard_tableaux,
     tableau_spectrum,
 )
-from wreathcells.combinatorics import dpartition_components, remove_box
+from wreathcells.combinatorics import dpartition_components, remove_box, shape_index
 from wreathcells.conjecture import r_from_params
 from wreathcells.fock import (
     _row_move,
@@ -365,6 +375,55 @@ def jm_cells_json_obj(dec: CellDecomposition, report: GenericityReport) -> dict:
         "generic": report.generic,
         "witness": list(report.witness) if report.witness else None,
     }
+
+
+def jm_moves_by_dpartitions(params: CMParams, n: int):
+    """(values, moves, paths) of `jm_cellular_characters`, its move table
+    built from every validated d-partition below n and its boxes."""
+    firsts: dict[tuple[int, int], BoxCoord] = {}
+    keyed_moves = []
+    for size in range(n):
+        child_id = shape_index(params.d, size + 1)
+        rows = []
+        for dp in enumerate_dpartitions(params.d, size):
+            row = []
+            for box in addable_boxes(dp):
+                key = (box.comp, content(box))
+                firsts.setdefault(key, box)
+                row.append((key, child_id[grown(dp, box).components]))
+            rows.append(row)
+        keyed_moves.append(rows)
+    spectrum = tableau_spectrum(params, tuple(firsts.values()))
+    values = tuple(sorted(set(spectrum)))
+    key_rank = {key: values.index(v) for key, v in zip(firsts, spectrum)}
+    moves = [
+        [[(key_rank[key], child) for key, child in row] for row in rows]
+        for rows in keyed_moves
+    ]
+    paths = {((0, 1),): 1}
+    levels = [paths]
+    for size_moves in moves:
+        next_paths: dict = {}
+        for state, count in paths.items():
+            for _, child in jm._step(state, size_moves):
+                next_paths[child] = next_paths.get(child, 0) + count
+        paths = next_paths
+        levels.append(paths)
+    return values, moves, tuple(levels)
+
+
+def record_dpartitions(monkeypatch) -> list:
+    """The components of every `DPartition` built from here on, as a list
+    that grows as they are built."""
+    built = []
+    post_init = DPartition.__post_init__
+
+    def recording(dp):
+        built.append(dp.components)
+        post_init(dp)
+
+    monkeypatch.setattr(DPartition, "__post_init__", recording)
+    return built
 
 
 def grown(shape: DPartition, box: BoxCoord) -> DPartition:

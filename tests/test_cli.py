@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 import wreathcells.cli as cli
 from wreathcells.cli import _json_text, cli_main
-from wreathcells.combinatorics import CharacterSum, DPartition, enumerate_dpartitions
+from wreathcells.combinatorics import CharacterSum, enumerate_dpartitions
 from wreathcells.conjecture import params_from_r
 from wreathcells.fock import canonical_basis, lm_constructible, symbol_sort_key
 from wreathcells.gd12 import sim_classes
@@ -33,6 +33,7 @@ from helpers import (
     check_by_character_sums,
     jm_cells_by_tableaux,
     jm_cells_json_obj,
+    record_dpartitions,
     render_basis,
     rendered_lm,
     rendered_n2,
@@ -382,15 +383,16 @@ def test_gaudin_verify_text_names_an_irreducible_pair_once(capsys):
 
 
 def _count_shape_texts(monkeypatch) -> Counter:
-    """Count `DPartition.text` calls per shape from here on."""
+    """Count the shape texts that the listings make, per shape, from here on:
+    `cli` renders each shape from its bare components with `components_text`."""
     made = Counter()
-    text = DPartition.text
+    text = cli.components_text
 
-    def counting(dp):
-        made[dp.components] += 1
-        return text(dp)
+    def counting(components):
+        made[components] += 1
+        return text(components)
 
-    monkeypatch.setattr(DPartition, "text", counting)
+    monkeypatch.setattr(cli, "components_text", counting)
     return made
 
 
@@ -547,6 +549,31 @@ def test_text_check_makes_each_shape_text_once(r, n, code, monkeypatch, capsys):
         listed += len(oracle.cm_only) + len(oracle.lm_only)
     assert rendered.total() == listed
     assert max(made.values()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["check", "--r=1,1,0", "--c0", "1", "--n", "7"], 1),
+        (["jm-cells", "--r=1,0", "--c0", "1", "--n", "6"], 0),
+        (["lm-cells", "--r=1,1,0,0", "--n", "5"], 0),
+        (["cm-cells-n2", "--r=2,1,0", "--c0", "1"], 0),
+    ],
+    ids=lambda argv: " ".join(argv) if isinstance(argv, list) else None,
+)
+def test_listings_build_no_dpartition(argv, code, monkeypatch, capsys):
+    built = record_dpartitions(monkeypatch)
+    for fmt in "text", "json":
+        # a d-partition cached by an earlier test would hide its construction
+        enumerate_dpartitions.cache_clear()
+        assert cli_main([*argv, "--format", fmt]) == code
+        assert capsys.readouterr().out
+        assert built == []
+    # the counter sees the d-partitions that `dpartitions` lists
+    enumerate_dpartitions.cache_clear()
+    assert cli_main(["dpartitions", "--d", "2", "--n", "2"]) == 0
+    capsys.readouterr()
+    assert len(built) == 5
 
 
 JM_CELLS_7 = ["jm-cells", "--r=2,1,0", "--c0", "1", "--n", "7"]

@@ -36,6 +36,7 @@ from helpers import (
     grown,
     jm_cells_by_tableaux,
     jm_cells_by_trie,
+    jm_moves_by_dpartitions,
     scaled,
 )
 
@@ -428,6 +429,37 @@ def colliding_params_and_size(draw):
 @given(colliding_params_and_size())
 def test_moves_follow_value_order_random(point):
     _assert_moves_follow_value_order(*point)
+
+
+# The move table is built on bare component tuples; the oracle builds it from
+# validated d-partitions and their addable boxes.  Tied charges make equal
+# eigenvalues, rational ones distinct values, and c0 < 0 reverses content
+# order.
+TIED_AND_RATIONAL_KSHARP = {
+    1: [(0,), (Fraction(1, 2),)],
+    2: [(0, 0), (1, Fraction(-1, 2))],
+    3: [(1, 1, 0), (Fraction(2, 3), 0, Fraction(-1, 2))],
+    4: [(1, 1, 0, 0), (Fraction(1, 3), Fraction(-1, 2), 0, 2)],
+}
+
+
+def _assert_move_table_matches_oracle(params, n):
+    dec = jm_cellular_characters(params, n)
+    assert (dec.values, dec.moves, dec.paths) == jm_moves_by_dpartitions(params, n)
+
+
+@pytest.mark.parametrize("c0", [Fraction(1), Fraction(-1, 2), Fraction(0)])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_move_table_matches_dpartition_oracle(d, c0):
+    for ksharp in TIED_AND_RATIONAL_KSHARP[d]:
+        for n in range(7):
+            _assert_move_table_matches_oracle(CMParams.from_ksharp(d, c0, ksharp), n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(colliding_params_and_size())
+def test_move_table_matches_dpartition_oracle_random(point):
+    _assert_move_table_matches_oracle(*point)
 
 
 def test_check_expands_each_state_once_and_keeps_no_child_states(monkeypatch):

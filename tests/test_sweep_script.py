@@ -9,6 +9,9 @@ import pytest
 
 import wreathcells
 from wreathcells import check_conjecture, check_conjecture_sizes, params_from_r
+from wreathcells.combinatorics import enumerate_dpartitions
+
+from helpers import record_dpartitions
 
 SWEEP = Path(__file__).resolve().parents[1] / "scripts" / "sweep_conjecture.py"
 
@@ -79,6 +82,15 @@ def test_a_pool_of_two_prints_what_one_worker_prints(capsys):
         outputs.append(captured.out)
     assert outputs[0] == outputs[1]
     assert outputs[0].endswith("\n15 points, 0 hard failures\n")
+
+
+def test_the_sweep_builds_no_dpartition(monkeypatch, capsys):
+    built = record_dpartitions(monkeypatch)
+    # a d-partition cached by an earlier test would hide its construction
+    enumerate_dpartitions.cache_clear()
+    assert _load_sweep().main(["--max-d", "3", "--max-n", "5", "--jobs", "1"]) == 0
+    assert capsys.readouterr().out.endswith(" points, 0 hard failures\n")
+    assert built == []
 
 
 def test_a_closed_stdout_is_reported_in_one_line():
