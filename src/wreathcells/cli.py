@@ -14,12 +14,11 @@ iterators of their elements' JSON text, each element joined here from
 fragments encoded once per distinct value and written as it is made; so a
 crash part-way leaves a truncated document, with exit 3.  Every listing of
 characters (`check`, `jm-cells`, `lm-cells` and `cm-cells-n2`) renders each
-one straight from its ids (`_Characters`), with no `CharacterSum` and no
-`DPartition`: each shape's text and JSON key is made from its bare
-components once per listing, and a character is checked as `CharacterSum`
-checks it.  In JSON each distinct character is encoded once per depth; text
-`check` renders each one where it is listed, its ``only`` lines piece by
-piece.
+one straight from its ``IdCounts`` (`_Characters`), with no `DPartition`:
+each shape's text and JSON key is made from its bare components once per
+listing, and each character's ids are checked first.  In JSON each distinct
+character is encoded once per depth; text `check` renders each one where it
+is listed, its ``only`` lines piece by piece.
 
 Subcommands taking reflection parameters read them from exactly one source:
 `--c0` with `--k`, or `--c0` with the charges `--r`; `tableaux` reads its
@@ -362,13 +361,14 @@ class _Characters:
     listing's shapes, the bare components of ``dpartition_components(d, n)``
     (the order of ``enumerate_dpartitions(d, n)``, with no `DPartition`).
 
-    ``text(ids)`` is ``CharacterSum.from_ids(shapes, ids).text()`` and
-    ``json(ids, depth)`` is ``_json_text`` of its ``to_json_obj()`` at depth,
-    but no `CharacterSum` is built: each shape's text (``components_text``),
-    and its quoted JSON key, is made once, on first use.  Each character is
-    first checked as `CharacterSum` checks its entries, and
-    `MalformedCharacter` is raised for a multiplicity that is not positive,
-    for indices not strictly increasing and for an index out of range.
+    ``text(ids)`` joins the character's terms, ``m*shape`` or ``shape``
+    when m = 1, with " + " ("0" when there are none), and ``json(ids,
+    depth)`` is ``_json_text`` of the dict of each shape's text to its
+    multiplicity, at depth.  Each shape's text (``components_text``), and its
+    quoted JSON key, is made once, on first use.  Each character is first
+    checked, and `MalformedCharacter` is raised for a multiplicity that is not
+    positive, for indices not strictly increasing and for an index out of
+    range.
     """
 
     __slots__ = ("count", "texts", "keys")
@@ -621,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, n=True, params=True, charges=True)
     p.set_defaults(func=_cmd_jm_cells)
 
-    p = sub.add_parser("standard-symbols", help="crystal component by height")
+    p = sub.add_parser("standard-symbols", help="standard symbols by height")
     common(p, n=True, charges=True)
     p.set_defaults(func=_cmd_standard_symbols)
 

@@ -1,4 +1,4 @@
-"""Partitions, d-partitions, boxes, standard d-tableaux and character sums.
+"""Partitions, d-partitions, boxes, standard d-tableaux and character ids.
 
 Conventions: a partition is a weakly decreasing tuple of positive ints; a box
 is a triple (row, col, comp), all 1-based; components of a d-partition are
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 Partition = tuple[int, ...]
@@ -71,9 +71,9 @@ class DPartition:
     def d(self) -> int:
         return len(self.components)
 
-    @cached_property
+    @property
     def size(self) -> int:
-        """Number of boxes, computed on first use."""
+        """Number of boxes."""
         return sum(sum(c) for c in self.components)
 
     def with_component(self, comp_index: int, parts: Partition) -> "DPartition":
@@ -84,18 +84,8 @@ class DPartition:
     def text(self) -> str:
         return components_text(self.components)
 
-    @cached_property
-    def _sort_key(self):
-        """dpartition_sort_key, computed on first use."""
-        return components_sort_key(self.components)
-
     def __repr__(self):
         return f"DPartition({self.text()})"
-
-    def __reduce__(self):
-        # pickle and copy the components alone, so the cached size and sort
-        # key never travel
-        return DPartition, (self.components,)
 
 
 def partition_text(parts: Partition) -> str:
@@ -125,14 +115,6 @@ def parse_dpartition(text: str) -> DPartition:
     return DPartition(tuple(comps))
 
 
-def dpartition_sort_key(dp: DPartition):
-    """Total order matching enumerate_dpartitions: big first components first.
-
-    Computed once per d-partition and kept on it.
-    """
-    return dp._sort_key
-
-
 def partition_sort_key(parts: Partition):
     """One component's place in `components_sort_key`: bigger first, then
     larger parts first."""
@@ -140,7 +122,8 @@ def partition_sort_key(parts: Partition):
 
 
 def components_sort_key(components: tuple[Partition, ...]):
-    """dpartition_sort_key on a bare tuple of partitions."""
+    """Total order matching enumerate_dpartitions on the components of
+    d-partitions: big first components first."""
     return tuple(map(partition_sort_key, components))
 
 
@@ -183,18 +166,6 @@ def shape_index(d: int, n: int) -> dict[tuple[Partition, ...], int]:
     True
     """
     return {comps: i for i, comps in enumerate(dpartition_components(d, n))}
-
-
-def addable_boxes(dp: DPartition) -> tuple[BoxCoord, ...]:
-    """Boxes whose addition yields a valid Young diagram, ordered by (comp, row)."""
-    out = []
-    for ci, comp in enumerate(dp.components, start=1):
-        for a in range(1, len(comp) + 2):
-            row_len = comp[a - 1] if a <= len(comp) else 0
-            above = comp[a - 2] if a >= 2 else None
-            if above is None or above > row_len:
-                out.append(BoxCoord(a, row_len + 1, ci))
-    return tuple(out)
 
 
 def removable_boxes(dp: DPartition) -> tuple[BoxCoord, ...]:
@@ -266,83 +237,12 @@ def tableau_count(shape: DPartition) -> int:
 
 # A character of size n as its (index in enumerate_dpartitions(d, n),
 # multiplicity) pairs, sorted by index (`shape_index`), multiplicities
-# positive.  Indices follow dpartition_sort_key, so these tuples sort as
-# CharacterSum.sort_key does, and they hash in C.
+# positive.  Indices follow components_sort_key, so these tuples sort as the
+# characters do in canonical shape order, and they hash in C.
 IdCounts = tuple[tuple[int, int], ...]
 
 
 class MalformedCharacter(ValueError):
-    """A character whose entries break the invariants of `CharacterSum`: a
-    multiplicity that is not positive, mixed (d, n), or entries not strictly
-    sorted; as ``IdCounts``, also a shape index out of range."""
-
-
-@dataclass(frozen=True)
-class CharacterSum:
-    """A formal nonnegative-integer combination of irreducible characters.
-
-    Keys are d-partitions of one fixed n; entries are sorted by the canonical
-    d-partition order and never carry zero multiplicities, so equal sums
-    compare and hash equal.
-    """
-
-    entries: tuple[tuple[DPartition, int], ...]
-
-    def __post_init__(self):
-        seen_dn = None
-        prev_key = None
-        for dp, mult in self.entries:
-            if mult <= 0:
-                raise MalformedCharacter("multiplicities must be positive")
-            dn = (dp.d, dp.size)
-            if seen_dn is None:
-                seen_dn = dn
-            elif dn != seen_dn:
-                raise MalformedCharacter("mixed (d, n) in one character sum")
-            key = dpartition_sort_key(dp)
-            if prev_key is not None and key <= prev_key:
-                raise MalformedCharacter("entries must be strictly sorted")
-            prev_key = key
-
-    @classmethod
-    def from_counts(cls, counts: dict[DPartition, int]) -> "CharacterSum":
-        items = [(dp, m) for dp, m in counts.items() if m]
-        items.sort(key=lambda it: dpartition_sort_key(it[0]))
-        return cls(tuple(items))
-
-    @classmethod
-    def from_ids(cls, shapes, ids: IdCounts) -> "CharacterSum":
-        """The character sum of (index in ``shapes``, multiplicity) pairs.
-
-        ``shapes`` lists d-partitions in ``enumerate_dpartitions`` order and
-        ``ids`` is sorted by index, so nothing is sorted here.
-        """
-        return cls(tuple((shapes[i], m) for i, m in ids))
-
-    def counts(self) -> dict[DPartition, int]:
-        return dict(self.entries)
-
-    def multiplicity(self, dp: DPartition) -> int:
-        return dict(self.entries).get(dp, 0)
-
-    def support(self) -> tuple[DPartition, ...]:
-        return tuple(dp for dp, _ in self.entries)
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def text(self) -> str:
-        if not self.entries:
-            return "0"
-        return " + ".join(
-            dp.text() if m == 1 else f"{m}*{dp.text()}" for dp, m in self.entries
-        )
-
-    def to_json_obj(self) -> dict[str, int]:
-        return {dp.text(): m for dp, m in self.entries}
-
-    def sort_key(self):
-        return tuple((dpartition_sort_key(dp), m) for dp, m in self.entries)
-
-    def __repr__(self):
-        return f"CharacterSum({self.text()})"
+    """A character whose ``IdCounts`` break their invariants: a multiplicity
+    that is not positive, indices not strictly increasing, or a shape index
+    out of range."""

@@ -15,8 +15,8 @@ Each side is its distinct characters in canonical order with their
 multiplicities, a character of size n carried as ``IdCounts``: its
 (index in ``enumerate_dpartitions(d, n)``, multiplicity) pairs, sorted by
 index, as ``shape_index`` numbers shapes for JM, LM and n = 2 alike.  The
-verdict compares them as sets.  It is data and holds no `CharacterSum`: the
-CLI renders its ids and lays the verdict out as text or JSON.
+verdict compares them as sets.  It is data: the CLI renders its ids and lays
+the verdict out as text or JSON.
 """
 
 from __future__ import annotations

@@ -391,7 +391,7 @@ def crystal_f(m: int, sym: Symbol) -> Symbol | None:
 
 
 @dataclass(frozen=True)
-class CrystalComponent:
+class StandardSymbols:
     """Standard symbols by height: those whose bead columns weakly increase."""
 
     charges: tuple[int, ...]
@@ -423,7 +423,7 @@ def _rows_above(low: Partition, g: int, budget: int) -> list[tuple[Partition, in
     return found
 
 
-def enumerate_standard_symbols(charges: tuple[int, ...], n: int) -> CrystalComponent:
+def enumerate_standard_symbols(charges: tuple[int, ...], n: int) -> StandardSymbols:
     """The standard symbols of every height h <= n, generated by the column rule.
 
     Consecutive rows, with gap g = r_i - r_{i+1}, have parts_i[j + g] <=
@@ -450,7 +450,7 @@ def enumerate_standard_symbols(charges: tuple[int, ...], n: int) -> CrystalCompo
     layers: list[set[Symbol]] = [set() for _ in range(n + 1)]
     for rows, size in partial:
         layers[size].add(_unchecked_symbol(charges, rows))
-    return CrystalComponent(charges, tuple(map(frozenset, layers)))
+    return StandardSymbols(charges, tuple(map(frozenset, layers)))
 
 
 def _peel_step(sym: Symbol) -> tuple[tuple[int, int], Symbol] | None:
@@ -617,12 +617,15 @@ def lm_constructible(
     every k <= n, since each vector is built from vectors of its own height
     and of its peel parent's.  Each term's rows, a d-partition, get their
     ``shape_index`` id, and its coefficient is read at q = 1: a zero is
-    dropped, and a negative one raises `NegativeMultiplicity`.
+    dropped, and a negative one raises `NegativeMultiplicity`.  A negative
+    height raises ValueError before anything is built.
     """
     charges = tuple(charges)
     heights = sorted(set(heights))
     if not heights:
         raise ValueError("need at least one height")
+    if heights[0] < 0:
+        raise ValueError("n must be nonnegative")
     basis = canonical_basis(charges, max(heights))
     index = {n: shape_index(len(charges), n) for n in heights}
     out: dict[int, dict[Symbol, IdCounts]] = {n: {} for n in heights}

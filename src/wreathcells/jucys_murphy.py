@@ -22,8 +22,8 @@ cells.  A shape's id is its index among the shapes of its size
 (``shape_index``), so a final state is already the character as ``IdCounts``,
 and characters are compared and rendered as int tuples.  The move table is
 read off the shapes' bare component tuples, the keys of ``shape_index``: a
-build makes no `DPartition`, and only ``CellDecomposition.cells`` builds
-d-partitions and `CharacterSum`s.
+build makes no `DPartition`, and ``CellDecomposition.cells`` lists each cell
+with its character as the same ``IdCounts``.
 """
 
 from __future__ import annotations
@@ -33,18 +33,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .combinatorics import (
-    BoxCoord,
-    CharacterSum,
-    IdCounts,
-    content,
-    enumerate_dpartitions,  # also wrapped by perfbench/tracing.py
-    shape_index,
-)
+from .combinatorics import BoxCoord, IdCounts, content, shape_index
 
-# Not called here, but perfbench/tracing.py wraps the name in this module, so
-# it stays imported.
-from .combinatorics import standard_tableaux  # noqa: F401
+# Neither is called here, but perfbench/tracing.py wraps both names in this
+# module, so they stay imported.
+from .combinatorics import enumerate_dpartitions, standard_tableaux  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -143,8 +136,8 @@ class CellDecomposition:
     them, so a state of size n is the character of that many cells.  A shape
     id is the shape's index among the d-partitions of its own size
     (``shape_index``), so each state is its character as ``IdCounts``
-    (``character_counts``); ``walk`` hands these to its renderer, and only
-    ``cells`` builds a `CharacterSum` of them.
+    (``character_counts``); ``walk`` hands these to its renderer, and
+    ``cells`` lists them as they are.
     """
 
     values: tuple[Fraction, ...]
@@ -169,10 +162,10 @@ class CellDecomposition:
         return dict(sorted(self.paths[k].items()))
 
     @cached_property
-    def cells(self) -> tuple[tuple[tuple[Fraction, ...], CharacterSum], ...]:
-        """Every cell as (spectrum, character), in increasing spectrum order."""
-        shapes = enumerate_dpartitions(self.d, len(self.paths) - 1)
-        return tuple(self.walk(_same, lambda ids: CharacterSum.from_ids(shapes, ids)))
+    def cells(self) -> tuple[tuple[tuple[Fraction, ...], IdCounts], ...]:
+        """Every cell as (spectrum, character ``IdCounts``), in increasing
+        spectrum order; the cells of one final state share its tuple."""
+        return tuple(self.walk(_same, _same))
 
     def walk(self, label, render) -> Iterator[tuple[tuple, object]]:
         """Every cell as (labelled spectrum, rendered character), in order.
@@ -244,7 +237,7 @@ def jm_cellular_characters(params: CMParams, n: int) -> CellDecomposition:
     if n < 0:
         raise ValueError("n must be nonnegative")
     # per size below n, (key, child shape id) per addable box of each shape,
-    # in `addable_boxes` order, keyed by the box's (component, content), on
+    # in (component, row) order, keyed by the box's (component, content), on
     # which alone its eigenvalue depends; the first box of each key stands
     # for it.  Shapes are bare components, in the order of their ids.
     firsts: dict[tuple[int, int], BoxCoord] = {}

@@ -1,5 +1,13 @@
 """Shared independent oracles for the test suite.
 
+`CharacterSum` is the oracle character type: a validated, sorted combination
+of `DPartition`s, against which the library's one character type, the
+``IdCounts`` of shape ids, is checked.  It raises `MalformedCharacter` for a
+multiplicity that is not positive, mixed (d, n) or entries not strictly
+sorted by `components_sort_key`.  `rendered_cells` renders the ids of
+`CellDecomposition.cells` as `CharacterSum`s.  `addable_boxes` lists the
+boxes addable to a d-partition, for the oracles that grow shapes box by box.
+
 The height-2 closed forms reconstruct, directly from the block structure of a
 charge vector, the standard symbols, the q = 1 content of every intermediate
 monomial, and the resulting constructible characters.  They are written from
@@ -22,7 +30,7 @@ with `FockVector.support`, `Symbol.text` and `LaurentPoly.text`.
 `jm_cells_json_obj` is the oracle for the `jm-cells --format json` listing,
 which writes each cell as one join of fragments encoded once per distinct
 eigenvalue and character, from its ids: it builds the whole tree, a dict per
-cell of `CellDecomposition.cells`, each character a `CharacterSum`.
+cell of `rendered_cells`, each character a `CharacterSum`.
 `CharacterSumVerdict.to_json_obj` is, in the same way, the oracle for the
 `check --format json` document, whose lists reuse the text of each distinct
 character: it builds the whole tree, multisets copy by copy.
@@ -108,6 +116,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import SimpleNamespace
@@ -117,15 +126,14 @@ import wreathcells.jucys_murphy as jm
 from wreathcells import (
     BoxCoord,
     CellDecomposition,
-    CharacterSum,
     CMParams,
     DPartition,
     FockVector,
     GenericityReport,
     LaurentPoly,
+    MalformedCharacter,
     StandardTableau,
     Symbol,
-    addable_boxes,
     bar_symmetric_head,
     content,
     crystal_f,
@@ -141,7 +149,13 @@ from wreathcells import (
     standard_tableaux,
     tableau_spectrum,
 )
-from wreathcells.combinatorics import dpartition_components, remove_box, shape_index
+from wreathcells.combinatorics import (
+    IdCounts,
+    components_sort_key,
+    dpartition_components,
+    remove_box,
+    shape_index,
+)
 from wreathcells.conjecture import r_from_params
 from wreathcells.fock import (
     _row_move,
@@ -153,6 +167,97 @@ from wreathcells.fock import (
 from wreathcells.gd12 import cm_cells_n2, cm_cells_n2_family
 from wreathcells.jucys_murphy import jm_cellular_characters
 from wreathcells.laurent import one
+
+
+@dataclass(frozen=True)
+class CharacterSum:
+    """A formal nonnegative-integer combination of irreducible characters.
+
+    Keys are d-partitions of one fixed n; entries are sorted by the canonical
+    d-partition order (`components_sort_key`) and never carry zero
+    multiplicities, so equal sums compare and hash equal.
+    """
+
+    entries: tuple[tuple[DPartition, int], ...]
+
+    def __post_init__(self):
+        seen_dn = None
+        prev_key = None
+        for dp, mult in self.entries:
+            if mult <= 0:
+                raise MalformedCharacter("multiplicities must be positive")
+            dn = (dp.d, dp.size)
+            if seen_dn is None:
+                seen_dn = dn
+            elif dn != seen_dn:
+                raise MalformedCharacter("mixed (d, n) in one character sum")
+            key = components_sort_key(dp.components)
+            if prev_key is not None and key <= prev_key:
+                raise MalformedCharacter("entries must be strictly sorted")
+            prev_key = key
+
+    @classmethod
+    def from_counts(cls, counts: dict[DPartition, int]) -> "CharacterSum":
+        items = [(dp, m) for dp, m in counts.items() if m]
+        items.sort(key=lambda it: components_sort_key(it[0].components))
+        return cls(tuple(items))
+
+    @classmethod
+    def from_ids(cls, shapes, ids: IdCounts) -> "CharacterSum":
+        """The character sum of (index in ``shapes``, multiplicity) pairs.
+
+        ``shapes`` lists d-partitions in ``enumerate_dpartitions`` order and
+        ``ids`` is sorted by index, so nothing is sorted here.
+        """
+        return cls(tuple((shapes[i], m) for i, m in ids))
+
+    def counts(self) -> dict[DPartition, int]:
+        return dict(self.entries)
+
+    def multiplicity(self, dp: DPartition) -> int:
+        return dict(self.entries).get(dp, 0)
+
+    def support(self) -> tuple[DPartition, ...]:
+        return tuple(dp for dp, _ in self.entries)
+
+    def is_zero(self) -> bool:
+        return not self.entries
+
+    def text(self) -> str:
+        if not self.entries:
+            return "0"
+        return " + ".join(
+            dp.text() if m == 1 else f"{m}*{dp.text()}" for dp, m in self.entries
+        )
+
+    def to_json_obj(self) -> dict[str, int]:
+        return {dp.text(): m for dp, m in self.entries}
+
+    def sort_key(self):
+        return tuple((components_sort_key(dp.components), m) for dp, m in self.entries)
+
+    def __repr__(self):
+        return f"CharacterSum({self.text()})"
+
+
+def addable_boxes(dp: DPartition) -> tuple[BoxCoord, ...]:
+    """Boxes whose addition yields a valid Young diagram, ordered by (comp, row)."""
+    out = []
+    for ci, comp in enumerate(dp.components, start=1):
+        for a in range(1, len(comp) + 2):
+            row_len = comp[a - 1] if a <= len(comp) else 0
+            above = comp[a - 2] if a >= 2 else None
+            if above is None or above > row_len:
+                out.append(BoxCoord(a, row_len + 1, ci))
+    return tuple(out)
+
+
+def rendered_cells(
+    dec: CellDecomposition,
+) -> tuple[tuple[tuple[Fraction, ...], CharacterSum], ...]:
+    """``dec.cells``, each character's ids rendered as a `CharacterSum`."""
+    shapes = enumerate_dpartitions(dec.d, len(dec.paths) - 1)
+    return tuple((spec, CharacterSum.from_ids(shapes, ids)) for spec, ids in dec.cells)
 
 
 class CharacterSumVerdict(NamedTuple):
@@ -370,7 +475,7 @@ def jm_cells_json_obj(dec: CellDecomposition, report: GenericityReport) -> dict:
     return {
         "cells": [
             {"spectrum": [str(x) for x in spec], "character": cs.to_json_obj()}
-            for spec, cs in dec.cells
+            for spec, cs in rendered_cells(dec)
         ],
         "generic": report.generic,
         "witness": list(report.witness) if report.witness else None,

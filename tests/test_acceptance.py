@@ -12,16 +12,17 @@ from fractions import Fraction
 from math import factorial
 
 from helpers import (
+    CharacterSum,
     euler_value,
     height2_characters,
     height2_monomials_at_one,
     in_q_zq,
+    rendered_cells,
     rendered_lm,
     rendered_n2,
     rendered_verdict,
 )
 from wreathcells.combinatorics import (
-    CharacterSum,
     enumerate_dpartitions,
     standard_tableaux,
     tableau_count,
@@ -182,11 +183,9 @@ def test_criterion_7_invariant_suites():
                 ev = euler_value(params, shape)
                 for tab in standard_tableaux(shape):
                     assert sum(tableau_spectrum(params, tab.boxes)) == ev
-            decomposition = jm_cellular_characters(params, n)
+            cells = rendered_cells(jm_cellular_characters(params, n))
             for shape in enumerate_dpartitions(params.d, n):
-                total = sum(
-                    cs.multiplicity(shape) for _, cs in decomposition.cells
-                )
+                total = sum(cs.multiplicity(shape) for _, cs in cells)
                 assert total == tableau_count(shape)
 
     # canonical-basis lattice property, positivity, order robustness
@@ -245,7 +244,7 @@ def test_criterion_8_jm_cells_decompose_into_cm_cells():
         params = params_from_r(r, 1)
         cm = sorted(rendered_n2(params), key=lambda c: c.sort_key())
         jm = jm_cellular_characters(params, 2)
-        for _, cell in jm.cells:
+        for _, cell in rendered_cells(jm):
             assert _as_combination(cell, cm), (d, r, cell.text())
             checked += 1
     _report(8, f"{checked} JM cells matched as nonnegative combinations")

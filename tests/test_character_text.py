@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 import wreathcells.cli as cli
 from wreathcells import (
-    CharacterSum,
     MalformedCharacter,
     check_conjecture_sizes,
     enumerate_dpartitions,
@@ -24,6 +23,8 @@ from wreathcells import (
 )
 from wreathcells.cli import _json_text
 from wreathcells.fock import lm_constructible
+
+from helpers import CharacterSum
 
 HALF = Fraction(-1, 2)
 # (charges, c0, sizes): d = 1, n = 0, c0 < 0, and an unequal point

@@ -23,18 +23,20 @@ from hypothesis import strategies as st
 
 import wreathcells.cli as cli
 from wreathcells.cli import _json_text, cli_main
-from wreathcells.combinatorics import CharacterSum, enumerate_dpartitions
+from wreathcells.combinatorics import enumerate_dpartitions
 from wreathcells.conjecture import params_from_r
 from wreathcells.fock import canonical_basis, lm_constructible, symbol_sort_key
 from wreathcells.gd12 import sim_classes
 from wreathcells.jucys_murphy import CMParams, is_generic, jm_cellular_characters
 
 from helpers import (
+    CharacterSum,
     check_by_character_sums,
     jm_cells_by_tableaux,
     jm_cells_json_obj,
     record_dpartitions,
     render_basis,
+    rendered_cells,
     rendered_lm,
     rendered_n2,
 )
@@ -407,10 +409,11 @@ def _count_shape_texts(monkeypatch) -> Counter:
 )
 def test_jm_cells_listings_read_each_cell(params, n, monkeypatch, capsys):
     dec = jm_cellular_characters(params, n)
-    assert dec.cells == jm_cells_by_tableaux(params, n).cells
+    cells = rendered_cells(dec)
+    assert cells == jm_cells_by_tableaux(params, n).cells
     expected_text = [
         f"spectrum ({', '.join(str(x) for x in spec)}): {cs.text()}"
-        for spec, cs in dec.cells
+        for spec, cs in cells
     ]
     expected_json = (
         json.dumps(jm_cells_json_obj(dec, is_generic(params, n)), indent=2) + "\n"
@@ -489,7 +492,7 @@ def test_walk_renders_each_value_and_character_once():
     assert sorted(rendered) == list(dec.character_counts())
     assert len(set(rendered)) == len(rendered)
     assert cells == [
-        (tuple(str(x) for x in spec), cs.text()) for spec, cs in dec.cells
+        (tuple(str(x) for x in spec), cs.text()) for spec, cs in rendered_cells(dec)
     ]
 
 

@@ -7,7 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import (
+    CharacterSum,
     check_by_character_sums,
+    rendered_cells,
     rendered_lm,
     rendered_n2_family,
     rendered_verdict,
@@ -24,7 +26,6 @@ from wreathcells.conjecture import (
     params_from_r,
     r_from_params,
 )
-from wreathcells.combinatorics import CharacterSum
 import wreathcells.fock as fock
 from wreathcells.fock import LatticeViolation, MissingBead
 from wreathcells.jucys_murphy import CMParams, jm_cellular_characters
@@ -133,7 +134,7 @@ def test_check_lists_no_jm_cell(monkeypatch):
     (decomposition,) = built
     assert "cells" not in vars(decomposition)
     assert _multiset(rendered_verdict(verdict).cm_counts) == tuple(
-        sorted((cs for _, cs in decomposition.cells), key=CharacterSum.sort_key)
+        sorted((cs for _, cs in rendered_cells(decomposition)), key=CharacterSum.sort_key)
     )
 
 
@@ -187,7 +188,7 @@ def test_verdict_derives_sets_and_differences(r, n, mode, equal):
     if n == 2:
         cells = [cs for _, cs in rendered_n2_family(params)]
     else:
-        cells = [cs for _, cs in jm_cellular_characters(params, n).cells]
+        cells = [cs for _, cs in rendered_cells(jm_cellular_characters(params, n))]
     key = CharacterSum.sort_key
     assert _multiset(verdict.cm_counts) == tuple(sorted(cells, key=key))
     lm_cells = rendered_lm(verdict.charges, n).values()

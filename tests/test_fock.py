@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import wreathcells.fock as fock
 from helpers import (
+    CharacterSum,
     beta,
     canonical_basis_from_monomials,
     candidate_nodes,
@@ -39,7 +40,7 @@ from helpers import (
     symbol_from_dpartition,
     weight,
 )
-from wreathcells.combinatorics import CharacterSum, DPartition, enumerate_dpartitions
+from wreathcells.combinatorics import DPartition, enumerate_dpartitions
 from wreathcells.conjecture import check_conjecture_sizes, params_from_r
 from wreathcells.fock import (
     FockVector,
@@ -791,8 +792,6 @@ def test_lattice_violation_survives_optimize():
 
 
 def cs(dparts):
-    from wreathcells.combinatorics import CharacterSum
-
     counts = {}
     for dpart in dparts:
         counts[dpart] = counts.get(dpart, 0) + 1
@@ -908,3 +907,12 @@ def test_heights_of_one_basis_match_builds_per_height_random(charges, n, data):
 def test_lm_by_height_needs_a_height():
     with pytest.raises(ValueError, match="need at least one height"):
         lm_constructible((1, 0), ())
+
+
+@pytest.mark.parametrize("heights", [(-1, 3), (3, -1), (0, -2, 2)])
+def test_lm_by_height_rejects_a_negative_height_before_building(heights, monkeypatch):
+    built = []
+    monkeypatch.setattr(fock, "canonical_basis", lambda *args: built.append(args))
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        lm_constructible((1, 0), heights)
+    assert built == []

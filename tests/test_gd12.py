@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wreathcells.gd12 as gd12
-from helpers import rendered_n2, rendered_n2_family
+from helpers import CharacterSum, rendered_cells, rendered_n2, rendered_n2_family
 from wreathcells.cli import cli_main
-from wreathcells.combinatorics import CharacterSum, DPartition, enumerate_dpartitions
+from wreathcells.combinatorics import DPartition, enumerate_dpartitions
 from wreathcells.gd12 import (
     Cyclo,
     DiscriminantMismatch,
@@ -177,7 +177,7 @@ def _as_combination(target, cells):
 def test_jm_cells_are_sums_of_cm_cells(params):
     jm = jm_cellular_characters(params, 2)
     cm = sorted(rendered_n2(params), key=lambda c: c.sort_key())
-    for _, cell in jm.cells:
+    for _, cell in rendered_cells(jm):
         assert _as_combination(cell, cm), cell.text()
 
 

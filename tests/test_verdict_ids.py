@@ -16,25 +16,26 @@ import os
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import wreathcells
 import wreathcells.cli as cli
 import wreathcells.conjecture as conjecture
 import wreathcells.fock as fock
 from helpers import check_by_character_sums, rendered_verdict
 from wreathcells import (
-    CharacterSum,
     FockVector,
     MalformedCharacter,
     NegativeMultiplicity,
     check_conjecture,
     check_conjecture_sizes,
-    cm_cells_n2_family,
     enumerate_dpartitions,
+    jm_cellular_characters,
     params_from_r,
     q,
 )
@@ -120,38 +121,25 @@ def test_text_check_matches_character_sum_oracle(
         assert capsys.readouterr().out == expected.text_listing()
 
 
-def test_check_path_builds_no_character_sum(monkeypatch, capsys):
-    built = []
-    post_init = CharacterSum.__post_init__
+@EACH_POINT
+def test_cells_list_the_character_counts(charges, c0, sizes):
+    # `.cells` lists each final state's ids, once per path into it
+    dec = jm_cellular_characters(params_from_r(charges, c0), max(sizes))
+    assert Counter(ids for _, ids in dec.cells) == dec.character_counts()
 
-    def counting(self):
-        built.append(self)
-        post_init(self)
 
-    monkeypatch.setattr(CharacterSum, "__post_init__", counting)
-    rows = []
-    for charges, c0, sizes in [
-        ((1, 1, 0), 1, (0, 1, 3, 4, 5)),
-        ((2, 0), HALF, (3, 4, 5, 6)),
-        ((0, 0, 0), 1, (3, 4)),
-        ((3,), 1, (1, 3, 5)),
-    ]:
-        for v in check_conjecture_sizes(params_from_r(charges, c0), sizes):
-            # the sweep's row and the diffs
-            rows.append((v.mode, v.equal, len(v.cm_ids), len(v.lm_ids)))
-            rows.append((v.cm_only_ids, v.lm_only_ids))
-    assert len(rows) == 2 * 14
-    # n = 2 reads gd12's closed forms, which are ids as well
-    params = params_from_r((1, 1, 0), 1)
-    (verdict,) = check_conjecture_sizes(params, (2,))
-    assert verdict.equal
-    assert len(cm_cells_n2_family(params)) > 0
-    # and the cm-cells-n2 listing renders them from their ids
-    for argv in (["--r=1,1,0", "--c0", "1"], ["--k=0,0,0", "--c0", "0"]):
-        for fmt in ("text", "json"):
-            assert cli_main(["cm-cells-n2", *argv, "--format", fmt]) == 0
-            assert capsys.readouterr().out
-    assert built == []
+def test_library_has_one_character_type():
+    # the `CharacterSum` oracle lives in the tests alone
+    root = Path(__file__).resolve().parents[1]
+    sources = [*(root / "src" / "wreathcells").glob("*.py")]
+    sources += (root / "scripts").glob("*.py")
+    assert len(sources) > 8
+    for path in sources:
+        text = path.read_text(encoding="utf-8")
+        for name in ("CharacterSum", "dpartition_sort_key", "addable_boxes"):
+            assert name not in text, (path.name, name)
+    for name in ("CharacterSum", "addable_boxes"):
+        assert not hasattr(wreathcells, name) and name not in wreathcells.__all__
 
 
 def _patch_one_coefficient(monkeypatch, coeff, height=4):
@@ -193,7 +181,7 @@ def test_negative_multiplicity_raises_on_the_check_path(monkeypatch, capsys):
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_malformed_character_is_an_internal_error(monkeypatch, capsys, fmt):
-    # LM tuples left unsorted break the `CharacterSum` invariant when rendered
+    # LM tuples left unsorted break the `IdCounts` invariant when rendered
     original = conjecture.lm_constructible
 
     def unsorted(charges, sizes):
