@@ -14,8 +14,8 @@ iterators of their elements' JSON text, each element joined here from
 fragments encoded once per distinct value and written as it is made; so a
 crash part-way leaves a truncated document, with exit 3.  Every listing of
 characters (`check`, `jm-cells`, `lm-cells` and `cm-cells-n2`) renders each
-one straight from its ``IdCounts`` (`_Characters`), with no `DPartition`:
-each shape's text and JSON key is made from its bare components once per
+one straight from its ``IdCounts`` (`_Characters`), reading bare components:
+each shape's text and JSON key is made from its components once per
 listing, and each character's ids are checked first.  In JSON each distinct
 character is encoded once per depth; text `check` renders each one where it
 is listed, its ``only`` lines piece by piece.
@@ -359,7 +359,7 @@ class _PerValue(dict):
 class _Characters:
     """Text and JSON of characters of size n, given as ``IdCounts`` over the
     listing's shapes, the bare components of ``dpartition_components(d, n)``
-    (the order of ``enumerate_dpartitions(d, n)``, with no `DPartition`).
+    (tuples of partitions, in the order of ``enumerate_dpartitions(d, n)``).
 
     ``text(ids)`` joins the character's terms, ``m*shape`` or ``shape``
     when m = 1, with " + " ("0" when there are none), and ``json(ids,

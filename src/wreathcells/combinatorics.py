@@ -156,7 +156,7 @@ def shape_index(d: int, n: int) -> dict[tuple[Partition, ...], int]:
 
     Nothing is validated or wrapped, and the keys come in id order, so the
     JM move table iterates them as the shapes of size n and looks up grown
-    components in the next size's index; no `DPartition` is built.
+    components in the next size's index.
 
     >>> shape_index(2, 0)
     {((), ()): 0}

@@ -22,7 +22,7 @@ cells.  A shape's id is its index among the shapes of its size
 (``shape_index``), so a final state is already the character as ``IdCounts``,
 and characters are compared and rendered as int tuples.  The move table is
 read off the shapes' bare component tuples, the keys of ``shape_index``: a
-build makes no `DPartition`, and ``CellDecomposition.cells`` lists each cell
+build grows them box by box, and ``CellDecomposition.cells`` lists each cell
 with its character as the same ``IdCounts``.
 """
 
@@ -214,7 +214,7 @@ def jm_cellular_characters(params: CMParams, n: int) -> CellDecomposition:
     bare component tuples: each size's shapes are the keys of its
     ``shape_index``, in id order, each addable box is found on the
     components, and the grown components are looked up in the next size's
-    index for the child id; no `DPartition` is made.  An eigenvalue depends
+    index for the child id.  An eigenvalue depends
     only on the box's (component, content), so each distinct pair among the
     addable boxes below n is evaluated once, a `BoxCoord` made for its first
     box alone (one ``tableau_spectrum`` call per build), and

@@ -87,7 +87,7 @@ returns the build's values, moves and path counts.
 The remaining oracles are small routines that the package itself never runs:
 
 - `e_action`, the raising operator E_m built on the `row_*` helpers, checks
-  `wreathcells.f_action` through the quantum-group relations [E_i, F_j].
+  `wreathcells.fock.f_action` through the quantum-group relations [E_i, F_j].
 - `weight`, a symbol's sl_infinity weight, checks that `f_action` is
   homogeneous.
 - `beta`, a symbol's bead values, checks the column rule of
@@ -136,14 +136,11 @@ from wreathcells import (
     Symbol,
     bar_symmetric_head,
     content,
-    crystal_f,
     enumerate_dpartitions,
     enumerate_standard_symbols,
-    f_action,
     highest_weight_symbol,
     is_generic,
     jm_eigenvalue,
-    lt_monomial,
     q,
     removable_boxes,
     standard_tableaux,
@@ -161,7 +158,10 @@ from wreathcells.fock import (
     _row_move,
     _weights,
     canonical_basis,
+    crystal_f,
+    f_action,
     lm_constructible,
+    lt_monomial,
     symbol_sort_key,
 )
 from wreathcells.gd12 import cm_cells_n2, cm_cells_n2_family

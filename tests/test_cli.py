@@ -220,6 +220,24 @@ COMMANDS = [
     (["check", "--r=14,7,0", "--c0", "1", "--n", "3"], 0),  # generic
     (["check", "--r=1,0", "--c0", "1", "--n", "4"], 1),  # jm-upper-bound
     (["check", "--r=2,0", "--c0=-1/2", "--n", "5"], 1),  # jm-upper-bound
+    (["check", "--r=1,1,0", "--c0", "1", "--n", "4"], 1),  # "diff" lists filled
+    (["check", "--r=2,1,0", "--c0", "1", "--n", "6"], 1),  # runs of 35 copies
+    (["check", "--r=0,0,0,0", "--c0", "1", "--n", "2"], 0),  # a character twice
+    (["check", "--r=1,0", "--c0", "1", "--n", "0"], 0),  # n = 0: empty branches
+    (["jm-cells", "--r=1,0", "--c0", "1", "--n", "0"], 0),
+    (["lm-cells", "--r=1,0", "--n", "0"], 0),  # the LM entry at height 0
+    (["jm-cells", "--r=1,0", "--c0", "1", "--n", "4"], 0),
+    (["jm-cells", "--k=0,0", "--c0", "0", "--n", "3"], 0),  # no witness
+    (["jm-cells", "--k=1,-1", "--c0=-1/2", "--n", "4"], 0),  # negative c0
+    # value order reverses content order at d = 3
+    (["jm-cells", "--r=2,1,0", "--c0=-1/2", "--n", "5"], 0),
+    (["canonical-basis", "--r=1,1,0", "--n", "4"], 0),
+    (["canonical-basis", "--r=0,0,0", "--n", "4"], 0),
+    (["canonical-basis", "--r=3,1,0", "--n", "4"], 0),
+    (["lm-cells", "--r=1,1,0,0", "--n", "5"], 0),  # the LM entry at d = 4
+    (["standard-symbols", "--r=2,1,0", "--n", "5"], 0),
+    (["standard-symbols", "--r=9,0", "--n", "6"], 0),  # a gap larger than n
+    (["standard-symbols", "--r=0", "--n", "5"], 0),  # d = 1: no row below
 ]
 
 
@@ -323,6 +341,18 @@ def test_cli_text_goes_to_out_as_to_stdout(argv, code, tmp_path, capsys):
     assert cli_main([*argv, "--out", str(target)]) == code
     assert capsys.readouterr().out == ""
     assert target.read_text(encoding="utf-8") == out
+
+
+@pytest.mark.parametrize("code", [0, 1])
+def test_the_module_exits_as_cli_main_returns(code, capsys):
+    # `python -m wreathcells.cli` runs `entry()`
+    argv = next(argv for argv, exits in COMMANDS if exits == code)
+    assert cli_main(argv) == code
+    out = capsys.readouterr().out
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    argv = [sys.executable, "-m", "wreathcells.cli", *argv]
+    proc = subprocess.run(argv, capture_output=True, env=env, timeout=300)
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr) == (code, out, b"")
 
 
 @pytest.mark.parametrize(

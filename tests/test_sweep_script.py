@@ -84,6 +84,30 @@ def test_a_pool_of_two_prints_what_one_worker_prints(capsys):
     assert outputs[0].endswith("\n15 points, 0 hard failures\n")
 
 
+@pytest.mark.parametrize(
+    "max_d, max_n, points", [("3", "8", 105), ("3", "10", 135), ("5", "2", 70)]
+)
+def test_deep_sweeps_have_no_hard_failures(max_d, max_n, points, capsys):
+    # d <= 5 at n = 2 meets the exact closed forms; filterwarnings = error
+    # makes a PositivityWarning fail the test
+    assert _load_sweep().main(["--max-d", max_d, "--max-n", max_n]) == 0
+    out, err = capsys.readouterr()
+    assert not err and out.splitlines()[-1] == f"{points} points, 0 hard failures"
+
+
+def test_the_sweep_prints_the_same_under_python_O(capsys):
+    # the invariant checks raise named exceptions, so they run under -O too
+    argv = ["--max-d", "3", "--max-n", "8"]
+    assert _load_sweep().main(argv) == 0
+    out = capsys.readouterr().out.encode()
+    src = Path(wreathcells.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    flags = ["-O", "-W", "error::wreathcells.fock.PositivityWarning"]
+    argv = [sys.executable, *flags, str(SWEEP), *argv]
+    proc = subprocess.run(argv, capture_output=True, env=env, timeout=300)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, b"")
+
+
 def test_the_sweep_builds_no_dpartition(monkeypatch, capsys):
     built = record_dpartitions(monkeypatch)
     # a d-partition cached by an earlier test would hide its construction

@@ -138,8 +138,11 @@ def test_library_has_one_character_type():
         text = path.read_text(encoding="utf-8")
         for name in ("CharacterSum", "dpartition_sort_key", "addable_boxes"):
             assert name not in text, (path.name, name)
-    for name in ("CharacterSum", "addable_boxes"):
+    # only the tests and perfbench's tracing reach these, through `fock`
+    fock_only = "crystal_f divided_power_f f_action intermediate_A lt_monomial".split()
+    for name in ("CharacterSum", "addable_boxes", *fock_only):
         assert not hasattr(wreathcells, name) and name not in wreathcells.__all__
+    assert all(callable(getattr(fock, name)) for name in fock_only)
 
 
 def _patch_one_coefficient(monkeypatch, coeff, height=4):
