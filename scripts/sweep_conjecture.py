@@ -12,7 +12,9 @@ Usage:
     python scripts/sweep_conjecture.py                 # built-in battery
     python scripts/sweep_conjecture.py --max-d 3 --max-n 3 --jobs 4
 
-Exits 1 on hard failures, 2 on usage errors or a stdout that cannot be written.
+Exits 1 on hard failures, 2 on usage errors or a stdout that cannot be written,
+3 on an internal error (its traceback and an `internal error: …` line go to
+stderr), so exit 1 never hides a crash.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 
 from wreathcells import check_conjecture_sizes, params_from_r
+from wreathcells.cli import _internal_error
 
 # Not called here, but perfbench/tracing.py wraps the name in this module, so
 # it stays imported.
@@ -93,7 +96,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         return stdout_failed(exc)
     points = built_in_battery(args.max_d, args.max_n, args.max_charge)
-    results = check_battery(points, args.jobs)
+    try:
+        results = check_battery(points, args.jobs)
+    except Exception as exc:
+        return _internal_error(exc)
     failures = 0
     try:
         for r, n, mode, equal, ncm, nlm in results:

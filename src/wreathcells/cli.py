@@ -14,11 +14,12 @@ iterators of their elements' JSON text, each element joined here from
 fragments encoded once per distinct value and written as it is made; so a
 crash part-way leaves a truncated document, with exit 3.  Every listing of
 characters (`check`, `jm-cells`, `lm-cells` and `cm-cells-n2`) renders each
-one straight from its ``IdCounts`` (`_Characters`), reading bare components:
-each shape's text and JSON key is made from its components once per
-listing, and each character's ids are checked first.  In JSON each distinct
-character is encoded once per depth; text `check` renders each one where it
-is listed, its ``only`` lines piece by piece.
+one straight from its ``IdCounts`` (`_Characters`), reading each shape, the
+tuple of its components, by id: each shape's text and JSON key is made from
+its components once per listing, and each character's ids are checked
+first.  In JSON each distinct character is encoded once per depth; text
+`check` renders each one where it is listed, its ``only`` lines piece by
+piece.
 
 Subcommands taking reflection parameters read them from exactly one source:
 `--c0` with `--k`, or `--c0` with the charges `--r`; `tableaux` reads its
@@ -240,11 +241,11 @@ def _emit_lines(args, lines) -> None:
 
 
 def _cmd_dpartitions(args) -> int:
-    items = enumerate_dpartitions(args.d, args.n)
+    texts = map(components_text, enumerate_dpartitions(args.d, args.n))
     if args.format == "json":
-        _emit_json(args, [dp.text() for dp in items])
+        _emit_json(args, list(texts))
     else:
-        _emit_lines(args, (dp.text() for dp in items))
+        _emit_lines(args, texts)
     return 0
 
 
@@ -262,7 +263,7 @@ def _cmd_tableaux(args) -> int:
         raise UsageError("tableaux needs --shape or both --d and --n")
     if args.format == "json":
         obj = {
-            shape.text(): [tab.text() for tab in standard_tableaux(shape)]
+            components_text(shape): [tab.text() for tab in standard_tableaux(shape)]
             for shape in shapes
         }
         _emit_json(args, obj)
@@ -271,7 +272,7 @@ def _cmd_tableaux(args) -> int:
         def lines():
             for shape in shapes:
                 tabs = standard_tableaux(shape)
-                yield f"{shape.text()}  ({len(tabs)} tableaux)"
+                yield f"{components_text(shape)}  ({len(tabs)} tableaux)"
                 for tab in tabs:
                     yield f"  {tab.text()}"
 
@@ -358,8 +359,9 @@ class _PerValue(dict):
 
 class _Characters:
     """Text and JSON of characters of size n, given as ``IdCounts`` over the
-    listing's shapes, the bare components of ``dpartition_components(d, n)``
-    (tuples of partitions, in the order of ``enumerate_dpartitions(d, n)``).
+    listing's shapes, the d-partitions of n as ``dpartition_components(d, n)``
+    makes them (tuples of partitions, in the order of
+    ``enumerate_dpartitions(d, n)``), kept for this listing alone.
 
     ``text(ids)`` joins the character's terms, ``m*shape`` or ``shape``
     when m = 1, with " + " ("0" when there are none), and ``json(ids,

@@ -1,8 +1,9 @@
 """Partitions, d-partitions, boxes, standard d-tableaux and character ids.
 
-Conventions: a partition is a weakly decreasing tuple of positive ints; a box
-is a triple (row, col, comp), all 1-based; components of a d-partition are
-indexed 1..d in text and box coordinates.
+Conventions: a partition is a weakly decreasing tuple of positive ints; a
+d-partition is the tuple of its d components, each a partition; a box is a
+triple (row, col, comp), all 1-based; components of a d-partition are indexed
+1..d in text and box coordinates.
 
 Enumeration orders are fixed so that outputs are reproducible byte for byte:
 partitions of n are listed largest part first, ending at (1,...,1), and
@@ -54,40 +55,6 @@ def content(box: BoxCoord) -> int:
     return box.col - box.row
 
 
-@dataclass(frozen=True)
-class DPartition:
-    """A d-tuple of partitions; indexes an irreducible character of G(d,1,n)."""
-
-    components: tuple[Partition, ...]
-
-    def __post_init__(self):
-        if not self.components:
-            raise ValueError("a d-partition needs at least one component")
-        for comp in self.components:
-            if not is_partition(comp):
-                raise ValueError(f"invalid partition component {comp!r}")
-
-    @property
-    def d(self) -> int:
-        return len(self.components)
-
-    @property
-    def size(self) -> int:
-        """Number of boxes."""
-        return sum(sum(c) for c in self.components)
-
-    def with_component(self, comp_index: int, parts: Partition) -> "DPartition":
-        comps = list(self.components)
-        comps[comp_index - 1] = tuple(parts)
-        return DPartition(tuple(comps))
-
-    def text(self) -> str:
-        return components_text(self.components)
-
-    def __repr__(self):
-        return f"DPartition({self.text()})"
-
-
 def partition_text(parts: Partition) -> str:
     """One component's text: parts joined by '.', the empty partition as '∅'."""
     return ".".join(map(str, parts)) if parts else "∅"
@@ -98,8 +65,8 @@ def components_text(components: tuple[Partition, ...]) -> str:
     return "|".join(map(partition_text, components))
 
 
-def parse_dpartition(text: str) -> DPartition:
-    """Inverse of DPartition.text; accepts "" as well as the empty-set sign."""
+def parse_dpartition(text: str) -> tuple[Partition, ...]:
+    """Inverse of `components_text`; accepts "" as well as the empty-set sign."""
     comps = []
     for chunk in text.strip().split("|"):
         chunk = chunk.strip()
@@ -112,7 +79,10 @@ def parse_dpartition(text: str) -> DPartition:
                 raise ValueError(
                     f"component {chunk!r} is not integers joined by '.'"
                 ) from None
-    return DPartition(tuple(comps))
+    for comp in comps:
+        if not is_partition(comp):
+            raise ValueError(f"invalid partition component {comp!r}")
+    return tuple(comps)
 
 
 def partition_sort_key(parts: Partition):
@@ -128,18 +98,18 @@ def components_sort_key(components: tuple[Partition, ...]):
 
 
 @lru_cache(maxsize=None)
-def enumerate_dpartitions(d: int, n: int) -> tuple[DPartition, ...]:
+def enumerate_dpartitions(d: int, n: int) -> tuple[tuple[Partition, ...], ...]:
     """All d-partitions of n, in the documented deterministic order."""
     if d < 1:
         raise ValueError("d must be positive")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return tuple(DPartition(comps) for comps in dpartition_components(d, n))
+    return tuple(dpartition_components(d, n))
 
 
 def dpartition_components(d: int, n: int) -> Iterator[tuple[Partition, ...]]:
-    """The components of every d-partition of n, in `enumerate_dpartitions`
-    order, as bare tuples: nothing is validated, wrapped or kept."""
+    """Every d-partition of n, in `enumerate_dpartitions` order, made as it
+    is asked for: nothing is validated or kept."""
     if d == 1:
         for lam in partitions(n):
             yield (lam,)
@@ -151,27 +121,27 @@ def dpartition_components(d: int, n: int) -> Iterator[tuple[Partition, ...]]:
 
 
 def shape_index(d: int, n: int) -> dict[tuple[Partition, ...], int]:
-    """The components of each d-partition of n, mapped to its index in
+    """Each d-partition of n, mapped to its index in
     `enumerate_dpartitions(d, n)`: the shape ids of ``IdCounts``.
 
-    Nothing is validated or wrapped, and the keys come in id order, so the
-    JM move table iterates them as the shapes of size n and looks up grown
+    Nothing is validated, and the keys come in id order, so the JM move
+    table iterates them as the shapes of size n and looks up grown
     components in the next size's index.
 
     >>> shape_index(2, 0)
     {((), ()): 0}
     >>> def inverse(d, n):
-    ...     return {dp.components: i for i, dp in enumerate(enumerate_dpartitions(d, n))}
+    ...     return {dp: i for i, dp in enumerate(enumerate_dpartitions(d, n))}
     >>> all(shape_index(d, n) == inverse(d, n) for d in range(1, 5) for n in range(7))
     True
     """
     return {comps: i for i, comps in enumerate(dpartition_components(d, n))}
 
 
-def removable_boxes(dp: DPartition) -> tuple[BoxCoord, ...]:
+def removable_boxes(dp: tuple[Partition, ...]) -> tuple[BoxCoord, ...]:
     """Boxes whose removal yields a valid Young diagram, ordered by (comp, row)."""
     out = []
-    for ci, comp in enumerate(dp.components, start=1):
+    for ci, comp in enumerate(dp, start=1):
         for a in range(1, len(comp) + 1):
             below = comp[a] if a < len(comp) else 0
             if comp[a - 1] > below:
@@ -179,20 +149,19 @@ def removable_boxes(dp: DPartition) -> tuple[BoxCoord, ...]:
     return tuple(out)
 
 
-def remove_box(dp: DPartition, box: BoxCoord) -> DPartition:
-    comp = dp.components[box.comp - 1]
-    new = list(comp)
-    new[box.row - 1] -= 1
-    while new and new[-1] == 0:
-        new.pop()
-    return dp.with_component(box.comp, tuple(new))
+def remove_box(dp: tuple[Partition, ...], box: BoxCoord) -> tuple[Partition, ...]:
+    """The d-partition with ``box``, a removable box of ``dp``, taken away."""
+    c, a = box.comp - 1, box.row - 1
+    comp = dp[c]
+    part = (comp[a] - 1,) if comp[a] > 1 else ()
+    return dp[:c] + (comp[:a] + part + comp[a + 1 :],) + dp[c + 1 :]
 
 
 @dataclass(frozen=True)
 class StandardTableau:
     """A standard d-tableau, stored as the sequence box(1), ..., box(n)."""
 
-    shape: DPartition
+    shape: tuple[Partition, ...]
     boxes: tuple[BoxCoord, ...]
 
     @property
@@ -204,7 +173,7 @@ class StandardTableau:
 
 
 @lru_cache(maxsize=None)
-def standard_tableaux(shape: DPartition) -> tuple[StandardTableau, ...]:
+def standard_tableaux(shape: tuple[Partition, ...]) -> tuple[StandardTableau, ...]:
     """All standard d-tableaux of the given shape, deterministically ordered.
 
     The boxes are peeled off from the last: each level removes one removable
@@ -212,7 +181,7 @@ def standard_tableaux(shape: DPartition) -> tuple[StandardTableau, ...]:
     the tableaux come in lexicographic order of these choices.
     """
     level = [(shape, ())]
-    for _ in range(shape.size):
+    for _ in range(sum(map(sum, shape))):
         level = [
             (remove_box(dp, box), (box,) + boxes)
             for dp, boxes in level
@@ -221,18 +190,18 @@ def standard_tableaux(shape: DPartition) -> tuple[StandardTableau, ...]:
     return tuple(StandardTableau(shape, boxes) for _, boxes in level)
 
 
-def tableau_count(shape: DPartition) -> int:
+def tableau_count(shape: tuple[Partition, ...]) -> int:
     """Number of standard tableaux: n! over the product of all hook lengths.
 
     This is the dimension of the irreducible of G(d,1,n) labelled by shape.
     """
     hooks = 1
-    for comp in shape.components:
+    for comp in shape:
         for a, row_len in enumerate(comp):
             for b in range(row_len):
                 below = sum(1 for r in comp[a + 1 :] if r > b)
                 hooks *= row_len - b + below
-    return math.factorial(shape.size) // hooks
+    return math.factorial(sum(map(sum, shape))) // hooks
 
 
 # A character of size n as its (index in enumerate_dpartitions(d, n),

@@ -12,9 +12,10 @@ is replaced by the JM cells, which are exact when the parameters are generic
 and an upper bound (cells may merge) otherwise.
 
 Each side is its distinct characters in canonical order with their
-multiplicities, a character of size n carried as ``IdCounts``: its
-(index in ``enumerate_dpartitions(d, n)``, multiplicity) pairs, sorted by
-index, as ``shape_index`` numbers shapes for JM, LM and n = 2 alike.  The
+multiplicities, a character of size n carried as ``IdCounts``: its (shape
+id, multiplicity) pairs, sorted by id, where a shape's id is the index of its
+d-partition, the tuple of its components, in ``enumerate_dpartitions(d, n)``,
+as ``shape_index`` numbers shapes for JM, LM and n = 2 alike.  The
 verdict compares them as sets.  It is data: the CLI renders its ids and lays
 the verdict out as text or JSON.
 """

@@ -282,10 +282,10 @@ def cm_cells_n2_family(params: CMParams) -> list[tuple[str, IdCounts]]:
     the class's list of shapes, each shape given by its (component, part)
     pairs.
 
-    >>> from wreathcells.combinatorics import enumerate_dpartitions
+    >>> from wreathcells.combinatorics import components_text, enumerate_dpartitions
     >>> shapes = enumerate_dpartitions(2, 2)
     >>> for label, ids in cm_cells_n2_family(CMParams.from_ksharp(2, 1, (-1, 0))):
-    ...     print(label, ids, [shapes[i].text() for i, _ in ids])
+    ...     print(label, ids, [components_text(shapes[i]) for i, _ in ids])
     L((1,)) ((0, 1),) ['2|∅']
     L((2,)) ((2, 1), (3, 1)) ['1|1', '∅|2']
     L'((1,)) ((1, 1), (2, 1)) ['1.1|∅', '1|1']

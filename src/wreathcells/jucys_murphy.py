@@ -21,7 +21,7 @@ state into its moves, for the build to count paths and for a walk to list
 cells.  A shape's id is its index among the shapes of its size
 (``shape_index``), so a final state is already the character as ``IdCounts``,
 and characters are compared and rendered as int tuples.  The move table is
-read off the shapes' bare component tuples, the keys of ``shape_index``: a
+read off the shapes' component tuples, the keys of ``shape_index``: a
 build grows them box by box, and ``CellDecomposition.cells`` lists each cell
 with its character as the same ``IdCounts``.
 """
@@ -143,7 +143,6 @@ class CellDecomposition:
     values: tuple[Fraction, ...]
     moves: list[Moves]
     paths: tuple[dict[State, int], ...]
-    d: int
 
     def character_counts(self, k: int | None = None) -> dict[IdCounts, int]:
         """The distinct cell characters of size k (n by default) as
@@ -211,7 +210,7 @@ def jm_cellular_characters(params: CMParams, n: int) -> CellDecomposition:
 
     A tableau is a path in the branching graph that adds one box per step, and
     the edge adding a box carries its eigenvalue.  The move table is built on
-    bare component tuples: each size's shapes are the keys of its
+    the shapes' component tuples: each size's shapes are the keys of its
     ``shape_index``, in id order, each addable box is found on the
     components, and the grown components are looked up in the next size's
     index for the child id.  An eigenvalue depends
@@ -239,7 +238,7 @@ def jm_cellular_characters(params: CMParams, n: int) -> CellDecomposition:
     # per size below n, (key, child shape id) per addable box of each shape,
     # in (component, row) order, keyed by the box's (component, content), on
     # which alone its eigenvalue depends; the first box of each key stands
-    # for it.  Shapes are bare components, in the order of their ids.
+    # for it.  Shapes are component tuples, in the order of their ids.
     firsts: dict[tuple[int, int], BoxCoord] = {}
     keyed_moves = []
     shapes = shape_index(params.d, 0)
@@ -282,7 +281,7 @@ def jm_cellular_characters(params: CMParams, n: int) -> CellDecomposition:
                 next_paths[child] = next_paths.get(child, 0) + count
         paths = next_paths
         levels.append(paths)
-    return CellDecomposition(values, moves, tuple(levels), params.d)
+    return CellDecomposition(values, moves, tuple(levels))
 
 
 def _step(state: State, moves: Moves) -> tuple[tuple[int, State], ...]:

@@ -1,12 +1,13 @@
 """Shared independent oracles for the test suite.
 
 `CharacterSum` is the oracle character type: a validated, sorted combination
-of `DPartition`s, against which the library's one character type, the
-``IdCounts`` of shape ids, is checked.  It raises `MalformedCharacter` for a
-multiplicity that is not positive, mixed (d, n) or entries not strictly
-sorted by `components_sort_key`.  `rendered_cells` renders the ids of
-`CellDecomposition.cells` as `CharacterSum`s.  `addable_boxes` lists the
-boxes addable to a d-partition, for the oracles that grow shapes box by box.
+of d-partitions, each the tuple of its components, against which the
+library's one character type, the ``IdCounts`` of shape ids, is checked.  It
+raises `MalformedCharacter` for a multiplicity that is not positive, mixed
+(d, n) or entries not strictly sorted by `components_sort_key`.
+`rendered_cells` renders the ids of `CellDecomposition.cells`, given d, as
+`CharacterSum`s.  `addable_boxes` lists the boxes addable to a d-partition,
+for the oracles that grow shapes box by box.
 
 The height-2 closed forms reconstruct, directly from the block structure of a
 charge vector, the standard symbols, the q = 1 content of every intermediate
@@ -79,10 +80,10 @@ spectrum prefix, with the shapes its tableaux reach and how many reach each,
 and never merges two prefixes.
 
 `jm_moves_by_dpartitions` is the oracle for the move table of
-`wreathcells.jm_cellular_characters`, which finds each addable box on bare
-component tuples: it builds the table from validated d-partitions, with
-`enumerate_dpartitions`, `addable_boxes`, `grown` and `shape_index`, and
-returns the build's values, moves and path counts.
+`wreathcells.jm_cellular_characters`, which finds each addable box on the
+keys of `shape_index`: it builds the table from the validated listing
+`enumerate_dpartitions`, with `addable_boxes` and `grown`, and returns the
+build's values, moves and path counts.
 
 The remaining oracles are small routines that the package itself never runs:
 
@@ -92,8 +93,8 @@ The remaining oracles are small routines that the package itself never runs:
   homogeneous.
 - `beta`, a symbol's bead values, checks the column rule of
   `enumerate_standard_symbols` and the bead layout of `wreathcells.Symbol`.
-- `symbol_from_dpartition` and `dpartition_from_symbol`, the bijection
-  between symbols and d-partitions, check `lm_constructible`, which reads
+- `symbol_from_dpartition`, which attaches charges to a d-partition (a
+  symbol's rows are its d-partition), checks `lm_constructible`, which reads
   each term's shape among `enumerate_dpartitions`.
 - `euler_value`, the Euler element's scalar on an irreducible summed over
   `boxes`, checks `tableau_spectrum`: a spectrum telescopes to it.
@@ -108,8 +109,6 @@ The remaining oracles are small routines that the package itself never runs:
 - `parse_laurent`, the inverse of `LaurentPoly.text`, checks that text form
   and writes expected vectors in the Fock-space tests.
 
-`record_dpartitions` is not an oracle: it records every `DPartition` built
-from then on, for the tests that the check path and the listings build none.
 """
 
 from __future__ import annotations
@@ -127,7 +126,6 @@ from wreathcells import (
     BoxCoord,
     CellDecomposition,
     CMParams,
-    DPartition,
     FockVector,
     GenericityReport,
     LaurentPoly,
@@ -149,6 +147,7 @@ from wreathcells import (
 from wreathcells.combinatorics import (
     IdCounts,
     components_sort_key,
+    components_text,
     dpartition_components,
     remove_box,
     shape_index,
@@ -178,7 +177,7 @@ class CharacterSum:
     multiplicities, so equal sums compare and hash equal.
     """
 
-    entries: tuple[tuple[DPartition, int], ...]
+    entries: tuple[tuple[tuple[tuple[int, ...], ...], int], ...]
 
     def __post_init__(self):
         seen_dn = None
@@ -186,20 +185,20 @@ class CharacterSum:
         for dp, mult in self.entries:
             if mult <= 0:
                 raise MalformedCharacter("multiplicities must be positive")
-            dn = (dp.d, dp.size)
+            dn = (len(dp), sum(map(sum, dp)))
             if seen_dn is None:
                 seen_dn = dn
             elif dn != seen_dn:
                 raise MalformedCharacter("mixed (d, n) in one character sum")
-            key = components_sort_key(dp.components)
+            key = components_sort_key(dp)
             if prev_key is not None and key <= prev_key:
                 raise MalformedCharacter("entries must be strictly sorted")
             prev_key = key
 
     @classmethod
-    def from_counts(cls, counts: dict[DPartition, int]) -> "CharacterSum":
+    def from_counts(cls, counts: dict) -> "CharacterSum":
         items = [(dp, m) for dp, m in counts.items() if m]
-        items.sort(key=lambda it: components_sort_key(it[0].components))
+        items.sort(key=lambda it: components_sort_key(it[0]))
         return cls(tuple(items))
 
     @classmethod
@@ -211,13 +210,13 @@ class CharacterSum:
         """
         return cls(tuple((shapes[i], m) for i, m in ids))
 
-    def counts(self) -> dict[DPartition, int]:
+    def counts(self) -> dict:
         return dict(self.entries)
 
-    def multiplicity(self, dp: DPartition) -> int:
+    def multiplicity(self, dp) -> int:
         return dict(self.entries).get(dp, 0)
 
-    def support(self) -> tuple[DPartition, ...]:
+    def support(self) -> tuple:
         return tuple(dp for dp, _ in self.entries)
 
     def is_zero(self) -> bool:
@@ -227,23 +226,24 @@ class CharacterSum:
         if not self.entries:
             return "0"
         return " + ".join(
-            dp.text() if m == 1 else f"{m}*{dp.text()}" for dp, m in self.entries
+            components_text(dp) if m == 1 else f"{m}*{components_text(dp)}"
+            for dp, m in self.entries
         )
 
     def to_json_obj(self) -> dict[str, int]:
-        return {dp.text(): m for dp, m in self.entries}
+        return {components_text(dp): m for dp, m in self.entries}
 
     def sort_key(self):
-        return tuple((components_sort_key(dp.components), m) for dp, m in self.entries)
+        return tuple((components_sort_key(dp), m) for dp, m in self.entries)
 
     def __repr__(self):
         return f"CharacterSum({self.text()})"
 
 
-def addable_boxes(dp: DPartition) -> tuple[BoxCoord, ...]:
+def addable_boxes(dp) -> tuple[BoxCoord, ...]:
     """Boxes whose addition yields a valid Young diagram, ordered by (comp, row)."""
     out = []
-    for ci, comp in enumerate(dp.components, start=1):
+    for ci, comp in enumerate(dp, start=1):
         for a in range(1, len(comp) + 2):
             row_len = comp[a - 1] if a <= len(comp) else 0
             above = comp[a - 2] if a >= 2 else None
@@ -253,10 +253,11 @@ def addable_boxes(dp: DPartition) -> tuple[BoxCoord, ...]:
 
 
 def rendered_cells(
-    dec: CellDecomposition,
+    dec: CellDecomposition, d: int
 ) -> tuple[tuple[tuple[Fraction, ...], CharacterSum], ...]:
-    """``dec.cells``, each character's ids rendered as a `CharacterSum`."""
-    shapes = enumerate_dpartitions(dec.d, len(dec.paths) - 1)
+    """``dec.cells``, each character's ids rendered as a `CharacterSum` of
+    d-partitions."""
+    shapes = enumerate_dpartitions(d, len(dec.paths) - 1)
     return tuple((spec, CharacterSum.from_ids(shapes, ids)) for spec, ids in dec.cells)
 
 
@@ -392,7 +393,7 @@ def check_by_character_sums(params: CMParams, sizes) -> tuple[CharacterSumVerdic
     for n in sizes:
         lm_counts = character_counts(
             CharacterSum.from_counts(
-                {DPartition(s.rows): c.eval_at_one() for s, c in vec.terms.items()}
+                {s.rows: c.eval_at_one() for s, c in vec.terms.items()}
             )
             for sym, vec in basis.items()
             if sym.height == n
@@ -449,7 +450,7 @@ def jm_cells_by_trie(params: CMParams, n: int) -> JMCells:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    level = [((), {DPartition(((),) * params.d): 1})]
+    level = [((), {((),) * params.d: 1})]
     for _ in range(n):
         next_level = []
         for prefix, counts in level:
@@ -468,14 +469,16 @@ def jm_cells_by_trie(params: CMParams, n: int) -> JMCells:
     return JMCells(cells, is_generic(params, n))
 
 
-def jm_cells_json_obj(dec: CellDecomposition, report: GenericityReport) -> dict:
+def jm_cells_json_obj(dec: CellDecomposition, params: CMParams) -> dict:
     """The object that `jm-cells --format json` writes, a dict per cell of
     ``dec.cells``, each character a `CharacterSum`, and the report of
-    `is_generic` at its parameters and size."""
+    `is_generic` at the parameters of ``dec`` and its size."""
+    n = len(dec.paths) - 1
+    report = is_generic(params, n)
     return {
         "cells": [
             {"spectrum": [str(x) for x in spec], "character": cs.to_json_obj()}
-            for spec, cs in rendered_cells(dec)
+            for spec, cs in rendered_cells(dec, params.d)
         ],
         "generic": report.generic,
         "witness": list(report.witness) if report.witness else None,
@@ -484,7 +487,8 @@ def jm_cells_json_obj(dec: CellDecomposition, report: GenericityReport) -> dict:
 
 def jm_moves_by_dpartitions(params: CMParams, n: int):
     """(values, moves, paths) of `jm_cellular_characters`, its move table
-    built from every validated d-partition below n and its boxes."""
+    built from every d-partition that `enumerate_dpartitions` lists below n
+    and its boxes."""
     firsts: dict[tuple[int, int], BoxCoord] = {}
     keyed_moves = []
     for size in range(n):
@@ -495,7 +499,7 @@ def jm_moves_by_dpartitions(params: CMParams, n: int):
             for box in addable_boxes(dp):
                 key = (box.comp, content(box))
                 firsts.setdefault(key, box)
-                row.append((key, child_id[grown(dp, box).components]))
+                row.append((key, child_id[grown(dp, box)]))
             rows.append(row)
         keyed_moves.append(rows)
     spectrum = tableau_spectrum(params, tuple(firsts.values()))
@@ -517,31 +521,18 @@ def jm_moves_by_dpartitions(params: CMParams, n: int):
     return values, moves, tuple(levels)
 
 
-def record_dpartitions(monkeypatch) -> list:
-    """The components of every `DPartition` built from here on, as a list
-    that grows as they are built."""
-    built = []
-    post_init = DPartition.__post_init__
-
-    def recording(dp):
-        built.append(dp.components)
-        post_init(dp)
-
-    monkeypatch.setattr(DPartition, "__post_init__", recording)
-    return built
-
-
-def grown(shape: DPartition, box: BoxCoord) -> DPartition:
+def grown(shape, box: BoxCoord):
     """The shape with an addable box added."""
-    comp = shape.components[box.comp - 1]
+    c = box.comp - 1
+    comp = shape[c]
     row = comp[: box.row - 1] + (box.col,) + comp[box.row :]
-    return shape.with_component(box.comp, row)
+    return shape[:c] + (row,) + shape[c + 1 :]
 
 
 @lru_cache(maxsize=None)
-def recursive_standard_tableaux(shape: DPartition) -> tuple[StandardTableau, ...]:
+def recursive_standard_tableaux(shape) -> tuple[StandardTableau, ...]:
     """Standard tableaux by the branching recursion on the last box."""
-    if shape.size == 0:
+    if not any(shape):
         return (StandardTableau(shape, ()),)
     out = []
     for box in removable_boxes(shape):
@@ -551,9 +542,9 @@ def recursive_standard_tableaux(shape: DPartition) -> tuple[StandardTableau, ...
 
 
 @lru_cache(maxsize=None)
-def recursive_tableau_count(shape: DPartition) -> int:
+def recursive_tableau_count(shape) -> int:
     """Number of standard tableaux by the branching recursion."""
-    if shape.size == 0:
+    if not any(shape):
         return 1
     return sum(
         recursive_tableau_count(remove_box(shape, box))
@@ -836,7 +827,7 @@ def height2_characters(charges) -> dict[Symbol, CharacterSum]:
     for sigma, terms in height2_monomials_at_one(charges).items():
         counts = {}
         for sym, coeff in terms.items():
-            counts[dpartition_from_symbol(sym)] = coeff
+            counts[sym.rows] = coeff
         out[sigma] = CharacterSum.from_counts(counts)
     return out
 
@@ -888,32 +879,26 @@ def beta(sym: Symbol, i: int, k: int) -> int:
     return k + (parts[j] if j < len(parts) else 0)
 
 
-def symbol_from_dpartition(dp: DPartition, charges: tuple[int, ...]) -> Symbol:
+def symbol_from_dpartition(dp, charges: tuple[int, ...]) -> Symbol:
     """Attach charges to a d-partition of displacements."""
-    return Symbol(tuple(charges), dp.components)
+    return Symbol(tuple(charges), dp)
 
 
-def dpartition_from_symbol(sym: Symbol) -> DPartition:
-    return DPartition(sym.rows)
-
-
-def boxes(dp: DPartition) -> tuple[BoxCoord, ...]:
+def boxes(dp) -> tuple[BoxCoord, ...]:
     """Every box of dp, component by component, row by row."""
     return tuple(
         BoxCoord(a, b, ci)
-        for ci, comp in enumerate(dp.components, start=1)
+        for ci, comp in enumerate(dp, start=1)
         for a, row_len in enumerate(comp, start=1)
         for b in range(1, row_len + 1)
     )
 
 
-def euler_value(params: CMParams, dp: DPartition) -> Fraction:
+def euler_value(params: CMParams, dp) -> Fraction:
     """Scalar action of the Euler element on the irreducible labelled by dp."""
-    if dp.d != params.d:
+    if len(dp) != params.d:
         raise ValueError("d-partition and parameters disagree on d")
-    comp_sizes = sum(
-        params.ksharp(c) * sum(dp.components[c - 1]) for c in range(1, dp.d + 1)
-    )
+    comp_sizes = sum(params.ksharp(c) * sum(comp) for c, comp in enumerate(dp, 1))
     contents = sum(content(box) for box in boxes(dp))
     return params.d * comp_sizes - params.d * params.c0 * contents
 

@@ -183,7 +183,7 @@ def test_criterion_7_invariant_suites():
                 ev = euler_value(params, shape)
                 for tab in standard_tableaux(shape):
                     assert sum(tableau_spectrum(params, tab.boxes)) == ev
-            cells = rendered_cells(jm_cellular_characters(params, n))
+            cells = rendered_cells(jm_cellular_characters(params, n), params.d)
             for shape in enumerate_dpartitions(params.d, n):
                 total = sum(cs.multiplicity(shape) for _, cs in cells)
                 assert total == tableau_count(shape)
@@ -244,7 +244,7 @@ def test_criterion_8_jm_cells_decompose_into_cm_cells():
         params = params_from_r(r, 1)
         cm = sorted(rendered_n2(params), key=lambda c: c.sort_key())
         jm = jm_cellular_characters(params, 2)
-        for _, cell in rendered_cells(jm):
+        for _, cell in rendered_cells(jm, params.d):
             assert _as_combination(cell, cm), (d, r, cell.text())
             checked += 1
     _report(8, f"{checked} JM cells matched as nonnegative combinations")

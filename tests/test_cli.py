@@ -27,14 +27,13 @@ from wreathcells.combinatorics import enumerate_dpartitions
 from wreathcells.conjecture import params_from_r
 from wreathcells.fock import canonical_basis, lm_constructible, symbol_sort_key
 from wreathcells.gd12 import sim_classes
-from wreathcells.jucys_murphy import CMParams, is_generic, jm_cellular_characters
+from wreathcells.jucys_murphy import CMParams, jm_cellular_characters
 
 from helpers import (
     CharacterSum,
     check_by_character_sums,
     jm_cells_by_tableaux,
     jm_cells_json_obj,
-    record_dpartitions,
     render_basis,
     rendered_cells,
     rendered_lm,
@@ -286,7 +285,7 @@ def _whole_tree(argv):
     if args.command == "jm-cells":
         params = cli._params_from_args(args)
         dec = jm_cellular_characters(params, args.n)
-        return jm_cells_json_obj(dec, is_generic(params, args.n))
+        return jm_cells_json_obj(dec, params)
     if args.command == "check":
         (verdict,) = check_by_character_sums(cli._params_from_args(args), (args.n,))
         return verdict.to_json_obj()
@@ -414,6 +413,29 @@ def test_gaudin_verify_text_names_an_irreducible_pair_once(capsys):
     assert reports[0]["irreducible"] == f"pair (1,2): {reason}"
 
 
+UPPER = "JM cells (upper bounds: CM cells may be merged)"
+
+
+@pytest.mark.parametrize(
+    "argv, header",
+    [
+        (
+            ["--c0", "1", "--k=-1,0", "--n", "4"],
+            [UPPER, "generic: False  witness(k-index p, q, j): (0, 1, -1)"],
+        ),
+        (
+            ["--r=14,7,0", "--c0", "1", "--n", "3"],
+            ["JM cells (= CM cells: parameters generic)", "generic: True"],
+        ),
+        (["--k=0,0", "--c0", "0", "--n", "3"], [UPPER, "generic: False"]),
+    ],
+    ids=["witness", "generic", "no-witness"],
+)
+def test_jm_cells_text_opens_with_its_genericity(argv, header, capsys):
+    assert cli_main(["jm-cells", *argv]) == 0
+    assert capsys.readouterr().out.splitlines()[:2] == header
+
+
 def _count_shape_texts(monkeypatch) -> Counter:
     """Count the shape texts that the listings make, per shape, from here on:
     `cli` renders each shape from its bare components with `components_text`."""
@@ -439,15 +461,13 @@ def _count_shape_texts(monkeypatch) -> Counter:
 )
 def test_jm_cells_listings_read_each_cell(params, n, monkeypatch, capsys):
     dec = jm_cellular_characters(params, n)
-    cells = rendered_cells(dec)
+    cells = rendered_cells(dec, params.d)
     assert cells == jm_cells_by_tableaux(params, n).cells
     expected_text = [
         f"spectrum ({', '.join(str(x) for x in spec)}): {cs.text()}"
         for spec, cs in cells
     ]
-    expected_json = (
-        json.dumps(jm_cells_json_obj(dec, is_generic(params, n)), indent=2) + "\n"
-    )
+    expected_json = json.dumps(jm_cells_json_obj(dec, params), indent=2) + "\n"
     k = ",".join(str(x) for x in params.k)
     argv = ["jm-cells", f"--c0={params.c0}", f"--k={k}", "--n", str(n)]
     made = _count_shape_texts(monkeypatch)
@@ -522,7 +542,7 @@ def test_walk_renders_each_value_and_character_once():
     assert sorted(rendered) == list(dec.character_counts())
     assert len(set(rendered)) == len(rendered)
     assert cells == [
-        (tuple(str(x) for x in spec), cs.text()) for spec, cs in rendered_cells(dec)
+        (tuple(str(x) for x in spec), cs.text()) for spec, cs in rendered_cells(dec, 2)
     ]
 
 
@@ -582,31 +602,6 @@ def test_text_check_makes_each_shape_text_once(r, n, code, monkeypatch, capsys):
         listed += len(oracle.cm_only) + len(oracle.lm_only)
     assert rendered.total() == listed
     assert max(made.values()) == 1
-
-
-@pytest.mark.parametrize(
-    "argv, code",
-    [
-        (["check", "--r=1,1,0", "--c0", "1", "--n", "7"], 1),
-        (["jm-cells", "--r=1,0", "--c0", "1", "--n", "6"], 0),
-        (["lm-cells", "--r=1,1,0,0", "--n", "5"], 0),
-        (["cm-cells-n2", "--r=2,1,0", "--c0", "1"], 0),
-    ],
-    ids=lambda argv: " ".join(argv) if isinstance(argv, list) else None,
-)
-def test_listings_build_no_dpartition(argv, code, monkeypatch, capsys):
-    built = record_dpartitions(monkeypatch)
-    for fmt in "text", "json":
-        # a d-partition cached by an earlier test would hide its construction
-        enumerate_dpartitions.cache_clear()
-        assert cli_main([*argv, "--format", fmt]) == code
-        assert capsys.readouterr().out
-        assert built == []
-    # the counter sees the d-partitions that `dpartitions` lists
-    enumerate_dpartitions.cache_clear()
-    assert cli_main(["dpartitions", "--d", "2", "--n", "2"]) == 0
-    capsys.readouterr()
-    assert len(built) == 5
 
 
 JM_CELLS_7 = ["jm-cells", "--r=2,1,0", "--c0", "1", "--n", "7"]

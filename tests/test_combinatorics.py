@@ -1,6 +1,4 @@
-import dataclasses
 import json
-import pickle
 from math import factorial
 
 import pytest
@@ -15,9 +13,10 @@ from helpers import (
 )
 from wreathcells.combinatorics import (
     BoxCoord,
-    DPartition,
     components_sort_key,
+    components_text,
     content,
+    dpartition_components,
     enumerate_dpartitions,
     parse_dpartition,
     removable_boxes,
@@ -27,15 +26,13 @@ from wreathcells.combinatorics import (
 
 
 def dp(*comps):
-    return DPartition(tuple(tuple(c) for c in comps))
+    return tuple(tuple(c) for c in comps)
 
 
 partitions_st = st.lists(st.integers(1, 4), max_size=4).map(
     lambda xs: tuple(sorted(xs, reverse=True))
 )
-dpartitions_st = st.lists(partitions_st, min_size=1, max_size=3).map(
-    lambda cs: DPartition(tuple(cs))
-)
+dpartitions_st = st.lists(partitions_st, min_size=1, max_size=3).map(tuple)
 
 
 def partition_count_oracle(n: int) -> list[int]:
@@ -75,7 +72,18 @@ def test_enumerate_count_generating_function():
 def test_enumerate_no_duplicates(d, n):
     items = enumerate_dpartitions(d, n)
     assert len(set(items)) == len(items)
-    assert all(x.size == n and x.d == d for x in items)
+    assert all(sum(map(sum, x)) == n and len(x) == d for x in items)
+
+
+def test_enumerate_is_the_cached_tuple_of_the_components():
+    for d in range(1, 5):
+        for n in range(7):
+            items = enumerate_dpartitions(d, n)
+            assert items == tuple(dpartition_components(d, n))
+            assert enumerate_dpartitions(d, n) is items
+    for d, n in (0, 1), (2, -1):
+        with pytest.raises(ValueError, match="must be"):
+            enumerate_dpartitions(d, n)
 
 
 def test_removable_single_row():
@@ -142,11 +150,11 @@ def test_tableaux_of_a_thousand_boxes():
 
 @given(dpartitions_st)
 def test_text_round_trip(dpart):
-    assert parse_dpartition(dpart.text()) == dpart
+    assert parse_dpartition(components_text(dpart)) == dpart
 
 
 def test_text_examples():
-    assert dp((2, 1), (), (1,)).text() == "2.1|∅|1"
+    assert components_text(dp((2, 1), (), (1,))) == "2.1|∅|1"
     assert parse_dpartition("2.1||1") == dp((2, 1), (), (1,))
 
 
@@ -164,21 +172,8 @@ def test_character_sum_rejects_mixed_sizes():
 
 
 def test_filled_sort_key_keeps_value_semantics():
-    def fresh():
-        return DPartition(((2, 1), (), (1,)))
-
-    filled = fresh()
-    key = components_sort_key(filled.components)
-    assert filled.size == 4
+    key = components_sort_key(dp((2, 1), (), (1,)))
     assert key == ((-3, (-2, -1)), (0, ()), (-1, (-1,)))
-    new = fresh()
-    assert filled == new and hash(filled) == hash(new) and repr(filled) == repr(new)
-    assert [f.name for f in dataclasses.fields(filled)] == ["components"]
-    assert dataclasses.asdict(filled) == dataclasses.asdict(new)
-    assert pickle.dumps(filled) == pickle.dumps(new)
-    back = pickle.loads(pickle.dumps(filled))
-    assert back == new and hash(back) == hash(new)
-    assert CharacterSum.from_counts({filled: 1}) == CharacterSum.from_counts({new: 1})
 
 
 # IdCounts compare characters by their indices in enumerate_dpartitions, which
@@ -186,7 +181,7 @@ def test_filled_sort_key_keeps_value_semantics():
 @pytest.mark.parametrize("d, max_n", [(1, 8), (2, 8), (3, 8), (4, 7), (5, 7)])
 def test_sort_key_strictly_increases_along_enumeration(d, max_n):
     for n in range(max_n + 1):
-        keys = [components_sort_key(dp.components) for dp in enumerate_dpartitions(d, n)]
+        keys = [components_sort_key(dp) for dp in enumerate_dpartitions(d, n)]
         assert all(a < b for a, b in zip(keys, keys[1:])), (d, n)
 
 

@@ -133,8 +133,9 @@ def test_check_lists_no_jm_cell(monkeypatch):
     verdict = check_conjecture(params_from_r((1, 1, 0), 1), 5)
     (decomposition,) = built
     assert "cells" not in vars(decomposition)
+    cells = rendered_cells(decomposition, 3)
     assert _multiset(rendered_verdict(verdict).cm_counts) == tuple(
-        sorted((cs for _, cs in rendered_cells(decomposition)), key=CharacterSum.sort_key)
+        sorted((cs for _, cs in cells), key=CharacterSum.sort_key)
     )
 
 
@@ -188,7 +189,8 @@ def test_verdict_derives_sets_and_differences(r, n, mode, equal):
     if n == 2:
         cells = [cs for _, cs in rendered_n2_family(params)]
     else:
-        cells = [cs for _, cs in rendered_cells(jm_cellular_characters(params, n))]
+        dec = jm_cellular_characters(params, n)
+        cells = [cs for _, cs in rendered_cells(dec, params.d)]
     key = CharacterSum.sort_key
     assert _multiset(verdict.cm_counts) == tuple(sorted(cells, key=key))
     lm_cells = rendered_lm(verdict.charges, n).values()
@@ -384,6 +386,18 @@ def test_cli_tableaux_shape_error_names_the_flag_and_text(shape, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot parse --shape {shape!r}")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "shape, comp", [("1.2", "(1, 2)"), ("0", "(0,)"), ("2|-1", "(-1,)")]
+)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_cli_tableaux_shape_must_be_partitions(shape, comp, fmt, capsys):
+    assert cli_main(["tableaux", "--shape", shape, "--format", fmt]) == 2
+    assert capsys.readouterr() == (
+        "",
+        f"error: cannot parse --shape {shape!r}: invalid partition component {comp}\n",
+    )
 
 
 @pytest.mark.parametrize("shape", ["1|∅", ""])

@@ -21,7 +21,6 @@ from helpers import (
     candidate_nodes,
     crystal_closure,
     divided_power_oracle,
-    dpartition_from_symbol,
     e_action,
     filtered_standard_symbols,
     height2_characters,
@@ -40,7 +39,7 @@ from helpers import (
     symbol_from_dpartition,
     weight,
 )
-from wreathcells.combinatorics import DPartition, enumerate_dpartitions
+from wreathcells.combinatorics import enumerate_dpartitions
 from wreathcells.conjecture import check_conjecture_sizes, params_from_r
 from wreathcells.fock import (
     FockVector,
@@ -125,7 +124,7 @@ def test_symbol_baseline_beads():
 
 
 def test_symbol_beads_displaced():
-    s = symbol_from_dpartition(DPartition(((1, 1), ())), (1, 0))
+    s = symbol_from_dpartition(((1, 1), ()), (1, 0))
     assert beta(s, 1, 1) == 2 and beta(s, 1, 0) == 1
     assert beta(s, 1, -1) == -1
     assert s.height == 2
@@ -171,7 +170,7 @@ def test_symbol_value_semantics_with_slots():
 
 @given(random_symbols())
 def test_symbol_round_trip(s):
-    assert symbol_from_dpartition(dpartition_from_symbol(s), s.charges) == s
+    assert symbol_from_dpartition(s.rows, s.charges) == s
 
 
 @given(random_symbols())
@@ -469,7 +468,7 @@ def test_equal_charges_nest_rows(charges, n):
         nested = {
             symbol_from_dpartition(dp, charges)
             for dp in enumerate_dpartitions(len(charges), h)
-            if all(map(inside, dp.components, dp.components[1:]))
+            if all(map(inside, dp, dp[1:]))
         }
         assert comp.by_height[h] == nested
 
@@ -801,20 +800,20 @@ def cs(dparts):
 def chi(d, i):
     comps = [()] * d
     comps[i - 1] = (2,)
-    return DPartition(tuple(comps))
+    return tuple(comps)
 
 
 def chi_prime(d, i):
     comps = [()] * d
     comps[i - 1] = (1, 1)
-    return DPartition(tuple(comps))
+    return tuple(comps)
 
 
 def chi_pair(d, i, j):
     comps = [()] * d
     comps[i - 1] = (1,)
     comps[j - 1] = (1,)
-    return DPartition(tuple(comps))
+    return tuple(comps)
 
 
 def test_lm_gap_one():
@@ -864,7 +863,7 @@ def _characters_at(basis, n):
     """Height n of a basis at q = 1, each term's d-partition built afresh."""
     return {
         sym: CharacterSum.from_counts(
-            {dpartition_from_symbol(s): c for s, c in vec.eval_at_one().items()}
+            {s.rows: c for s, c in vec.eval_at_one().items()}
         )
         for sym, vec in basis.items()
         if sym.height == n

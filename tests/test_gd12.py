@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import wreathcells.gd12 as gd12
 from helpers import CharacterSum, rendered_cells, rendered_n2, rendered_n2_family
 from wreathcells.cli import cli_main
-from wreathcells.combinatorics import DPartition, enumerate_dpartitions
+from wreathcells.combinatorics import enumerate_dpartitions
 from wreathcells.gd12 import (
     Cyclo,
     DiscriminantMismatch,
@@ -26,7 +26,7 @@ from wreathcells.jucys_murphy import CMParams, jm_cellular_characters
 
 
 def dp(*comps):
-    return DPartition(tuple(tuple(c) for c in comps))
+    return tuple(tuple(c) for c in comps)
 
 
 def chi(d, i):
@@ -177,7 +177,7 @@ def _as_combination(target, cells):
 def test_jm_cells_are_sums_of_cm_cells(params):
     jm = jm_cellular_characters(params, 2)
     cm = sorted(rendered_n2(params), key=lambda c: c.sort_key())
-    for _, cell in rendered_cells(jm):
+    for _, cell in rendered_cells(jm, params.d):
         assert _as_combination(cell, cm), cell.text()
 
 

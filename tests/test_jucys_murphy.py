@@ -13,7 +13,6 @@ import wreathcells.conjecture as conjecture
 import wreathcells.jucys_murphy as jm
 from wreathcells.combinatorics import (
     BoxCoord,
-    DPartition,
     StandardTableau,
     enumerate_dpartitions,
     standard_tableaux,
@@ -43,7 +42,7 @@ from helpers import (
 
 
 def dp(*comps):
-    return DPartition(tuple(tuple(c) for c in comps))
+    return tuple(tuple(c) for c in comps)
 
 
 P_GAP1 = CMParams.from_ksharp(2, 1, (-1, 0))
@@ -186,7 +185,7 @@ def test_is_generic_examples():
 
 def test_cells_gap_one():
     dec = jm_cellular_characters(P_GAP1, 2)
-    chars = {cs.text() for _, cs in rendered_cells(dec)}
+    chars = {cs.text() for _, cs in rendered_cells(dec, P_GAP1.d)}
     assert chars == {
         "2|∅",
         "1.1|∅ + 1|1",
@@ -201,7 +200,7 @@ def test_cells_generic_all_singletons():
     params = CMParams.from_ksharp(3, 1, (-14, -7, 0))
     dec = jm_cellular_characters(params, 3)
     assert is_generic(params, 3).generic
-    for _, cs in rendered_cells(dec):
+    for _, cs in rendered_cells(dec, params.d):
         assert len(cs.entries) == 1 and cs.entries[0][1] == 1
     # one cell per tableau, one distinct character per shape
     assert len(dec.cells) == sum(
@@ -235,7 +234,7 @@ def test_cells_collapse_when_constant():
     params = CMParams.from_ksharp(2, 0, (5, 5))
     dec = jm_cellular_characters(params, 2)
     assert len(dec.cells) == 1
-    total = sum(m for _, cs in rendered_cells(dec) for _, m in cs.entries)
+    total = sum(m for _, cs in rendered_cells(dec, params.d) for _, m in cs.entries)
     assert total == sum(
         tableau_count(shape) for shape in enumerate_dpartitions(2, 2)
     )
@@ -245,7 +244,7 @@ def test_cells_collapse_when_constant():
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_partition_of_unity(params, n):
     dec = jm_cellular_characters(params, n)
-    cells = rendered_cells(dec)
+    cells = rendered_cells(dec, params.d)
     for shape in enumerate_dpartitions(params.d, n):
         total = sum(cs.multiplicity(shape) for _, cs in cells)
         assert total == tableau_count(shape)
@@ -334,7 +333,7 @@ def test_trie_cells_match_per_tableau_oracle(point):
     dec = jm_cellular_characters(params, n)
     counts = dec.character_counts()
     assert "cells" not in vars(dec)
-    cells = rendered_cells(dec)
+    cells = rendered_cells(dec, params.d)
     # one distinct character per final state, as many cells as paths into it
     characters = {cs for _, cs in cells}
     assert len(characters) == len(counts) == len(dec.paths[-1])
@@ -408,7 +407,7 @@ def _assert_moves_follow_value_order(params, n):
             for r, child in moves:
                 assert child == tuple(sorted(expected[dec.values[r]].items()))
     for oracle in (jm_cells_by_trie, jm_cells_by_tableaux):
-        assert rendered_cells(dec) == oracle(params, n).cells
+        assert rendered_cells(dec, params.d) == oracle(params, n).cells
 
 
 @pytest.mark.parametrize("params, n", RANK_POINTS)
@@ -500,7 +499,6 @@ def test_check_expands_each_state_once_and_keeps_no_child_states(monkeypatch):
         "values",
         "moves",
         "paths",
-        "d",
     ]
 
 

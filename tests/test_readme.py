@@ -1,4 +1,6 @@
+import contextlib
 import importlib.util
+import io
 import shlex
 from pathlib import Path
 
@@ -38,3 +40,21 @@ def test_readme_example_exits_0(line, capsys):
         assert _sweep_main()(argv[1:]) == 0
     captured = capsys.readouterr()
     assert captured.out and not captured.err
+
+
+def _python_blocks() -> list[str]:
+    """The README's ```python blocks."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return [part.split("```", 1)[0] for part in text.split("```python\n")[1:]]
+
+
+@pytest.mark.parametrize("block", _python_blocks())
+def test_readme_python_prints_what_its_comments_say(block):
+    # each print line ends in a comment holding the line it prints
+    lines = block.splitlines()
+    expected = [line.split("  # ", 1)[1] for line in lines if "print(" in line]
+    assert expected
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block, {})
+    assert out.getvalue().splitlines() == expected

@@ -129,18 +129,20 @@ def test_cells_list_the_character_counts(charges, c0, sizes):
 
 
 def test_library_has_one_character_type():
-    # the `CharacterSum` oracle lives in the tests alone
+    # the `CharacterSum` oracle lives in the tests alone, and a d-partition
+    # is the tuple of its components: no shape class is named or exported
     root = Path(__file__).resolve().parents[1]
     sources = [*(root / "src" / "wreathcells").glob("*.py")]
     sources += (root / "scripts").glob("*.py")
     assert len(sources) > 8
+    absent = "CharacterSum DPartition dpartition_sort_key addable_boxes".split()
     for path in sources:
         text = path.read_text(encoding="utf-8")
-        for name in ("CharacterSum", "dpartition_sort_key", "addable_boxes"):
+        for name in absent:
             assert name not in text, (path.name, name)
     # only the tests and perfbench's tracing reach these, through `fock`
     fock_only = "crystal_f divided_power_f f_action intermediate_A lt_monomial".split()
-    for name in ("CharacterSum", "addable_boxes", *fock_only):
+    for name in ("CharacterSum", "DPartition", "addable_boxes", *fock_only):
         assert not hasattr(wreathcells, name) and name not in wreathcells.__all__
     assert all(callable(getattr(fock, name)) for name in fock_only)
 
@@ -208,7 +210,7 @@ def test_zero_multiplicity_at_one_is_dropped(monkeypatch):
     before = lm_constructible(charges, (4,))[4]
     chosen = _patch_one_coefficient(monkeypatch, q(1) - q(2))
     after = lm_constructible(charges, (4,))[4]
-    index = {dp.components: i for i, dp in enumerate(enumerate_dpartitions(3, 4))}
+    index = {dp: i for i, dp in enumerate(enumerate_dpartitions(3, 4))}
     dropped = index[chosen["term"].rows]
     sym = chosen["sym"]
     assert dropped in dict(before[sym])
