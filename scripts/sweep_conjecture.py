@@ -5,8 +5,11 @@ Each point is a charge vector with a value of n; the two character sets are
 computed independently and compared.  The points of one charge vector share
 their work: one JM graph and one canonical basis, built to its largest n,
 serve every n (``check_conjecture_sizes``).  Charge vectors are independent
-pure computations, so they can be fanned out over processes; output order
-always follows input order.
+pure computations, so with ``--jobs`` above 1 they are fanned out over a
+process pool of at most one worker per charge vector; output order always
+follows input order.  The pool, and the import of ``concurrent.futures``
+behind it, exist only then: a serial run starts no process and loads no
+``multiprocessing``.
 
 Usage:
     python scripts/sweep_conjecture.py                 # built-in battery
@@ -23,8 +26,6 @@ import argparse
 import itertools
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 
 from wreathcells import check_conjecture_sizes, params_from_r
 from wreathcells.cli import _internal_error
@@ -56,7 +57,8 @@ def check_battery(points, jobs: int = 1):
     """The row (r, n, mode, equal, #cm, #lm) of every (r, n) point, in order.
 
     Consecutive points of one charge vector are checked together, one task
-    each, on ``jobs`` processes.  Each verdict is cut to its row as it
+    each, on at most ``jobs`` processes, never more than there are tasks, and
+    in this process when that is one.  Each verdict is cut to its row as it
     arrives, so no more than one charge vector's characters are held.
     """
     groups = [
@@ -64,13 +66,23 @@ def check_battery(points, jobs: int = 1):
         for r, group in itertools.groupby(points, key=lambda point: point[0])
     ]
     params, sizes = [p for p, _ in groups], [ns for _, ns in groups]
-    with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
-        mapped = (pool.map if pool else map)(check_conjecture_sizes, params, sizes)
+
+    def rows(verdict_lists):
         return [
             (v.charges, v.n, v.mode, v.equal, len(v.cm_ids), len(v.lm_ids))
-            for verdicts in mapped
+            for verdicts in verdict_lists
             for v in verdicts
         ]
+
+    workers = min(jobs, len(groups))
+    if workers < 2:
+        return rows(map(check_conjecture_sizes, params, sizes))
+    # imported here alone: it loads multiprocessing, pickle and socket, which
+    # a serial run never uses
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers) as pool:
+        return rows(pool.map(check_conjecture_sizes, params, sizes))
 
 
 def main(argv=None) -> int:

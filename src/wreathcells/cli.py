@@ -27,6 +27,10 @@ shapes from `--shape` or from `--d` with `--n`.  Giving both `--k` and `--r`,
 or `--shape` with `--d` or `--n`, is a usage error.  Outside `dpartitions`
 and `tableaux`, d is the number of `--k` or `--r` entries.  `gaudin-verify`
 verifies every pair of components, so it needs d >= 2.
+
+A call builds the subparser of the one subcommand its first argument names,
+not all nine (`build_parser`); every help, usage and error text is the same
+as the full parser's.
 """
 
 from __future__ import annotations
@@ -584,7 +588,92 @@ def _check_document(verdict) -> dict:
     }
 
 
-def build_parser() -> argparse.ArgumentParser:
+_IO = (
+    ("--format", {"choices": ("text", "json"), "default": "text"}),
+    ("--out", {"help": "write output to a file"}),
+)
+_N = ("--n", {"type": int, "required": True})
+_R = ("--r", {"help": "comma list of charges, weakly decreasing"})
+_PARAMS = (
+    ("--c0", {"help": "rational, e.g. 1 or -1/2"}),
+    ("--k", {"help": "comma list k_0,..,k_{d-1}"}),
+    _R,
+)
+
+# (name, help, flags in the order --help lists them, handler) per subcommand,
+# in the order the top-level help lists them
+_SUBCOMMANDS = (
+    (
+        "dpartitions",
+        "list d-partitions of n",
+        (("--d", {"type": int, "required": True}), _N, *_IO),
+        _cmd_dpartitions,
+    ),
+    (
+        "tableaux",
+        "list standard d-tableaux",
+        (
+            ("--shape", {"help": 'd-partition text, e.g. "2.1|∅"'}),
+            *_IO,
+            ("--d", {"type": int}),
+            ("--n", {"type": int}),
+        ),
+        _cmd_tableaux,
+    ),
+    (
+        "jm-cells",
+        "Jucys-Murphy cells for given parameters",
+        (*_IO, _N, *_PARAMS),
+        _cmd_jm_cells,
+    ),
+    (
+        "standard-symbols",
+        "standard symbols by height",
+        (*_IO, _N, _R),
+        _cmd_standard_symbols,
+    ),
+    (
+        "canonical-basis",
+        "canonical basis up to height n",
+        (*_IO, _N, _R),
+        _cmd_canonical_basis,
+    ),
+    (
+        "lm-cells",
+        "Leclerc-Miyachi constructible characters",
+        (*_IO, _N, _R),
+        _cmd_lm_cells,
+    ),
+    (
+        "cm-cells-n2",
+        "closed-form Calogero-Moser cells at n=2",
+        (*_IO, *_PARAMS),
+        _cmd_cm_cells_n2,
+    ),
+    (
+        "gaudin-verify",
+        "verify the 2x2 Gaudin eigen-systems",
+        (*_IO, *_PARAMS),
+        _cmd_gaudin_verify,
+    ),
+    (
+        "check",
+        "compare the two character sets",
+        (*_IO, _N, *_PARAMS),
+        _cmd_check,
+    ),
+)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or only of ``command`` when it names one.
+
+    A run uses one subcommand, so `cli_main` builds only the subparser its
+    first argument names.  The subcommand list in the top-level usage then
+    comes from a fixed metavar naming all of them, so every usage, help and
+    error text reads as with the full parser.  Without such a name (no
+    arguments, ``-h``, an unknown word) every subparser is built.
+    """
     parser = argparse.ArgumentParser(
         prog="wreathcells",
         description=(
@@ -593,65 +682,27 @@ def build_parser() -> argparse.ArgumentParser:
             "parameter dictionary between them."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, *, n=False, params=False, charges=False):
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--out", default=None, help="write output to a file")
-        if n:
-            p.add_argument("--n", type=int, required=True)
-        if params:
-            p.add_argument("--c0", default=None, help="rational, e.g. 1 or -1/2")
-            p.add_argument("--k", default=None, help="comma list k_0,..,k_{d-1}")
-        if charges:
-            p.add_argument("--r", default=None, help="comma list of charges, weakly decreasing")
-
-    p = sub.add_parser("dpartitions", help="list d-partitions of n")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    common(p)
-    p.set_defaults(func=_cmd_dpartitions)
-
-    p = sub.add_parser("tableaux", help="list standard d-tableaux")
-    p.add_argument("--shape", default=None, help='d-partition text, e.g. "2.1|∅"')
-    common(p)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.set_defaults(func=_cmd_tableaux)
-
-    p = sub.add_parser("jm-cells", help="Jucys-Murphy cells for given parameters")
-    common(p, n=True, params=True, charges=True)
-    p.set_defaults(func=_cmd_jm_cells)
-
-    p = sub.add_parser("standard-symbols", help="standard symbols by height")
-    common(p, n=True, charges=True)
-    p.set_defaults(func=_cmd_standard_symbols)
-
-    p = sub.add_parser("canonical-basis", help="canonical basis up to height n")
-    common(p, n=True, charges=True)
-    p.set_defaults(func=_cmd_canonical_basis)
-
-    p = sub.add_parser("lm-cells", help="Leclerc-Miyachi constructible characters")
-    common(p, n=True, charges=True)
-    p.set_defaults(func=_cmd_lm_cells)
-
-    p = sub.add_parser("cm-cells-n2", help="closed-form Calogero-Moser cells at n=2")
-    common(p, params=True, charges=True)
-    p.set_defaults(func=_cmd_cm_cells_n2)
-
-    p = sub.add_parser("gaudin-verify", help="verify the 2x2 Gaudin eigen-systems")
-    common(p, params=True, charges=True)
-    p.set_defaults(func=_cmd_gaudin_verify)
-
-    p = sub.add_parser("check", help="compare the two character sets")
-    common(p, n=True, params=True, charges=True)
-    p.set_defaults(func=_cmd_check)
-
+    chosen = [entry for entry in _SUBCOMMANDS if entry[0] == command]
+    if chosen:
+        names = ",".join(name for name, *_ in _SUBCOMMANDS)
+        sub = parser.add_subparsers(
+            dest="command", required=True, metavar=f"{{{names}}}"
+        )
+    else:
+        chosen = _SUBCOMMANDS
+        sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_, flags, handler in chosen:
+        p = sub.add_parser(name, help=help_)
+        for flag, spec in flags:
+            p.add_argument(flag, **spec)
+        p.set_defaults(func=handler)
     return parser
 
 
 def cli_main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -5,6 +5,7 @@ for every streamed listing, of the whole tree that the oracles in
 `helpers` build for it.
 """
 
+import argparse
 import contextlib
 import importlib.util
 import io
@@ -352,6 +353,59 @@ def test_the_module_exits_as_cli_main_returns(code, capsys):
     argv = [sys.executable, "-m", "wreathcells.cli", *argv]
     proc = subprocess.run(argv, capture_output=True, env=env, timeout=300)
     assert (proc.returncode, proc.stdout.decode(), proc.stderr) == (code, out, b"")
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in COMMANDS], ids=" ".join)
+def test_one_subparser_parses_as_all_nine(argv):
+    one, every = cli.build_parser(argv[0]), cli.build_parser()
+    assert one.parse_args(argv) == every.parse_args(argv)
+
+
+PARSER_ARGVS = [
+    [],
+    ["--help"],
+    ["-h", "check"],
+    ["check", "--help"],
+    ["bogus"],
+    ["check"],
+    ["check", "--r=1,0", "--c0", "1"],
+    ["check", "--r=1,0", "--c0", "1", "--n", "3", "--bogus"],
+    ["check", "--r=1,0", "--c0", "1", "--n", "3", "extra"],
+    ["jm-cells", "--k=1,0", "--n", "2", "--format", "xml"],
+    ["check", "-h", "--bogus"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: " ".join(argv) or "-")
+def test_cli_main_reads_as_with_all_nine_subparsers(argv, monkeypatch, capsys):
+    # help, usage and error texts, the top-level usage's list of subcommands
+    # among them, as the parser of every subcommand prints them
+    full = cli.build_parser
+    seen = []
+    for build in (full, lambda command=None: full()):
+        monkeypatch.setattr(cli, "build_parser", build)
+        code = cli_main(list(argv))
+        seen.append((code, *capsys.readouterr()))
+    assert seen[0] == seen[1]
+
+
+# the first argv of each subcommand
+FIRST_ARGVS = list({argv[0]: argv for argv, _ in reversed(COMMANDS)}.values())
+
+
+@pytest.mark.parametrize("argv", FIRST_ARGVS, ids=" ".join)
+def test_cli_main_builds_one_subparser(argv, monkeypatch, capsys):
+    # the top-level parser and the subparser of the subcommand that runs
+    made = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert cli_main(argv) == 0
+    assert len(made) == 2
 
 
 @pytest.mark.parametrize(

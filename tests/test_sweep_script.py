@@ -1,3 +1,4 @@
+import concurrent.futures
 import importlib.util
 import itertools
 import os
@@ -97,6 +98,58 @@ def test_a_pool_of_two_prints_what_one_worker_prints(capsys):
         outputs.append(captured.out)
     assert outputs[0] == outputs[1]
     assert outputs[0].endswith("\n15 points, 0 hard failures\n")
+
+
+@pytest.mark.parametrize(
+    "battery, jobs, pools",
+    [([], "64", [15]), (["--max-d", "2"], "3", [3]), (["--max-d", "1"], "4", [])],
+)
+def test_the_pool_has_no_more_workers_than_charge_vectors(
+    battery, jobs, pools, monkeypatch, capsys
+):
+    # a forked pool starts all its workers at the first task; one charge
+    # vector is checked without a pool
+    made = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    sweep = _load_sweep()
+    assert sweep.main(battery) == 0
+    serial = capsys.readouterr().out
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    assert sweep.main([*battery, "--jobs", jobs]) == 0
+    assert made == pools
+    assert capsys.readouterr().out == serial
+
+
+def test_a_serial_sweep_imports_no_process_pool():
+    src = Path(wreathcells.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    script = (
+        "import importlib.util, sys\n"
+        f"spec = importlib.util.spec_from_file_location('sweep', {str(SWEEP)!r})\n"
+        "sweep = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(sweep)\n"
+        "code = sweep.main(['--max-d', '1', '--max-n', '2'])\n"
+        "pool = ('concurrent.futures', 'multiprocessing')\n"
+        "print([name for name in pool if name in sys.modules])\n"
+        "sys.exit(code)\n"
+    )
+    argv = [sys.executable, "-c", script]
+    proc = subprocess.run(argv, capture_output=True, env=env, timeout=300)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.splitlines()[-1] == b"[]"
 
 
 @pytest.mark.parametrize(
