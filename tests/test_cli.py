@@ -382,7 +382,7 @@ def test_cli_main_reads_as_with_all_nine_subparsers(argv, monkeypatch, capsys):
     # among them, as the parser of every subcommand prints them
     full = cli.build_parser
     seen = []
-    for build in (full, lambda command=None: full()):
+    for build in (full, lambda command: full()):
         monkeypatch.setattr(cli, "build_parser", build)
         code = cli_main(list(argv))
         seen.append((code, *capsys.readouterr()))
