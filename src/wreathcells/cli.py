@@ -65,7 +65,7 @@ from .fock import (
 )
 from .gd12 import RegimeMismatch, cm_cells_n2, sim_classes, verify_gaudin_eigensystem
 from .jucys_murphy import CMParams, is_generic, jm_cellular_characters
-from .laurent import parse_rational
+from .laurent import LaurentPoly, parse_rational
 
 
 class UsageError(ValueError):
@@ -415,34 +415,39 @@ class _Characters:
 def _cmd_canonical_basis(args) -> int:
     charges = _charges_from_args(args)
     basis = canonical_basis(charges, args.n)
-    # A listing repeats few distinct rows, so each row's text and sort key is
-    # made once, and a symbol's are assembled from its rows'.
+    # A listing repeats few distinct rows and coefficients, so each row's text
+    # and sort key, each symbol's sort key and each coefficient's text is made
+    # once; a symbol's text and key are assembled from its rows'.  A
+    # coefficient is keyed by its whole value, its (exponent, integer) pairs.
     row_text, row_key = _PerValue(partition_text), _PerValue(partition_sort_key)
+    key = _PerValue(lambda sym: tuple(map(row_key.__getitem__, sym.rows)))
+    coeff_text = _PerValue(lambda pairs: LaurentPoly(dict(pairs)).text())
 
     def text(sym):
         return "|".join(map(row_text.__getitem__, sym.rows))
 
-    def key(sym):
-        return tuple(map(row_key.__getitem__, sym.rows))
-
-    def listing(name):
-        """(name of symbol, [(name of term, coefficient text)]) per basis
-        vector, in the order of `symbol_sort_key` and `FockVector.support`."""
-        for sym in sorted(basis, key=lambda s: (s.height, key(s))):
+    def listing(name, coeff):
+        """(name of symbol, [(name of term, coeff of its coefficient's pairs)])
+        per basis vector, in the order of `symbol_sort_key` and
+        `FockVector.support`."""
+        for sym in sorted(basis, key=lambda s: (s.height, key[s])):
             coeffs = basis[sym].terms
-            terms = [(name(s), coeffs[s].text()) for s in sorted(coeffs, key=key)]
+            terms = [
+                (name(s), coeff(tuple(coeffs[s].coeffs.items())))
+                for s in sorted(coeffs, key=key.__getitem__)
+            ]
             yield name(sym), terms
 
     if args.format == "json":
         # each distinct symbol is quoted once; a basis vector is a dict at
         # depth 2 and each of its terms a dict at depth 4
         quoted = _PerValue(lambda sym: _quote(text(sym)))
+        quoted_coeff = _PerValue(lambda pairs: _quote(coeff_text[pairs]))
         vector = '{\n      "symbol": %s,\n      "terms": [\n        %s\n      ]\n    }'
         term = '{\n          "symbol": %s,\n          "coeff": %s\n        }'
         rows = (
-            vector
-            % (sym, ",\n        ".join([term % (s, _quote(c)) for s, c in terms]))
-            for sym, terms in listing(quoted.__getitem__)
+            vector % (sym, ",\n        ".join([term % t for t in terms]))
+            for sym, terms in listing(quoted.__getitem__, quoted_coeff.__getitem__)
         )
         obj = {"charges": list(charges), "max_height": args.n, "basis": rows}
         _emit_json(args, obj)
@@ -451,7 +456,7 @@ def _cmd_canonical_basis(args) -> int:
             args,
             (
                 f"{sym} : " + " + ".join(f"({c})[{s}]" for s, c in terms)
-                for sym, terms in listing(text)
+                for sym, terms in listing(text, coeff_text.__getitem__)
             ),
         )
     return 0

@@ -14,8 +14,11 @@ m -> m+1 in every row of S at once, weighted by q^e with e the sum of eps_i
 over j in S and i > j not in S, eps_i the K_m-weight of row i.  No power of
 F_m is formed and nothing is divided (`divided_power_f`).  Each distinct row
 (charge, partition) gets its K_m-weight and its moved row once per build of
-`canonical_basis`, and each target's coefficient is trimmed of zeros once per
-divided power.
+`canonical_basis`.  Coefficients are shared, never copied: a target reached
+from one source term takes that term's coefficient times q^e, which is the
+coefficient itself when e = 0 and, for a monomial, one `LaurentPoly` per
+(exponent, coefficient) for the whole build.  Only a target reached twice sums
+its coefficients, trimmed of zeros once per divided power.
 
 A symbol is standard when its bead columns weakly increase down the rows, and
 `enumerate_standard_symbols` generates rows under that rule.  The tests check
@@ -267,6 +270,7 @@ def _lower(
     k: int,
     vec: FockVector,
     table: dict[tuple[int, Partition], tuple[int, Partition | None]],
+    monomials: dict[tuple[int, int], LaurentPoly],
 ) -> FockVector:
     """F_m^(k) vec, summed over the k-subsets S of the rows lowerable at m.
 
@@ -277,11 +281,16 @@ def _lower(
     sum; a term with fewer than k lowerable rows is skipped.  A row's K_m-weight
     and its lowered row are read from `table`, which maps (charge, parts) to
     (weight, lowered parts or None) at this m and is filled on first sight:
-    `canonical_basis` keeps one per node for the whole build.  Coefficients are
-    summed as exponent -> integer dicts, one per target symbol, and each is
-    trimmed of zeros once at the end.
+    `canonical_basis` keeps one per node for the whole build.
+
+    A target reached from one source term gets that term's coefficient times
+    q^e: the coefficient itself when e = 0, else, for a monomial c q^x, the
+    `LaurentPoly` that `monomials` holds for (x + e, c), made on first sight
+    and shared by every vector of the build.  Coefficients are never mutated,
+    so sharing them is safe.  Only a target reached twice sums its
+    coefficients, as an exponent -> integer dict trimmed of zeros at the end.
     """
-    out: dict[Symbol, dict[int, int]] = {}
+    out: dict[Symbol, tuple[LaurentPoly, int] | dict[int, int]] = {}
     pairs = k * (k - 1) // 2
     for sym, coeff in vec.terms.items():
         charges, rows = sym
@@ -306,18 +315,40 @@ def _lower(
                 shift += b
             target = _unchecked_symbol(charges, tuple(new))
             acc = out.get(target)
-            if acc is None:
-                out[target] = {e + shift: c for e, c in coeff.coeffs.items()}
+            if acc is None:  # the first source term: (its coefficient, shift)
+                out[target] = (coeff, shift)
                 continue
+            if type(acc) is tuple:  # the second: start summing
+                first, e0 = acc
+                out[target] = acc = {e + e0: c for e, c in first.coeffs.items()}
             for e, c in coeff.coeffs.items():
                 e += shift
                 acc[e] = acc.get(e, 0) + c
     terms = {}
     for target, acc in out.items():
-        if not all(acc.values()):
-            acc = {e: c for e, c in acc.items() if c}
-        if acc:
-            terms[target] = _trimmed_poly(acc)
+        if type(acc) is tuple:
+            coeff, shift = acc
+            if not shift:
+                terms[target] = coeff
+                continue
+            if len(coeff.coeffs) > 1:
+                terms[target] = _trimmed_poly(
+                    {e + shift: c for e, c in coeff.coeffs.items()}
+                )
+                continue
+            ((e, c),) = coeff.coeffs.items()
+            e += shift
+        else:
+            if not all(acc.values()):
+                acc = {e: c for e, c in acc.items() if c}
+            if len(acc) != 1:
+                if acc:
+                    terms[target] = _trimmed_poly(acc)
+                continue
+            ((e, c),) = acc.items()
+        if (poly := monomials.get((e, c))) is None:
+            monomials[e, c] = poly = _trimmed_poly({e: c})
+        terms[target] = poly
     return _trimmed_vector(terms)
 
 
@@ -327,7 +358,7 @@ def f_action(m: int, vec: FockVector) -> FockVector:
     On a symbol it moves the bead m -> m+1 in every row where that is possible,
     the row-j term weighted by q to the sum of K_m-weights of the rows below j.
     """
-    return _lower(m, 1, vec, {})
+    return _lower(m, 1, vec, {}, {})
 
 
 def divided_power_f(m: int, mult: int, vec: FockVector) -> FockVector:
@@ -351,7 +382,7 @@ def divided_power_f(m: int, mult: int, vec: FockVector) -> FockVector:
     """
     if mult < 1:
         raise ValueError("divided power needs mult >= 1")
-    return _lower(m, mult, vec, {})
+    return _lower(m, mult, vec, {}, {})
 
 
 # Not called here, but tests use both and perfbench/tracing.py wraps crystal_f.
@@ -536,8 +567,11 @@ def canonical_basis(
     coefficient not in qZ[q] is cleared, highest-ranked violator first, with
     the bar-symmetric correction it determines.  A vector not yet built (a
     non-standard parent, or a violator not ranking strictly below the one
-    cleared before it, the first below sym) raises NonTerminating.  The
-    divided powers share one `_lower` row table per node for the build.
+    cleared before it, the first below sym) raises NonTerminating.  Each
+    correction round reads the vector once (`_violators`), and the round that
+    finds no violator checks it against the standard lattice.  The divided
+    powers share one `_lower` row table per node, and one table of monomial
+    coefficients, for the build.
     Symbols of equal rank are ordered by `rows`, and `reverse_ties` flips that
     tie-break; the result must not change.
     """
@@ -548,6 +582,7 @@ def canonical_basis(
     position = {sym: i for i, sym in enumerate(order)}
 
     tables: dict[int, dict] = {}  # node m -> the `_lower` row table at m
+    monomials: dict[tuple[int, int], LaurentPoly] = {}  # shared by every vector
     basis: dict[Symbol, FockVector] = {}
     for sym in order:
         step = _peel_step(sym)
@@ -559,15 +594,11 @@ def canonical_basis(
                 raise NonTerminating(
                     f"{sym!r} peels to {parent!r}, which is not a standard symbol"
                 )
-            cur = _lower(m, mult, basis[parent], tables.setdefault(m, {}))
+            cur = _lower(m, mult, basis[parent], tables.setdefault(m, {}), monomials)
             _check_leading_term(sym, cur)
 
         last = position[sym]
-        while violators := [
-            position[s]
-            for s, c in cur.terms.items()
-            if min(c.coeffs) < 1 and s != sym and s in position
-        ]:
+        while violators := _violators(sym, cur, position):
             i = max(violators)
             if i >= last:
                 raise NonTerminating(
@@ -577,33 +608,48 @@ def canonical_basis(
             last = i
             gamma = bar_symmetric_head(cur.coefficient(order[i]))
             cur = cur - basis[order[i]].scale(gamma)
-        _check_lattice(sym, cur)
         basis[sym] = cur
     return basis
 
 
-def _check_lattice(sym: Symbol, vec: FockVector) -> None:
-    """Raise LatticeViolation at the first coefficient off the standard lattice,
-    else warn PositivityWarning once if any coefficient is negative."""
+def _violators(sym: Symbol, vec: FockVector, position: dict[Symbol, int]) -> list[int]:
+    """The positions of the standard symbols other than sym whose coefficients
+    in vec lie outside qZ[q], read in one pass over vec.
+
+    When there are none, the same pass has checked vec against the standard
+    lattice: it raises LatticeViolation at the first coefficient off it, else
+    warns PositivityWarning once if any coefficient is negative.  Its
+    coefficient at sym must lie in 1 + qZ[q] and every other one in qZ[q].
+    """
+    violators = []
+    bad = None  # the first term off the lattice that no correction clears
     negative = False
     for s, c in vec.terms.items():
         coeffs = c.coeffs
-        # at sym: constant term 1 and the rest in qZ[q]; elsewhere: in qZ[q]
+        low = min(coeffs)
         if s == sym:
-            ok = coeffs.get(0) == 1 and min(coeffs) >= 0
-        else:
-            ok = min(coeffs) >= 1
-        if not ok:
-            raise LatticeViolation(
-                f"coefficient {c.text()} at {s!r} in the vector for {sym!r}"
-            )
+            if bad is None and (low < 0 or coeffs.get(0) != 1):
+                bad = s, c
+        elif low < 1:
+            if s in position:
+                violators.append(position[s])
+            elif bad is None:
+                bad = s, c
         negative = negative or min(coeffs.values()) < 0
+    if violators:
+        return violators
+    if bad is not None:
+        s, c = bad
+        raise LatticeViolation(
+            f"coefficient {c.text()} at {s!r} in the vector for {sym!r}"
+        )
     if negative:
         warnings.warn(
             f"canonical basis vector for {sym!r} has a negative coefficient",
             PositivityWarning,
             stacklevel=2,
         )
+    return violators
 
 
 def lm_constructible(

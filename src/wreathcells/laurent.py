@@ -3,6 +3,9 @@
 Rationals are plain `fractions.Fraction`s.  Laurent polynomials in q carry
 arbitrary-precision integer coefficients, stored sparsely with no zero
 entries; all operations return fresh values and never mutate their arguments.
+A `LaurentPoly` is never mutated once made, so one value may be shared by many
+vectors: a Fock-space build hands the same coefficient to every term that
+carries it.
 """
 
 from __future__ import annotations

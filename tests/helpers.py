@@ -16,13 +16,16 @@ the combinatorial description alone and never call the production pipeline,
 so they can serve as an oracle for it.
 
 `divided_power_oracle` is the oracle for the closed-form divided powers of
-`wreathcells.fock.divided_power_f`: it applies `f_action` k times and divides
-every coefficient by [k]! exactly.  `replayed_monomial` is the oracle for the
-monomials: it applies the whole peeling word to the highest-weight vector, one
-oracle divided power per factor.  `canonical_basis_from_monomials` is the
-oracle for `wreathcells.fock.canonical_basis`, which starts each vector from
-F_m^(k) applied to the vector of the peel parent: it starts each vector from
-its replayed monomial instead, in the same order with the same corrections.
+`wreathcells.fock.divided_power_f`: it applies `f_action_oracle` k times and
+divides every coefficient by [k]! exactly.  `f_action_oracle` moves one bead
+per term on the `row_*` helpers and sums fresh `LaurentPoly` products, so the
+oracle shares no coefficient and no table with `wreathcells.fock._lower`.
+`replayed_monomial` is the oracle for the monomials: it applies the whole
+peeling word to the highest-weight vector, one oracle divided power per
+factor.  `canonical_basis_from_monomials` is the oracle for
+`wreathcells.fock.canonical_basis`, which starts each vector from F_m^(k)
+applied to the vector of the peel parent: it starts each vector from its
+replayed monomial instead, in the same order with the same corrections.
 
 `render_basis` is the oracle for the `canonical-basis` listing, which makes
 each distinct row's text and sort key once: it renders every term on its own,
@@ -158,7 +161,6 @@ from wreathcells.fock import (
     _weights,
     canonical_basis,
     crystal_f,
-    f_action,
     lm_constructible,
     lt_monomial,
     symbol_sort_key,
@@ -553,9 +555,9 @@ def recursive_tableau_count(shape) -> int:
 
 
 def divided_power_oracle(m: int, k: int, vec: FockVector) -> FockVector:
-    """F_m^k vec / [k]!: k applications of f_action, then exact division."""
+    """F_m^k vec / [k]!: k applications of F_m, then exact division."""
     for _ in range(k):
-        vec = f_action(m, vec)
+        vec = f_action_oracle(m, vec)
     denom = q_factorial(k)
     return FockVector({s: c.exact_div(denom) for s, c in vec.terms.items()})
 
@@ -830,6 +832,24 @@ def height2_characters(charges) -> dict[Symbol, CharacterSum]:
             counts[sym.rows] = coeff
         out[sigma] = CharacterSum.from_counts(counts)
     return out
+
+
+def f_action_oracle(m: int, vec: FockVector) -> FockVector:
+    """Chevalley lowering operator F_m, one row move at a time.
+
+    Delta(F) = F (x) K + 1 (x) F, so the term that lowers row j is weighted
+    by q to the sum of the K_m-weights of the rows after j.
+    """
+    out: dict[Symbol, LaurentPoly] = {}
+    for sym, coeff in vec.terms.items():
+        for j, (r, parts) in enumerate(zip(sym.charges, sym.rows)):
+            if row_eps(r, parts, m) == 1:
+                later = zip(sym.charges[j + 1 :], sym.rows[j + 1 :])
+                after = sum(row_eps(*row, m) for row in later)
+                rows = sym.rows[:j] + (row_move_up(r, parts, m),) + sym.rows[j + 1 :]
+                target = Symbol(sym.charges, rows)
+                out[target] = out.get(target, LaurentPoly()) + coeff * q(after)
+    return FockVector(out)
 
 
 def e_action(m: int, vec: FockVector) -> FockVector:

@@ -234,6 +234,7 @@ COMMANDS = [
     (["canonical-basis", "--r=1,1,0", "--n", "4"], 0),
     (["canonical-basis", "--r=0,0,0", "--n", "4"], 0),
     (["canonical-basis", "--r=3,1,0", "--n", "4"], 0),
+    (["canonical-basis", "--r=2,1,1,0", "--n", "4"], 0),  # q+q^3 at 1|1|1|1
     (["lm-cells", "--r=1,1,0,0", "--n", "5"], 0),  # the LM entry at d = 4
     (["standard-symbols", "--r=2,1,0", "--n", "5"], 0),
     (["standard-symbols", "--r=9,0", "--n", "6"], 0),  # a gap larger than n
@@ -409,7 +410,9 @@ def test_cli_main_builds_one_subparser(argv, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "charges, n", [((1, 1, 0), 5), ((0, 0, 0), 4), ((3, 1, 0), 4), ((2,), 4)]
+    "charges, n",
+    # b(∅|∅|2|2) at r = 2,1,1,0 has q+q^3 at 1|1|1|1, beside the monomials q and q^3
+    [((1, 1, 0), 5), ((0, 0, 0), 4), ((3, 1, 0), 4), ((2,), 4), ((2, 1, 1, 0), 4)],
 )
 def test_canonical_basis_listing_matches_term_by_term_rendering(charges, n, capsys):
     expected = render_basis(canonical_basis(charges, n))

@@ -279,6 +279,77 @@ def test_divided_power_matches_oracle(case):
     assert divided_power_f(m, k, v) == divided_power_oracle(m, k, v)
 
 
+@st.composite
+def shared_target_cases(draw):
+    """(m, k, vec, cancelled): targets of F_m^(k) vec reached from several
+    terms of vec, and from one.
+
+    vec holds F_m^(j) of one symbol s with at least j + k rows lowerable at m,
+    so each of their targets is reached from C(j + k, j) >= 2 of its terms,
+    plus up to four symbols of another height, whose targets are mostly
+    reached once.  Each coefficient is a monomial or has two or three terms,
+    with integer coefficients in -3..3 other than 0.  When `cancelled` is a
+    symbol, the coefficients of the terms reaching it were drawn to sum to
+    zero there.
+    """
+    d = draw(st.integers(2, 4))
+    charges = tuple(
+        sorted(draw(st.lists(st.integers(-1, 1), min_size=d, max_size=d)), reverse=True)
+    )
+    pool = [
+        symbol_from_dpartition(dp, charges)
+        for h in range(4)
+        for dp in enumerate_dpartitions(d, h)
+    ]
+    cases = []
+    for s in pool:
+        if s.height < 3:
+            for m in candidate_nodes(s):
+                lowerable = sum(row_eps(r, p, m) == 1 for r, p in zip(*s))
+                if lowerable >= 2:
+                    cases.append((s, m, lowerable))
+    s, m, lowerable = draw(st.sampled_from(cases))
+    j = draw(st.integers(1, lowerable - 1))
+    k = draw(st.integers(1, lowerable - j))
+    sources = sorted(divided_power_oracle(m, j, FockVector.unit(s)).terms)
+    nonzero = st.integers(-3, 3).filter(bool)
+    coeff = st.one_of(
+        st.builds(lambda e, c: LaurentPoly({e: c}), st.integers(-2, 2), nonzero),
+        st.dictionaries(st.integers(-2, 2), nonzero, min_size=2, max_size=3).map(
+            LaurentPoly
+        ),
+    )
+    terms = {src: draw(coeff) for src in sources}
+    others = [o for o in pool if o.height != s.height + j]
+    terms.update(draw(st.lists(st.tuples(st.sampled_from(others), coeff), max_size=4)))
+    cancelled = None
+    if draw(st.booleans()):
+        targets = divided_power_oracle(m, j + k, FockVector.unit(s)).terms
+        cancelled = draw(st.sampled_from(sorted(targets)))
+        # the weight q^x of each source at the target; the last source's
+        # coefficient cancels the others' sum there
+        weights = [
+            divided_power_oracle(m, k, FockVector.unit(src)).coefficient(cancelled)
+            for src in sources
+        ]
+        reaching = [(src, w) for src, w in zip(sources, weights) if w]
+        (last, w_last), rest = reaching[-1], reaching[:-1]
+        total = sum((terms[src] * w for src, w in rest), LaurentPoly())
+        terms[last] = (-total).exact_div(w_last)
+    return m, k, FockVector(terms), cancelled
+
+
+@settings(deadline=None, max_examples=200)
+@given(shared_target_cases())
+def test_divided_power_on_shared_targets_matches_oracle(case):
+    # a target reached once takes its source's coefficient, shared or shifted;
+    # one reached twice sums its sources' coefficients, and a zero sum drops it
+    m, k, v, cancelled = case
+    out = divided_power_f(m, k, v)
+    assert out == divided_power_oracle(m, k, v)
+    assert cancelled not in out.terms
+
+
 # Vectors whose rows repeat: equal partitions under different charges are
 # different rows, and equal rows under equal charges share their bead move.
 ROW_SHARING_VECTORS = [
@@ -712,13 +783,35 @@ def test_one_divided_power_per_standard_symbol(monkeypatch):
     calls = []
     lower = fock._lower
 
-    def counted(m, mult, v, table):
+    def counted(m, *args):
         calls.append(m)
-        return lower(m, mult, v, table)
+        return lower(m, *args)
 
     monkeypatch.setattr(fock, "_lower", counted)
     basis = canonical_basis((1, 1, 0), 6)
     assert len(calls) == len(basis) - 1  # every symbol but the highest weight
+
+
+def _coefficient_values(basis):
+    return {
+        sym: {s: dict(c.coeffs) for s, c in v.terms.items()} for sym, v in basis.items()
+    }
+
+
+def test_no_build_mutates_a_shared_coefficient():
+    # the vectors of a build share their coefficients with each other and with
+    # what is later lowered from them, so nothing may change one once made
+    basis = canonical_basis((1, 1, 0), 5)
+    snapshot = _coefficient_values(basis)
+    canonical_basis((1, 1, 0), 5)
+    lm_constructible((1, 1, 0), (4, 5))
+    canonical_basis((2, 1, 0), 4)  # one correction step
+    for v in basis.values():
+        for m in sorted({m for s in v.terms for m in candidate_nodes(s)}):
+            for k in (1, 2):
+                divided_power_f(m, k, v)
+        v + v - v.scale(q())
+    assert _coefficient_values(basis) == snapshot
 
 
 def test_builds_share_no_row_table():
@@ -735,13 +828,32 @@ def test_builds_share_no_row_table():
     assert divided_power_f(0, 2, start) == before == divided_power_oracle(0, 2, start)
 
 
+def test_builds_share_no_monomial_table():
+    # each build and each divided power makes its own shared monomials, so no
+    # coefficient one of them made turns up in another, even at the same point
+    def made(vectors, given=()):
+        return {id(c) for v in vectors for c in v.terms.values()} - set(given)
+
+    first = canonical_basis((1, 1, 0), 4)
+    for charges, n in [((1, 1, 0), 4), ((2, 0, 0), 4)]:
+        other = canonical_basis(charges, n)
+        assert made(first.values()).isdisjoint(made(other.values()))
+    top = FockVector.unit(highest_weight_symbol((1, 1, 0)))
+    start = divided_power_oracle(1, 2, top)
+    given = made([start])
+    for lower in (f_action, lambda m, v: divided_power_f(m, 2, v)):
+        a, b = lower(0, start), lower(0, start)
+        assert a == b and made([a], given)
+        assert made([a], given).isdisjoint(made([b], given))
+
+
 def test_lattice_violation_is_raised():
     s = sym((1, 0), (1,), ())
     t = sym((1, 0), (), (1,))
     with pytest.raises(LatticeViolation):
-        fock._check_lattice(s, FockVector({s: one(), t: one()}))
+        fock._violators(s, FockVector({s: one(), t: one()}), {})
     with pytest.raises(LatticeViolation):
-        fock._check_lattice(s, FockVector({s: q()}))
+        fock._violators(s, FockVector({s: q()}), {})
 
 
 def test_positivity_warning_fires_once_on_a_negative_coefficient():
@@ -755,26 +867,72 @@ def test_positivity_warning_fires_once_on_a_negative_coefficient():
     ):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            fock._check_lattice(s, v)
+            assert fock._violators(s, v, {}) == []
         assert [w.category for w in caught] == [PositivityWarning]
         assert f"vector for {s!r} has a negative coefficient" in str(caught[0].message)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        fock._check_lattice(s, FockVector({s: one(), t: q()}))
+        assert fock._violators(s, FockVector({s: one(), t: q()}), {}) == []
         # a coefficient off the lattice raises before anything is warned
         with pytest.raises(LatticeViolation):
-            fock._check_lattice(s, FockVector({s: one(), t: LaurentPoly({0: -1})}))
+            fock._violators(s, FockVector({s: one(), t: LaurentPoly({0: -1})}), {})
+
+
+# At r = (1, 0), n = 1 the build makes b(1|∅) at node 1, then b(∅|1) at node 0,
+# whose standard terms other than itself may only be q times 1|∅; 1.1|∅ is not
+# standard.  These tests hand the build its start vectors by node.
+S10, T10, U10 = sym((1, 0), (), (1,)), sym((1, 0), (1,), ()), sym((1, 0), (1, 1), ())
+
+
+def test_lattice_violation_after_a_correction_step(monkeypatch):
+    # 1.1|∅ is on the lattice in the start for ∅|1; clearing 1|∅ with
+    # q^-1 + q times b(1|∅) moves it off: q - q(q^-1 + q) = -1 + q - q^2
+    starts = {1: vec({T10: "1", U10: "q"}), 0: vec({S10: "1", T10: "q^-1", U10: "q"})}
+    monkeypatch.setattr(fock, "_lower", lambda m, *args: starts[m])
+    heads = []
+    head = fock.bar_symmetric_head
+
+    def counted(p):
+        heads.append(p)
+        return head(p)
+
+    monkeypatch.setattr(fock, "bar_symmetric_head", counted)
+    with pytest.raises(LatticeViolation) as raised:
+        canonical_basis((1, 0), 1)
+    message = f"coefficient -1+q-q^2 at {U10!r} in the vector for {S10!r}"
+    assert str(raised.value) == message
+    assert heads == [q(-1)]
+
+
+@pytest.mark.parametrize(
+    "terms, at",
+    [
+        ({S10: "q^-1+1", T10: "q"}, S10),
+        ({S10: "q^-1+1", U10: "1"}, S10),  # the first term off the lattice raises
+        ({U10: "1", S10: "q^-1+1"}, U10),
+    ],
+    ids=["own", "own-first", "own-second"],
+)
+def test_lattice_violation_at_the_vectors_own_symbol(monkeypatch, terms, at):
+    # the coefficient at the vector's own symbol must lie in 1 + qZ[q]
+    starts = {1: vec({T10: "1"}), 0: vec(terms)}
+    monkeypatch.setattr(fock, "_lower", lambda m, *args: starts[m])
+    with pytest.raises(LatticeViolation) as raised:
+        canonical_basis((1, 0), 1)
+    coeff = parse_laurent(terms[at]).text()
+    message = f"coefficient {coeff} at {at!r} in the vector for {S10!r}"
+    assert str(raised.value) == message
 
 
 def test_lattice_violation_survives_optimize():
     # `python -O` strips asserts, so the lattice check must not be one
     script = textwrap.dedent(
         """
-        from wreathcells.fock import FockVector, LatticeViolation, Symbol, _check_lattice
+        from wreathcells.fock import FockVector, LatticeViolation, Symbol, _violators
         from wreathcells.laurent import one
         s, t = Symbol((1, 0), ((1,), ())), Symbol((1, 0), ((), (1,)))
         try:
-            _check_lattice(s, FockVector({s: one(), t: one()}))
+            _violators(s, FockVector({s: one(), t: one()}), {})
         except LatticeViolation:
             raise SystemExit(0)
         raise SystemExit(1)
