@@ -51,13 +51,12 @@ from .combinatorics import (
     dpartition_components,
     enumerate_dpartitions,
     parse_dpartition,
-    partition_sort_key,
-    partition_text,
     standard_tableaux,
 )
 from .conjecture import check_conjecture, params_from_r
 from .fock import (
     NegativeMultiplicity,
+    Symbol,
     canonical_basis,
     enumerate_standard_symbols,
     lm_constructible,
@@ -415,16 +414,11 @@ class _Characters:
 def _cmd_canonical_basis(args) -> int:
     charges = _charges_from_args(args)
     basis = canonical_basis(charges, args.n)
-    # A listing repeats few distinct rows and coefficients, so each row's text
-    # and sort key, each symbol's sort key and each coefficient's text is made
-    # once; a symbol's text and key are assembled from its rows'.  A
+    # A listing repeats few distinct symbols and coefficients, so each
+    # symbol's sort key and each coefficient's text is made once.  A
     # coefficient is keyed by its whole value, its (exponent, integer) pairs.
-    row_text, row_key = _PerValue(partition_text), _PerValue(partition_sort_key)
-    key = _PerValue(lambda sym: tuple(map(row_key.__getitem__, sym.rows)))
+    key = _PerValue(symbol_sort_key)
     coeff_text = _PerValue(lambda pairs: LaurentPoly(dict(pairs)).text())
-
-    def text(sym):
-        return "|".join(map(row_text.__getitem__, sym.rows))
 
     def listing(name, coeff):
         """(name of symbol, [(name of term, coeff of its coefficient's pairs)])
@@ -441,7 +435,7 @@ def _cmd_canonical_basis(args) -> int:
     if args.format == "json":
         # each distinct symbol is quoted once; a basis vector is a dict at
         # depth 2 and each of its terms a dict at depth 4
-        quoted = _PerValue(lambda sym: _quote(text(sym)))
+        quoted = _PerValue(lambda sym: _quote(sym.text()))
         quoted_coeff = _PerValue(lambda pairs: _quote(coeff_text[pairs]))
         vector = '{\n      "symbol": %s,\n      "terms": [\n        %s\n      ]\n    }'
         term = '{\n          "symbol": %s,\n          "coeff": %s\n        }'
@@ -456,7 +450,7 @@ def _cmd_canonical_basis(args) -> int:
             args,
             (
                 f"{sym} : " + " + ".join(f"({c})[{s}]" for s, c in terms)
-                for sym, terms in listing(text, coeff_text.__getitem__)
+                for sym, terms in listing(Symbol.text, coeff_text.__getitem__)
             ),
         )
     return 0

@@ -9,6 +9,10 @@ Enumeration orders are fixed so that outputs are reproducible byte for byte:
 partitions of n are listed largest part first, ending at (1,...,1), and
 d-partitions are ordered by decreasing size of component 1, then the partition
 order on component 1, then recursively on the remaining components.
+
+A row's text (`partition_text`) and sort key (`partition_sort_key`) are made
+once per distinct partition for the whole process, and every text and key of
+a tuple of partitions is assembled from these shared row pieces.
 """
 
 from __future__ import annotations
@@ -55,8 +59,10 @@ def content(box: BoxCoord) -> int:
     return box.col - box.row
 
 
+@lru_cache(maxsize=None)
 def partition_text(parts: Partition) -> str:
-    """One component's text: parts joined by '.', the empty partition as '∅'."""
+    """One component's text: parts joined by '.', the empty partition as '∅'.
+    Made once per distinct partition."""
     return ".".join(map(str, parts)) if parts else "∅"
 
 
@@ -85,9 +91,10 @@ def parse_dpartition(text: str) -> tuple[Partition, ...]:
     return tuple(comps)
 
 
+@lru_cache(maxsize=None)
 def partition_sort_key(parts: Partition):
     """One component's place in `components_sort_key`: bigger first, then
-    larger parts first."""
+    larger parts first.  Made once per distinct partition."""
     return -sum(parts), tuple(-p for p in parts)
 
 

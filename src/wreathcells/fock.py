@@ -133,6 +133,8 @@ class Symbol(_SymbolFields):
         )
 
     def text(self) -> str:
+        """The rows' texts joined by '|', each row's text made once per
+        distinct partition (`components_text`)."""
         return components_text(self.rows)
 
     def __repr__(self):
@@ -153,6 +155,8 @@ def highest_weight_symbol(charges: tuple[int, ...]) -> Symbol:
 
 
 def symbol_sort_key(sym: Symbol):
+    """The rows' sort keys in order, each row's key made once per distinct
+    partition (`components_sort_key`)."""
     return components_sort_key(sym.rows)
 
 
@@ -221,21 +225,27 @@ class FockVector:
         return not self.terms
 
     def coefficient(self, sym: Symbol) -> LaurentPoly:
-        return self.terms.get(sym, zero())
+        """The stored coefficient at sym, or a new zero when sym is absent."""
+        c = self.terms.get(sym)
+        return zero() if c is None else c
 
     def support(self) -> tuple[Symbol, ...]:
+        """The symbols in the order of `symbol_sort_key`, whose row keys are
+        made once per distinct partition."""
         return tuple(sorted(self.terms, key=symbol_sort_key))
 
     def __add__(self, other: "FockVector") -> "FockVector":
         out = dict(self.terms)
         for sym, poly in other.terms.items():
-            out[sym] = out.get(sym, zero()) + poly
+            c = out.get(sym)
+            out[sym] = (zero() if c is None else c) + poly
         return FockVector(out)
 
     def __sub__(self, other: "FockVector") -> "FockVector":
         out = dict(self.terms)
         for sym, poly in other.terms.items():
-            out[sym] = out.get(sym, zero()) - poly
+            c = out.get(sym)
+            out[sym] = (zero() if c is None else c) - poly
         return FockVector(out)
 
     def scale(self, poly: LaurentPoly) -> "FockVector":
@@ -576,9 +586,10 @@ def canonical_basis(
     tie-break; the result must not change.
     """
     component = enumerate_standard_symbols(charges, n)
-    # By height, then rank; equal ranks by rows (a stable sort keeps the tie-break).
+    # By height (the sum of the rank), then rank; equal ranks by rows (a stable
+    # sort keeps the tie-break).
     order = sorted(component.all_symbols(), key=lambda s: s.rows, reverse=reverse_ties)
-    order.sort(key=lambda s: (s.height, _rank(s)))
+    order.sort(key=lambda s: (sum(r := _rank(s)), r))
     position = {sym: i for i, sym in enumerate(order)}
 
     tables: dict[int, dict] = {}  # node m -> the `_lower` row table at m

@@ -27,9 +27,10 @@ factor.  `canonical_basis_from_monomials` is the oracle for
 applied to the vector of the peel parent: it starts each vector from its
 replayed monomial instead, in the same order with the same corrections.
 
-`render_basis` is the oracle for the `canonical-basis` listing, which makes
-each distinct row's text and sort key once: it renders every term on its own,
-with `FockVector.support`, `Symbol.text` and `LaurentPoly.text`.
+`render_basis` is the oracle for the `canonical-basis` listing, whose rows'
+texts and sort keys are made once per distinct partition for the process: it
+renders every term on its own, with its own row text and sort key and
+`LaurentPoly.text`.
 
 `jm_cells_json_obj` is the oracle for the `jm-cells --format json` listing,
 which writes each cell as one join of fragments encoded once per distinct
@@ -163,7 +164,6 @@ from wreathcells.fock import (
     crystal_f,
     lm_constructible,
     lt_monomial,
-    symbol_sort_key,
 )
 from wreathcells.gd12 import cm_cells_n2, cm_cells_n2_family
 from wreathcells.jucys_murphy import jm_cellular_characters
@@ -602,14 +602,25 @@ def canonical_basis_from_monomials(
 
 
 def render_basis(basis: dict[Symbol, FockVector]) -> list[dict]:
-    """The `basis` entry of `canonical-basis --format json`, term by term."""
-    ordered = sorted(basis, key=lambda s: (s.height, symbol_sort_key(s)))
+    """The `basis` entry of `canonical-basis --format json`, term by term.
+
+    Each row's text and sort key are written out here, so the oracle shares
+    nothing with the library's `partition_text` and `partition_sort_key`.
+    """
+
+    def text(sym):
+        return "|".join(".".join(map(str, p)) if p else "∅" for p in sym.rows)
+
+    def key(sym):
+        return tuple((-sum(p), tuple(-x for x in p)) for p in sym.rows)
+
+    ordered = sorted(basis, key=lambda s: (sum(map(sum, s.rows)), key(s)))
     return [
         {
-            "symbol": sym.text(),
+            "symbol": text(sym),
             "terms": [
-                {"symbol": s.text(), "coeff": basis[sym].coefficient(s).text()}
-                for s in basis[sym].support()
+                {"symbol": text(s), "coeff": basis[sym].terms[s].text()}
+                for s in sorted(basis[sym].terms, key=key)
             ],
         }
         for sym in ordered

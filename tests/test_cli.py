@@ -24,9 +24,13 @@ from hypothesis import strategies as st
 
 import wreathcells.cli as cli
 from wreathcells.cli import _json_text, cli_main
-from wreathcells.combinatorics import enumerate_dpartitions
+from wreathcells.combinatorics import (
+    enumerate_dpartitions,
+    partition_sort_key,
+    partition_text,
+)
 from wreathcells.conjecture import params_from_r
-from wreathcells.fock import canonical_basis, lm_constructible, symbol_sort_key
+from wreathcells.fock import Symbol, canonical_basis, lm_constructible, symbol_sort_key
 from wreathcells.gd12 import sim_classes
 from wreathcells.jucys_murphy import CMParams, jm_cellular_characters
 
@@ -427,6 +431,47 @@ def test_canonical_basis_listing_matches_term_by_term_rendering(charges, n, caps
     assert cli_main([*argv, "--format", "json"]) == 0
     obj = {"charges": list(charges), "max_height": n, "basis": expected}
     assert capsys.readouterr().out == json.dumps(obj, indent=2) + "\n"
+
+
+BASIS_ARGV = ["canonical-basis", "--r=1,1,0", "--n", "10"]
+
+
+def test_heights_are_read_at_most_once_per_symbol(monkeypatch, capsys):
+    # canonical_basis orders by the sum of each symbol's rank; lm_constructible
+    # and the listing read each symbol's height once, for its layer or its key
+    calls = []
+    height = Symbol.height
+    monkeypatch.setattr(
+        Symbol, "height", property(lambda s: calls.append(s) or height.fget(s))
+    )
+    basis = canonical_basis((1, 1, 0), 10)
+    assert calls == []
+    for run in (
+        lambda: lm_constructible((1, 1, 0), (9, 10)),
+        lambda: cli_main(BASIS_ARGV),
+        lambda: cli_main([*BASIS_ARGV, "--format", "json"]),
+    ):
+        calls.clear()
+        run()
+        capsys.readouterr()
+        assert set(calls) <= basis.keys()
+        assert max(Counter(calls).values()) == 1
+
+
+def test_row_memo_grows_with_distinct_rows_not_symbols(capsys):
+    # one entry per distinct partition: a memo keyed by symbol would hold
+    # thousands, one per symbol listed
+    basis = canonical_basis((1, 1, 0), 10)
+    rows = {p for sym, vec in basis.items() for s in (sym, *vec.terms) for p in s.rows}
+    symbols = {s for sym, vec in basis.items() for s in (sym, *vec.terms)}
+    assert len(symbols) > 10 * len(rows)
+    for memo in (partition_text, partition_sort_key):
+        memo.cache_clear()
+    for argv in (BASIS_ARGV, [*BASIS_ARGV, "--format", "json"]):
+        assert cli_main(argv) == 0
+        capsys.readouterr()
+        for memo in (partition_text, partition_sort_key):
+            assert 0 < memo.cache_info().currsize <= len(rows)
 
 
 def test_text_lines_are_written_as_they_are_made(monkeypatch):

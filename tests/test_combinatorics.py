@@ -19,6 +19,9 @@ from wreathcells.combinatorics import (
     dpartition_components,
     enumerate_dpartitions,
     parse_dpartition,
+    partition_sort_key,
+    partition_text,
+    partitions,
     removable_boxes,
     standard_tableaux,
     tableau_count,
@@ -84,6 +87,22 @@ def test_enumerate_is_the_cached_tuple_of_the_components():
     for d, n in (0, 1), (2, -1):
         with pytest.raises(ValueError, match="must be"):
             enumerate_dpartitions(d, n)
+
+
+def test_row_memo_matches_its_definition():
+    # the memo is shared by every caller in the process, so what it hands out
+    # must equal the plain definition and be immutable
+    for n in range(11):
+        for parts in partitions(n):
+            text = partition_text(parts)
+            assert text == partition_text.__wrapped__(parts)
+            assert type(text) is str and partition_text(parts) is text
+            key = partition_sort_key(parts)
+            assert key == partition_sort_key.__wrapped__(parts)
+            size, negated = key
+            assert type(key) is tuple and type(size) is int
+            assert type(negated) is tuple and all(type(p) is int for p in negated)
+            assert partition_sort_key(parts) is key
 
 
 def test_removable_single_row():

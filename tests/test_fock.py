@@ -847,6 +847,21 @@ def test_builds_share_no_monomial_table():
         assert made([a], given).isdisjoint(made([b], given))
 
 
+def test_coefficient_builds_a_zero_only_for_a_missing_term(monkeypatch):
+    s, t = sym((1, 0), (1,), ()), sym((1, 0), (), (1,))
+    c = q() + one()
+    v = FockVector({s: c})
+    made = []
+    monkeypatch.setattr(fock, "zero", lambda: made.append(1) or LaurentPoly({}))
+    assert v.coefficient(s) is c
+    assert (v + v).terms == {s: c + c} and (v - v).is_zero()
+    assert made == []
+    assert v.coefficient(t).is_zero()
+    assert (v + FockVector({t: c})).terms == {s: c, t: c}
+    assert (v - FockVector({t: c})).terms == {s: c, t: -c}
+    assert len(made) == 3
+
+
 def test_lattice_violation_is_raised():
     s = sym((1, 0), (1,), ())
     t = sym((1, 0), (), (1,))
