@@ -4,7 +4,10 @@ Exit codes: 0 on success, 1 when `check` finds unequal character sets or
 `gaudin-verify` finds a nonzero residual, 2 on usage errors and when --out or
 stdout cannot be written (its reader has gone, say), 3 on an internal
 error (any other exception, `NegativeMultiplicity` and `MalformedCharacter`
-among them; its traceback goes to stderr).  All output is deterministic.
+among them; its traceback goes to stderr).  Every usage error is found before
+anything is written, so once a listing has begun, a ValueError is an internal
+error too, and exit 2 then means only that the destination failed.  All
+output is deterministic.
 Text is written line by line as it is made.  `--format json` mirrors the text
 tables and is exactly `json.dumps(obj, indent=2)`, non-ASCII escaped, from a
 private encoder that accepts only dicts with str keys, lists, str, int, bool
@@ -48,9 +51,9 @@ from .combinatorics import (
     IdCounts,
     MalformedCharacter,
     components_text,
-    dpartition_components,
     enumerate_dpartitions,
     parse_dpartition,
+    shape_index,
     standard_tableaux,
 )
 from .conjecture import check_conjecture, params_from_r
@@ -190,13 +193,19 @@ def _write_lazy(value, depth: int, write) -> None:
     write(f"\n{'  ' * depth}{close}" if sep[0] == "," else open_ + close)
 
 
+class _PartWay(Exception):
+    """A ValueError raised while a listing is written: an internal error,
+    since every usage error is found before anything is written."""
+
+
 @contextmanager
 def _destination(args):
     """--out opened for writing, or stdout; failing to write either is a usage error.
 
     Listings are written through it as they are made, so a crash part-way
-    leaves what was written so far.  A stdout that fails (its reader has
-    gone) is pointed at os.devnull, so the interpreter's last flush passes.
+    leaves what was written so far; a ValueError raised there is re-raised
+    as `_PartWay`.  A stdout that fails (its reader has gone) is pointed at
+    os.devnull, so the interpreter's last flush passes.
     """
     if not args.out:
         try:
@@ -206,12 +215,16 @@ def _destination(args):
             with open(os.devnull, "w") as devnull:
                 os.dup2(devnull.fileno(), sys.stdout.fileno())
             raise UsageError(f"cannot write stdout: {exc.strerror}") from exc
+        except ValueError as exc:
+            raise _PartWay from exc
         return
     try:
         with open(args.out, "w", encoding="utf-8") as handle:
             yield handle
     except OSError as exc:
         raise UsageError(f"cannot write --out {args.out}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise _PartWay from exc
 
 
 def _emit_json(args, obj) -> None:
@@ -362,9 +375,8 @@ class _PerValue(dict):
 
 class _Characters:
     """Text and JSON of characters of size n, given as ``IdCounts`` over the
-    listing's shapes, the d-partitions of n as ``dpartition_components(d, n)``
-    makes them (tuples of partitions, in the order of
-    ``enumerate_dpartitions(d, n)``), kept for this listing alone.
+    d-partitions of n, the keys of the process's one ``shape_index(d, n)``
+    in id order (tuples of partitions).
 
     ``text(ids)`` joins the character's terms, ``m*shape`` or ``shape``
     when m = 1, with " + " ("0" when there are none), and ``json(ids,
@@ -379,7 +391,7 @@ class _Characters:
     __slots__ = ("count", "texts", "keys")
 
     def __init__(self, d: int, n: int):
-        shapes = tuple(dpartition_components(d, n))
+        shapes = tuple(shape_index(d, n))
         self.count = len(shapes)
         self.texts = _PerValue(lambda i: components_text(shapes[i]))
         self.keys = _PerValue(lambda i: _quote(self.texts[i]))
@@ -715,6 +727,8 @@ def cli_main(argv=None) -> int:
         if out and not os.path.isdir(os.path.dirname(out) or "."):
             raise UsageError(f"cannot write --out {out}: no such directory")
         return args.func(args)
+    except _PartWay as exc:
+        return _internal_error(exc.__cause__)
     except ValueError as exc:
         if isinstance(exc, (NegativeMultiplicity, MalformedCharacter)):
             # a character that breaks its invariants is a bug, not bad input
@@ -727,7 +741,7 @@ def cli_main(argv=None) -> int:
 
 
 def _internal_error(exc: Exception) -> int:
-    traceback.print_exc()
+    traceback.print_exception(type(exc), exc, exc.__traceback__)
     print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
     return 3
 

@@ -8,7 +8,10 @@ triple (row, col, comp), all 1-based; components of a d-partition are indexed
 Enumeration orders are fixed so that outputs are reproducible byte for byte:
 partitions of n are listed largest part first, ending at (1,...,1), and
 d-partitions are ordered by decreasing size of component 1, then the partition
-order on component 1, then recursively on the remaining components.
+order on component 1, then recursively on the remaining components.  The
+d-partitions of n are enumerated in one place, `shape_index(d, n)`: a
+read-only table of each to its id, built once per (d, n) for the whole
+process, whose keys `enumerate_dpartitions` lists.
 
 A row's text (`partition_text`) and sort key (`partition_sort_key`) are made
 once per distinct partition for the whole process, and every text and key of
@@ -18,9 +21,11 @@ a tuple of partitions is assembled from these shared row pieces.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from types import MappingProxyType
+from typing import NamedTuple
 
 Partition = tuple[int, ...]
 
@@ -104,45 +109,47 @@ def components_sort_key(components: tuple[Partition, ...]):
     return tuple(map(partition_sort_key, components))
 
 
-@lru_cache(maxsize=None)
 def enumerate_dpartitions(d: int, n: int) -> tuple[tuple[Partition, ...], ...]:
-    """All d-partitions of n, in the documented deterministic order."""
+    """All d-partitions of n, in the documented deterministic order: the keys
+    of `shape_index(d, n)`, which validates and caches."""
+    return tuple(shape_index(d, n))
+
+
+@lru_cache(maxsize=None)
+def shape_index(d: int, n: int) -> Mapping[tuple[Partition, ...], int]:
+    """Each d-partition of n, mapped to its id: the one table of
+    d-partitions, whose ids are the shape ids of ``IdCounts``.
+
+    It is built once per (d, n) for the whole process, and the keys come in
+    id order (the documented order), so the JM move table iterates them as
+    the shapes of size n and looks up grown components in the next size's
+    table.  A table is read-only, since every caller shares it.  It is built
+    from ``partitions`` of each first component's size and the cached
+    table of the remaining d - 1 components.  d < 1 or n < 0 raises
+    ValueError.
+
+    >>> dict(shape_index(2, 1))
+    {((1,), ()): 0, ((), (1,)): 1}
+    >>> shape_index(2, 1) is shape_index(2, 1)
+    True
+    >>> shape_index(2, 1)[((), (1,))] = 0
+    Traceback (most recent call last):
+    TypeError: 'mappingproxy' object does not support item assignment
+    """
     if d < 1:
         raise ValueError("d must be positive")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return tuple(dpartition_components(d, n))
-
-
-def dpartition_components(d: int, n: int) -> Iterator[tuple[Partition, ...]]:
-    """Every d-partition of n, in `enumerate_dpartitions` order, made as it
-    is asked for: nothing is validated or kept."""
     if d == 1:
-        for lam in partitions(n):
-            yield (lam,)
-        return
-    for first_size in range(n, -1, -1):
-        for lam in partitions(first_size):
-            for rest in dpartition_components(d - 1, n - first_size):
-                yield (lam,) + rest
-
-
-def shape_index(d: int, n: int) -> dict[tuple[Partition, ...], int]:
-    """Each d-partition of n, mapped to its index in
-    `enumerate_dpartitions(d, n)`: the shape ids of ``IdCounts``.
-
-    Nothing is validated, and the keys come in id order, so the JM move
-    table iterates them as the shapes of size n and looks up grown
-    components in the next size's index.
-
-    >>> shape_index(2, 0)
-    {((), ()): 0}
-    >>> def inverse(d, n):
-    ...     return {dp: i for i, dp in enumerate(enumerate_dpartitions(d, n))}
-    >>> all(shape_index(d, n) == inverse(d, n) for d in range(1, 5) for n in range(7))
-    True
-    """
-    return {comps: i for i, comps in enumerate(dpartition_components(d, n))}
+        shapes = ((lam,) for lam in partitions(n))
+    else:
+        shapes = (
+            (lam,) + rest
+            for size in range(n, -1, -1)
+            for lam in partitions(size)
+            for rest in shape_index(d - 1, n - size)
+        )
+    return MappingProxyType({comps: i for i, comps in enumerate(shapes)})
 
 
 def removable_boxes(dp: tuple[Partition, ...]) -> tuple[BoxCoord, ...]:

@@ -10,11 +10,23 @@ carries it.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse an integer literal or "p/q" into an exact rational."""
+    """Parse an integer literal or "p/q" into an exact rational.
+
+    Only an optional sign and decimal digits, with an optional "/" and
+    digits, are read, spaces around them allowed; any other form, a decimal
+    point or an exponent among them, is a ValueError, as is a zero
+    denominator.
+    """
+    if _RATIONAL.fullmatch(text.strip()) is None:
+        raise ValueError(f"not an integer or p/q: {text!r}")
     try:
         return Fraction(text.strip())
     except ZeroDivisionError as exc:

@@ -152,7 +152,6 @@ from wreathcells.combinatorics import (
     IdCounts,
     components_sort_key,
     components_text,
-    dpartition_components,
     remove_box,
     shape_index,
 )
@@ -726,7 +725,7 @@ def filtered_standard_symbols(
     return tuple(
         frozenset(
             Symbol(charges, rows)
-            for rows in dpartition_components(len(charges), h)
+            for rows in enumerate_dpartitions(len(charges), h)
             if all(
                 len(up) <= len(low) + g and all(p <= q for p, q in zip(up[g:], low))
                 for up, low, g in zip(rows, rows[1:], gaps)

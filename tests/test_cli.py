@@ -196,6 +196,37 @@ def test_a_crash_inside_a_lazy_array_leaves_a_truncated_document(monkeypatch, ca
     assert next(cells) == {"c": 2}  # nothing was pulled past the crash
 
 
+@pytest.mark.parametrize(
+    "fmt, written",
+    [
+        (
+            "text",
+            "JM cells (upper bounds: CM cells may be merged)\n"
+            "generic: False  witness(k-index p, q, j): (0, 1, 1)\n",
+        ),
+        ("json", '{\n  "cells": '),
+    ],
+)
+def test_a_value_error_part_way_is_an_internal_error(fmt, written, capsys):
+    # every usage error is found before anything is written, so a ValueError
+    # once the listing has begun is a crash: here an eigenvalue of more digits
+    # than str() converts, leaving the listing as far as it was written
+    big = "9" * 4300
+    argv = ["jm-cells", f"--k={big},0", "--c0", big, "--n", "2", "--format", fmt]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert cli_main(argv) == 3
+    finally:
+        sys.set_int_max_str_digits(limit)
+    out, err = capsys.readouterr()
+    assert out == written
+    assert err.startswith("Traceback (most recent call last):")
+    assert err.splitlines()[-1].startswith(
+        "internal error: ValueError: Exceeds the limit (4300 digits)"
+    )
+
+
 def test_unencodable_output_is_an_internal_error(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_check_document", lambda verdict: {"x": 0.5})
     argv = ["check", "--r=1,0", "--c0", "1", "--n", "2", "--format", "json"]
@@ -392,6 +423,8 @@ def test_cli_main_reads_as_with_all_nine_subparsers(argv, monkeypatch, capsys):
         code = cli_main(list(argv))
         seen.append((code, *capsys.readouterr()))
     assert seen[0] == seen[1]
+    code, out, _ = seen[0]
+    assert code in (0, 2) and (code == 0 or out == "")
 
 
 # the first argv of each subcommand

@@ -1,4 +1,5 @@
 import json
+from itertools import product
 from math import factorial
 
 import pytest
@@ -16,13 +17,13 @@ from wreathcells.combinatorics import (
     components_sort_key,
     components_text,
     content,
-    dpartition_components,
     enumerate_dpartitions,
     parse_dpartition,
     partition_sort_key,
     partition_text,
     partitions,
     removable_boxes,
+    shape_index,
     standard_tableaux,
     tableau_count,
 )
@@ -78,15 +79,43 @@ def test_enumerate_no_duplicates(d, n):
     assert all(sum(map(sum, x)) == n and len(x) == d for x in items)
 
 
-def test_enumerate_is_the_cached_tuple_of_the_components():
+def test_enumerate_lists_the_one_cached_table():
     for d in range(1, 5):
         for n in range(7):
-            items = enumerate_dpartitions(d, n)
-            assert items == tuple(dpartition_components(d, n))
-            assert enumerate_dpartitions(d, n) is items
-    for d, n in (0, 1), (2, -1):
+            table = shape_index(d, n)
+            assert shape_index(d, n) is table
+            assert enumerate_dpartitions(d, n) == tuple(table)
+            assert list(table.values()) == list(range(len(table)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", range(7))
+def test_enumerate_matches_the_sorted_tuples_of_partitions(d, n):
+    # an order oracle that shares nothing with the table: every d-tuple of
+    # partitions whose sizes sum to n, sorted by the documented key
+    every = [
+        comps
+        for sizes in product(range(n + 1), repeat=d)
+        if sum(sizes) == n
+        for comps in product(*map(partitions, sizes))
+    ]
+    assert enumerate_dpartitions(d, n) == tuple(sorted(every, key=components_sort_key))
+
+
+def test_the_shared_table_is_read_only():
+    table = shape_index(2, 2)
+    with pytest.raises(TypeError):
+        table[((2,), ())] = 7
+    with pytest.raises(TypeError):
+        del table[((2,), ())]
+    assert table[((2,), ())] == 0
+
+
+@pytest.mark.parametrize("d, n", [(0, 2), (-1, 0), (0, 0), (2, -1), (1, -3)])
+def test_a_table_needs_positive_d_and_nonnegative_n(d, n):
+    for enumeration in shape_index, enumerate_dpartitions:
         with pytest.raises(ValueError, match="must be"):
-            enumerate_dpartitions(d, n)
+            enumeration(d, n)
 
 
 def test_row_memo_matches_its_definition():

@@ -253,8 +253,10 @@ def test_cli_canonical_basis_json(capsys):
     assert {b["symbol"] for b in obj["basis"]} >= {"1|1", "2|∅", "∅|2", "∅|1.1"}
 
 
-def test_cli_usage_error_unsorted():
-    assert cli_main(["check", "--r", "-1,0", "--n", "2", "--c0", "1"]) == 2
+def test_cli_usage_error_unsorted(capsys):
+    # "--r -1,0" would be read as a missing value; the charges need "--r="
+    error = _assert_usage_error(["check", "--r=-1,0", "--n", "2", "--c0", "1"], capsys)
+    assert error == "error: charges must be weakly decreasing, got (-1, 0)"
 
 
 def test_cli_accepts_negative_decreasing_charges():
@@ -262,8 +264,8 @@ def test_cli_accepts_negative_decreasing_charges():
     assert cli_main(["check", "--r", "0,-1", "--n", "2", "--c0", "1"]) == 0
 
 
-def test_cli_usage_error_missing():
-    assert cli_main(["jm-cells", "--n", "2"]) == 2
+def test_cli_usage_error_missing(capsys):
+    _assert_usage_error(["jm-cells", "--n", "2"], capsys)
 
 
 def _assert_usage_error(argv, capsys):
@@ -284,6 +286,15 @@ def test_cli_charges_required(command, capsys):
 def test_cli_zero_denominator(c0, capsys):
     error = _assert_usage_error(["check", "--r", "1,0", "--c0", c0, "--n", "2"], capsys)
     assert error.startswith(f"error: cannot parse --c0 {c0!r}")
+
+
+@pytest.mark.parametrize("c0", ["1e3", "1.5", "1e2000000"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_cli_c0_is_an_integer_or_p_over_q(c0, fmt, capsys):
+    # an exponent would be expanded, at a cost growing with it, before failing
+    argv = ["jm-cells", "--k=0,1", "--c0", c0, "--n", "2", "--format", fmt]
+    error = _assert_usage_error(argv, capsys)
+    assert error == f"error: cannot parse --c0 {c0!r}: not an integer or p/q: {c0!r}"
 
 
 def test_cli_standard_symbols_json_lists_the_text_order(capsys):
@@ -375,15 +386,17 @@ def test_cli_k_and_r_together(command, capsys):
 
 def test_cli_unsorted_ratios_message_states_the_rule_it_prints(capsys):
     assert cli_main(["check", "--k=0,-1", "--c0", "1", "--n", "2"]) == 2
-    assert capsys.readouterr().err == (
-        "error: charges -ksharp_i / c0 must be weakly decreasing, got 0, 1\n"
+    assert capsys.readouterr() == (
+        "",
+        "error: charges -ksharp_i / c0 must be weakly decreasing, got 0, 1\n",
     )
 
 
 @pytest.mark.parametrize("shape", ["x", "2|1.a"])
 def test_cli_tableaux_shape_error_names_the_flag_and_text(shape, capsys):
     assert cli_main(["tableaux", "--shape", shape]) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith(f"error: cannot parse --shape {shape!r}")
     assert err.count("\n") == 1
 

@@ -124,3 +124,12 @@ def test_bar_symmetric_head_property(p):
 def test_parse_rational():
     assert parse_rational("3/4") == Fraction(3, 4)
     assert parse_rational("-2") == Fraction(-2)
+    assert parse_rational("-1/2") == Fraction(-1, 2)
+    assert parse_rational(" 3 ") == Fraction(3)
+    assert parse_rational("+2") == Fraction(2)
+
+
+@pytest.mark.parametrize("text", ["1e3", "1.5", "1e2000000", "1/-2", "3/", "1/0"])
+def test_parse_rational_reads_only_an_integer_or_p_over_q(text):
+    with pytest.raises(ValueError):
+        parse_rational(text)

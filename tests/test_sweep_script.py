@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import wreathcells
+from wreathcells import combinatorics, fock, gd12, jucys_murphy
 from wreathcells import check_conjecture, check_conjecture_sizes, params_from_r
 
 
@@ -87,6 +88,26 @@ def test_one_pass_keeps_the_order_of_its_sizes():
             expected.cm_ids,
             expected.lm_ids,
         )
+
+
+def test_a_sweep_pass_builds_one_shape_table_per_size(monkeypatch, capsys):
+    # every layer asks for the table of its (d, n) where it needs it; the
+    # process builds each once
+    sweep = _load_sweep()
+    table = combinatorics.shape_index
+    requests = []
+
+    def counted(d, n):
+        requests.append((d, n))
+        return table(d, n)
+
+    for module in fock, gd12, jucys_murphy:
+        monkeypatch.setattr(module, "shape_index", counted)
+    table.cache_clear()
+    assert sweep.main(["--max-d", "3", "--max-n", "5"]) == 0
+    capsys.readouterr()
+    assert len(requests) == 165
+    assert len(set(requests)) == table.cache_info().misses == 18
 
 
 def test_a_pool_of_two_prints_what_one_worker_prints(capsys):
